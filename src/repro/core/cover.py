@@ -24,6 +24,11 @@ Two coverage-v3 accelerations apply here:
   scan: the heap key ends with the candidate's input index, which is exactly
   the order the scan's strict ``key < best_key`` comparison preserves.
 
+Both selections rank by coverage (or gain) first and compute the rest of
+the key — placeholders, length and the ``repr`` of the transformation, by
+far the costliest part — only for candidates whose coverage reaches the top.
+On a wide input most candidates cover a single row and never get there.
+
 The plain set-based scan survives as
 :func:`greedy_minimal_cover_reference` — the executable spec the property
 tests compare the CELF engine against, tie for tie.
@@ -60,24 +65,25 @@ def top_k_by_coverage(
     then fewer units overall) so the reported transformation is the most
     readable among equally-covering ones, per the paper's length criterion.
     ``coverage`` is a bitmask popcount, so ranking never materializes row
-    sets.
+    sets.  Only the results that reach the k-th largest coverage are ranked
+    in full; the stable sort keeps them in input order on equal keys,
+    exactly as a sort of every result would.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    ranked = sorted(
-        results,
-        key=lambda r: (
-            -r.coverage,
-            r.transformation.num_placeholders,
-            len(r.transformation),
-            repr(r.transformation),
-        ),
-    )
-    return list(ranked[:k])
+    coverages = [result.coverage for result in results]
+    if len(coverages) > k:
+        threshold = heapq.nlargest(k, coverages)[-1]
+        results = [
+            result
+            for result, coverage in zip(results, coverages)
+            if coverage >= threshold
+        ]
+    return sorted(results, key=lambda r: (-r.coverage, *_selection_key(r)))[:k]
 
 
 def _selection_key(result: CoverageResult) -> tuple[int, int, str]:
-    """The gain-independent part of the greedy tie-breaking key."""
+    """The gain-independent part of both selections' tie-breaking key."""
     return (
         result.transformation.num_placeholders,
         len(result.transformation),
@@ -111,57 +117,73 @@ def greedy_minimal_cover(
       recover, so it is dropped from the heap permanently (the reference
       scan keeps skipping it each round, with the same outcome).
 
+    The tie-breakers cost far more than the gain — ``repr`` renders every
+    unit — so candidates wait in a second heap keyed on the gain alone
+    until their gain reaches the top of the ranked heap; only then is their
+    full key computed, once.  Until then every ranked candidate beats them
+    whatever their tie-breakers.  The loop stops as soon as every row an
+    eligible candidate covers is covered, since every gain left is then 0.
+
     Returns the selected transformations in selection order.
     """
     if min_support < 1:
         raise ValueError(f"min_support must be >= 1, got {min_support}")
 
-    # Heap entries are (-gain, placeholders, length, repr, index, round, ...):
-    # the index is unique per entry, so the trailing fields are never compared
-    # and the pop order below the index exactly mirrors the reference scan's
-    # first-wins tie-breaking.
-    heap: list[tuple] = []
     masks = [result.covered_mask for result in results]
     # The round-0 upper bounds are plain popcounts over every candidate at
     # once — the batched kernel op (per-byte table lookups under the numpy
     # tier) replaces len(results) scattered bit_count calls.
     gains = popcounts(masks)
-    for index, result in enumerate(results):
-        gain = gains[index]
-        if gain < min_support:
-            continue
-        placeholders, length, rendering = _selection_key(result)
-        heap.append(
-            (-gain, placeholders, length, rendering, index, 0, masks[index], result)
-        )
-    heapq.heapify(heap)
+    # Entries of both heaps end with (index, round): the index is unique per
+    # entry, so the round is never compared, and equal keys pop in input
+    # order — the reference scan's first-wins tie-breaking.
+    # pending: (-gain, index, round)
+    # ranked:  (-gain, placeholders, length, repr, index, round)
+    pending: list[tuple[int, int, int]] = []
+    ranked: list[tuple[int, int, int, str, int, int]] = []
+    reachable = 0
+    for index, gain in enumerate(gains):
+        if gain >= min_support:
+            pending.append((-gain, index, 0))
+            reachable |= masks[index]
+    heapq.heapify(pending)
 
     covered = 0
     selection_round = 0
     selected: list[CoverageResult] = []
-    while heap:
+    while covered != reachable:
         if max_transformations is not None and len(selected) >= max_transformations:
             break
-        entry = heapq.heappop(heap)
+        if pending and (not ranked or pending[0][0] <= ranked[0][0]):
+            # A pending gain bound reaches the top: rescore it if stale
+            # (dropping it when the support threshold is out of reach), rank
+            # it once its gain is fresh.
+            neg_gain, index, scored_round = heapq.heappop(pending)
+            if scored_round != selection_round:
+                gain = (masks[index] & ~covered).bit_count()
+                if gain >= min_support:
+                    heapq.heappush(pending, (-gain, index, selection_round))
+                continue
+            heapq.heappush(
+                ranked,
+                (neg_gain, *_selection_key(results[index]), index, selection_round),
+            )
+            continue
+        if not ranked:
+            break
+        entry = heapq.heappop(ranked)
         if entry[5] != selection_round:
             # Stale upper bound: rescore against the current covered set and
             # push back (or drop when the support threshold is out of reach).
-            mask = entry[6]
-            gain = (mask & ~covered).bit_count()
-            if gain < min_support:
-                continue
-            heapq.heappush(
-                heap,
-                (-gain, entry[1], entry[2], entry[3], entry[4], selection_round)
-                + entry[6:],
-            )
+            gain = (masks[entry[4]] & ~covered).bit_count()
+            if gain >= min_support:
+                heapq.heappush(ranked, (-gain, *entry[1:5], selection_round))
             continue
-        # Fresh bound on top of the heap: every other candidate's true gain
-        # is bounded by its (lazier) key, so this is the reference scan's
-        # argmin — select it.
-        choice: CoverageResult = entry[7]
-        covered |= entry[6]
-        selected.append(choice)
+        # Fresh bound on top of the ranked heap, above every pending bound:
+        # every other candidate's true key is bounded by its (lazier) key, so
+        # this is the reference scan's argmin — select it.
+        covered |= masks[entry[4]]
+        selected.append(results[entry[4]])
         selection_round += 1
     return selected
 

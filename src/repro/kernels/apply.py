@@ -15,11 +15,10 @@ applicable are masked out exactly where the reference walk prunes them,
 so each transformation's ``(row, output)`` pairs come out ascending and
 identical to the serial kernel's.
 
-The split-piece identity is shared with the coverage kernel's root slice
-dispatch: ``s.split(d)[k]`` equals the first segment of the remainder
-after ``k`` successive partitions, valid exactly when ``d`` occurs at
-least ``max(1, k)`` times in ``s`` — the reference's
-``num_pieces < 2 or piece_index >= num_pieces`` guard.
+The split families rest on one identity: ``s.split(d)[k]`` equals the
+first segment of the remainder after ``k`` successive partitions, valid
+exactly when ``d`` occurs at least ``max(1, k)`` times in ``s`` — the
+reference's ``num_pieces < 2 or piece_index >= num_pieces`` guard.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ that exploits it as a long-lived process instead of cold one-shot applies:
 
 ``repro.serve.registry``
     :class:`ModelRegistry` — named models loaded from a directory,
-    reloaded on mtime change, with the compiled joiner per model and the
+    reloaded when the file changes, with the compiled joiner per model and the
     packed target :class:`~repro.matching.index.ValueIndex` per target
     column kept warm behind bounded LRU caches.
 ``repro.serve.engine``
@@ -27,7 +27,7 @@ that exploits it as a long-lived process instead of cold one-shot applies:
 ``repro.serve.breaker``
     :class:`CircuitBreaker` — per-model consecutive-failure gates that
     fail fast (503) while a model keeps failing, with half-open probes and
-    immediate reopening on a changed artifact mtime.
+    immediate reopening on a changed artifact file.
 
 Typical usage::
 

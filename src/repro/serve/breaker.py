@@ -16,11 +16,11 @@ that into a near-zero-cost typed rejection:
   probe success closes the breaker, a probe failure re-opens it and
   restarts the cool-down.
 
-The open state also watches the model file itself: ``mtime_fn`` (a cheap
-``stat``) is consulted on rejected requests, and a changed mtime — the
-operator shipped a fixed artifact — admits a probe immediately instead of
-waiting out the cool-down.  A successful probe after a reload is exactly
-the "successful registry mtime reload closes it" contract: the probe goes
+The open state also watches the model file itself: ``file_key_fn`` (a
+cheap ``stat``) is consulted on rejected requests, and a changed file key —
+the operator shipped a fixed artifact — admits a probe immediately instead
+of waiting out the cool-down.  A successful probe after a reload is exactly
+the "successful registry reload closes it" contract: the probe goes
 through the registry, which reloads the changed file, and its success
 closes the breaker.
 
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import threading
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Hashable
 
 from repro.serve.errors import CircuitOpenError
 
@@ -60,7 +60,7 @@ class CircuitBreaker:
         *,
         failure_threshold: int = DEFAULT_FAILURE_THRESHOLD,
         cooldown_s: float = DEFAULT_COOLDOWN_S,
-        mtime_fn: Callable[[], int | None] | None = None,
+        file_key_fn: Callable[[], Hashable | None] | None = None,
     ) -> None:
         if failure_threshold < 1:
             raise ValueError(
@@ -71,12 +71,12 @@ class CircuitBreaker:
         self._name = name
         self._threshold = failure_threshold
         self._cooldown_s = cooldown_s
-        self._mtime_fn = mtime_fn
+        self._file_key_fn = file_key_fn
         self._lock = threading.Lock()
         self._state = "closed"
         self._consecutive_failures = 0
         self._opened_at = 0.0
-        self._mtime_at_open: int | None = None
+        self._file_key_at_open: Hashable | None = None
         self._probe_in_flight = False
         # Counters for /stats.
         self._opened_count = 0
@@ -91,7 +91,7 @@ class CircuitBreaker:
         """Admit this request or raise :class:`CircuitOpenError`.
 
         In the open state the request is rejected unless the cool-down has
-        elapsed or the model file's mtime changed since the breaker opened
+        elapsed or the model file's key changed since the breaker opened
         — either admits it as the half-open probe.  In the half-open state
         only the probe slot's holder is admitted; everyone else keeps
         getting 503 until the probe resolves.
@@ -102,7 +102,7 @@ class CircuitBreaker:
             now = time.monotonic()
             if self._state == "open":
                 elapsed = now - self._opened_at
-                if elapsed < self._cooldown_s and not self._mtime_changed():
+                if elapsed < self._cooldown_s and not self._file_changed():
                     self._rejected_count += 1
                     raise CircuitOpenError(
                         self._name,
@@ -125,7 +125,7 @@ class CircuitBreaker:
             self._state = "closed"
             self._consecutive_failures = 0
             self._probe_in_flight = False
-            self._mtime_at_open = None
+            self._file_key_at_open = None
 
     def record_failure(self) -> None:
         """A passed-through request failed in a countable (typed) way."""
@@ -156,22 +156,22 @@ class CircuitBreaker:
                 self._probe_in_flight = False
 
     def _reopen(self) -> None:
-        """Trip to open (lock held), recording the artifact's current mtime."""
+        """Trip to open (lock held), recording the artifact's current key."""
         self._state = "open"
         self._opened_at = time.monotonic()
         self._probe_in_flight = False
         self._opened_count += 1
         self._consecutive_failures = self._threshold
-        self._mtime_at_open = (
-            self._mtime_fn() if self._mtime_fn is not None else None
+        self._file_key_at_open = (
+            self._file_key_fn() if self._file_key_fn is not None else None
         )
 
-    def _mtime_changed(self) -> bool:
+    def _file_changed(self) -> bool:
         """Whether the model file changed on disk since the breaker opened."""
-        if self._mtime_fn is None:
+        if self._file_key_fn is None:
             return False
-        current = self._mtime_fn()
-        return current is not None and current != self._mtime_at_open
+        current = self._file_key_fn()
+        return current is not None and current != self._file_key_at_open
 
     def snapshot(self) -> dict:
         """State and counters for ``/stats``."""

@@ -68,7 +68,7 @@ class LRUCache:
     def invalidate(self, predicate: Callable[[Hashable], bool]) -> int:
         """Drop every entry whose key satisfies *predicate*; returns the count.
 
-        Used on model reload: entries keyed by a stale ``(name, mtime)``
+        Used on model reload: entries keyed by a stale ``(name, file key)``
         must not survive the artifact swap.  Invalidations are not counted
         as evictions — they are correctness drops, not capacity pressure.
         """

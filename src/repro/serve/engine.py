@@ -456,7 +456,7 @@ class ServeEngine:
                         name,
                         failure_threshold=self._breaker_threshold,
                         cooldown_s=self._breaker_cooldown_s,
-                        mtime_fn=lambda: self._registry.peek_mtime_ns(name),
+                        file_key_fn=lambda: self._registry.peek_file_key(name),
                     )
         if self._countable(error):
             breaker.record_failure()

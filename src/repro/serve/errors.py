@@ -115,7 +115,7 @@ class CircuitOpenError(ServeError):
     The request failed fast — no registry load, no apply — because the
     model's recent typed failures crossed the breaker threshold.  The
     breaker half-opens after its cool-down (or immediately once the model
-    file's mtime changes on disk), so ``retry_after_s`` tells clients when
+    file changes on disk), so ``retry_after_s`` tells clients when
     a probe is worth sending.
     """
 

@@ -9,10 +9,12 @@ directory into a serving catalogue:
   :class:`~repro.serve.errors.ModelNotFoundError`, a corrupt file raises
   :class:`~repro.serve.errors.ModelLoadError` *for that model only* — every
   other model keeps serving;
-* **reload on change** — every lookup stats the file; a changed mtime
-  reloads the artifact and swaps it in atomically (readers see either the
-  complete old model or the complete new one, never a half-load), so an
-  incremental refit lands without a server restart;
+* **reload on change** — every lookup stats the file; a changed file key
+  (inode, size and mtime, so a file swapped in with its old timestamp
+  preserved still counts as changed) reloads the artifact and swaps it in
+  atomically (readers see either the complete old model or the complete
+  new one, never a half-load), so an incremental refit lands without a
+  server restart;
 * **warm compiled artifacts** — the per-model trie-compiled
   :class:`~repro.join.joiner.TransformationJoiner` and the per-target-column
   packed :class:`~repro.matching.index.ValueIndex` live behind bounded
@@ -41,6 +43,17 @@ from repro.serve.errors import BadRequestError, ModelLoadError, ModelNotFoundErr
 _SAFE_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
 
+def _file_key(stat: os.stat_result) -> tuple[int, int, int]:
+    """What identifies one version of a model file: inode, size, mtime.
+
+    The mtime alone misses a file replaced by a copy that keeps the old
+    timestamp (``cp -p``, ``rsync -t``) or rewritten within one timestamp
+    tick; a replacement moved into place has a new inode, and one rewritten
+    in place almost always a new size.
+    """
+    return stat.st_ino, stat.st_size, stat.st_mtime_ns
+
+
 @dataclass(frozen=True)
 class ModelEntry:
     """One loaded (or failed-to-load) model of the registry.
@@ -51,9 +64,14 @@ class ModelEntry:
 
     name: str
     path: Path
-    mtime_ns: int
+    file_key: tuple[int, int, int]
     model: TransformationModel | None = None
     error: BaseException | None = None
+
+    @property
+    def mtime_ns(self) -> int:
+        """The model file's mtime when this entry was loaded."""
+        return self.file_key[2]
 
 
 class ModelRegistry:
@@ -65,7 +83,7 @@ class ModelRegistry:
         Directory of ``<name>.json`` model files.
     joiner_cache_capacity / index_cache_capacity:
         Bounds of the compiled-artifact caches (joiners keyed by
-        ``(name, mtime)``, target indexes keyed by the target values'
+        ``(name, file key)``, target indexes keyed by the target values'
         content digest).  Eviction is safe — the artifact is rebuilt on the
         next request — so small bounds just trade latency for memory.
     num_workers / min_rows_per_worker / task_timeout_s / shard_retries /
@@ -125,7 +143,7 @@ class ModelRegistry:
         Raises :class:`BadRequestError` for unusable names,
         :class:`ModelNotFoundError` when no such file exists, and
         :class:`ModelLoadError` when the file cannot be parsed — the failed
-        entry is cached (keyed by mtime), so a broken artifact is not
+        entry is cached (keyed by file key), so a broken artifact is not
         re-parsed on every request, and fixing the file on disk clears the
         error on the next lookup.
 
@@ -144,46 +162,48 @@ class ModelRegistry:
             maybe_inject_serve("registry", deadline=deadline)
         path = self._dir / f"{name}.json"
         try:
-            mtime_ns = path.stat().st_mtime_ns
+            file_key = _file_key(path.stat())
         except OSError:
             with self._lock:
                 self._entries.pop(name, None)
             raise ModelNotFoundError(name) from None
         with self._lock:
             entry = self._entries.get(name)
-            if entry is None or entry.mtime_ns != mtime_ns:
-                entry = self._load(name, path, mtime_ns)
+            if entry is None or entry.file_key != file_key:
+                entry = self._load(name, path, file_key)
                 self._entries[name] = entry
                 # Compiled joiners of the replaced artifact are stale the
                 # moment the new entry is visible.
                 self._joiners.invalidate(
-                    lambda key: key[0] == name and key[1] != mtime_ns
+                    lambda key: key[0] == name and key[1] != file_key
                 )
         if entry.error is not None:
             raise ModelLoadError(name, entry.error)
         return entry
 
     @staticmethod
-    def _load(name: str, path: Path, mtime_ns: int) -> ModelEntry:
+    def _load(
+        name: str, path: Path, file_key: tuple[int, int, int]
+    ) -> ModelEntry:
         """Read one model file into a complete (immutable) entry."""
         try:
             model = TransformationModel.load(path)
         except (ModelFormatError, OSError) as error:
-            return ModelEntry(name=name, path=path, mtime_ns=mtime_ns, error=error)
-        return ModelEntry(name=name, path=path, mtime_ns=mtime_ns, model=model)
+            return ModelEntry(name=name, path=path, file_key=file_key, error=error)
+        return ModelEntry(name=name, path=path, file_key=file_key, model=model)
 
-    def peek_mtime_ns(self, name: str) -> int | None:
-        """The model file's current mtime, or ``None`` when absent.
+    def peek_file_key(self, name: str) -> tuple[int, int, int] | None:
+        """The model file's current file key, or ``None`` when absent.
 
         A lock-free ``stat`` — cheap enough for the circuit breaker to call
         on *rejected* requests to detect that an operator shipped a fixed
-        artifact (changed mtime ⇒ admit a probe immediately instead of
+        artifact (changed file key ⇒ admit a probe immediately instead of
         waiting out the cool-down).
         """
         if not _SAFE_NAME.match(name):
             return None
         try:
-            return (self._dir / f"{name}.json").stat().st_mtime_ns
+            return _file_key((self._dir / f"{name}.json").stat())
         except OSError:
             return None
 
@@ -220,7 +240,7 @@ class ModelRegistry:
                 serial_fallback=self._serial_fallback,
             )
 
-        joiner, hit = self._joiners.get_or_build((name, entry.mtime_ns), build)
+        joiner, hit = self._joiners.get_or_build((name, entry.file_key), build)
         return joiner, entry, hit
 
     def target_index_for(

@@ -159,15 +159,16 @@ class TestBaselineComparison:
     """Table 2/3 shape: our approach covers at least as much as Auto-Join."""
 
     def test_our_cover_at_least_autojoin_on_multi_rule_input(self):
+        # Three-letter names keep AutoJoin's exhaustive search short.
         pairs = [
-            ("Rafiei, Davood", "D Rafiei"),
-            ("Bowling, Michael", "M Bowling"),
-            ("Gosgnach, Simon", "S Gosgnach"),
-            ("Nascimento, Mario", "M Nascimento"),
-            ("alpha-beta", "beta/alpha"),
-            ("gamma-delta", "delta/gamma"),
-            ("epsilon-zeta", "zeta/epsilon"),
-            ("eta-theta", "theta/eta"),
+            ("Raf, Dav", "D Raf"),
+            ("Bow, Mic", "M Bow"),
+            ("Gos, Sim", "S Gos"),
+            ("Nas, Mar", "M Nas"),
+            ("alp-bet", "bet/alp"),
+            ("gam-del", "del/gam"),
+            ("eps-zet", "zet/eps"),
+            ("eta-the", "the/eta"),
         ]
         ours = TransformationDiscovery().discover_from_strings(pairs)
         autojoin = AutoJoin(

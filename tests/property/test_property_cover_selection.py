@@ -102,6 +102,84 @@ class TestCelfMatchesReferenceGreedy:
         ) == greedy_minimal_cover_reference(results, min_support=min_support)
 
 
+def _wide_input(num_rows: int = 1000, tail: int = 0) -> list[CoverageResult]:
+    """The shape discovery produces on wide rows: five single-row candidates
+    per row, a few wide candidates covering every row but the last *tail*
+    ones, and two-row candidates over two thirds of that tail.  Placeholder
+    counts and lengths vary, and the order is shuffled."""
+    covered_by_wide = num_rows - tail
+    results = [
+        CoverageResult(
+            Transformation(
+                [Substr(0, 1 + k) for k in range(variant % 3)]
+                + [Literal(f"{row}:{variant}")]
+            ),
+            {row},
+        )
+        for row in range(num_rows)
+        for variant in range(5)
+    ]
+    wide = [
+        ([Split(",", 1)], range(0, 400)),
+        ([Split(",", 2)], range(300, 700)),
+        ([Substr(0, 4), Literal("-")], range(600, covered_by_wide)),
+        ([Split(" ", 1), Literal("x")], range(0, covered_by_wide, 7)),
+        ([Split(" ", 2)], range(0, covered_by_wide, 3)),
+        ([Substr(0, 2)], range(0, 200)),
+    ]
+    results += [
+        CoverageResult(Transformation(units), rows) for units, rows in wide
+    ]
+    results += [
+        CoverageResult(Transformation([Literal(f"pair{row}")]), {row, row + 1})
+        for row in range(covered_by_wide, num_rows - 1, 3)
+    ]
+    random.Random(0).shuffle(results)
+    return results
+
+
+class TestLazyKeysOnWideInputs:
+    """Ranking renders ``repr`` only for candidates that reach the top."""
+
+    def test_few_renders_for_thousands_of_single_row_candidates(
+        self, monkeypatch
+    ):
+        results = _wide_input()
+        renders = []
+        original = Transformation.__repr__
+
+        def counting_repr(self):
+            renders.append(1)
+            return original(self)
+
+        monkeypatch.setattr(Transformation, "__repr__", counting_repr)
+        top = top_k_by_coverage(results, 5)
+        cover = greedy_minimal_cover(results)
+        assert len(results) > 5000
+        assert len(renders) <= 40
+        assert all(result.coverage > 1 for result in top + cover)
+
+    def test_full_tie_breaking_on_the_same_input(self):
+        results = _wide_input(tail=40)
+        for min_support, cap in ((1, None), (2, None), (2, 4), (3, 2)):
+            assert greedy_minimal_cover(
+                results, min_support=min_support, max_transformations=cap
+            ) == greedy_minimal_cover_reference(
+                results, min_support=min_support, max_transformations=cap
+            )
+        full_sort = sorted(
+            results,
+            key=lambda r: (
+                -r.coverage,
+                r.transformation.num_placeholders,
+                len(r.transformation),
+                repr(r.transformation),
+            ),
+        )
+        for k in (1, 5, 7, 30):
+            assert top_k_by_coverage(results, k) == full_sort[:k]
+
+
 class TestBitsetAgreesWithSets:
     @given(rows=ROW_SETS)
     def test_mask_roundtrip(self, rows):

@@ -1,17 +1,16 @@
 """Kernel tier equivalence: every vectorized path must be byte-identical.
 
 The numpy tier of :mod:`repro.kernels` is an *implementation* of the serial
-Python walkers, never a reinterpretation — so equality here is exact, not
+Python code, never a reinterpretation — so equality here is exact, not
 approximate, at three levels:
 
-* **op level** — every py/np dual in :mod:`repro.kernels.blocks` and
-  :mod:`repro.kernels.bitset` computes elementwise-equal values on
-  randomized inputs;
-* **walker level** — the numpy coverage walker returns the same covered
-  rows *and the same cache statistics* as the reference walk (every cache
-  is per-row, so the tallies are tier-invariant), and the numpy apply
-  walker returns the same ``(row, output)`` pairs as the reference, both
-  pinned to ``Transformation.apply`` row by row;
+* **op level** — every py/np dual in :mod:`repro.kernels.bitset` computes
+  equal values on randomized inputs;
+* **walker level** — the numpy apply walker returns the same
+  ``(row, output)`` pairs as the reference, both pinned to
+  ``Transformation.apply`` row by row; coverage has a single, pure-Python
+  walker on both tiers, pinned to ``Transformation.covers`` row by row and
+  invariant under its row blocking and its cache flag;
 * **engine level** — ``CoverageComputer`` produces identical coverage
   under ``use_tier("python")`` and ``use_tier("numpy")`` across worker
   counts {1, 2, 3}, and the sharded matching-index build reproduces the
@@ -35,15 +34,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
-from repro.core.coverage import (
-    CoverageComputer,
-    _build_unit_trie,
-    _walk_trie_rows_python,
-)
+from repro.core.coverage import CoverageComputer, _build_unit_trie
 from repro.core.pairs import pairs_from_strings
 from repro.core.transformation import Transformation
 from repro.core.units import Literal, Split, SplitSubstr, Substr
-from repro.kernels import bitset, blocks
+from repro.kernels import bitset
 from repro.matching.index import InvertedIndex
 from repro.model.apply import _transform_trie_rows_python
 
@@ -82,92 +77,9 @@ TRANSFORMATIONS = st.lists(
     max_size=12,
 )
 
-STRING_PAIRS = st.lists(st.tuples(CELL, CELL), min_size=0, max_size=10)
-
-
 # --------------------------------------------------------------------------
-# Op level: the py/np duals of repro.kernels.blocks / repro.kernels.bitset.
+# Op level: the py/np duals of repro.kernels.bitset.
 # --------------------------------------------------------------------------
-
-
-@needs_numpy
-@given(statuses=st.lists(st.integers(min_value=0, max_value=2), max_size=60))
-def test_partition_statuses_dual(statuses):
-    assert blocks.partition_statuses_np(statuses) == (
-        blocks.partition_statuses_py(statuses)
-    )
-
-
-@st.composite
-def _startswith_cases(draw):
-    """Rows of (target, prefix, valid start offset) — offsets never exceed
-    the target length, matching the walker's caller guarantee."""
-    targets = draw(st.lists(CELL, max_size=20))
-    prefixes = [
-        draw(st.text(alphabet="ab, .", max_size=4)) for _ in targets
-    ]
-    starts = [
-        draw(st.integers(min_value=0, max_value=len(target)))
-        for target in targets
-    ]
-    return targets, prefixes, starts
-
-
-@needs_numpy
-@given(case=_startswith_cases())
-def test_startswith_at_dual(case):
-    targets, prefixes, starts = case
-    assert blocks.startswith_at_np(targets, prefixes, starts) == (
-        blocks.startswith_at_py(targets, prefixes, starts)
-    )
-
-
-@needs_numpy
-@given(
-    targets=st.lists(CELL, max_size=20),
-    outputs=st.lists(st.text(alphabet="ab, .", max_size=5), max_size=20),
-)
-def test_find_positions_dual(targets, outputs):
-    n = min(len(targets), len(outputs))
-    targets, outputs = targets[:n], outputs[:n]
-    assert blocks.find_positions_np(targets, outputs) == (
-        blocks.find_positions_py(targets, outputs)
-    )
-
-
-@needs_numpy
-@given(
-    member_ends=st.lists(
-        st.integers(min_value=0, max_value=20), max_size=10
-    ).map(sorted),
-    piece_lengths=st.lists(st.integers(min_value=0, max_value=25), max_size=30),
-)
-def test_slice_cuts_dual(member_ends, piece_lengths):
-    assert blocks.slice_cuts_np(member_ends, piece_lengths) == (
-        blocks.slice_cuts_py(member_ends, piece_lengths)
-    )
-
-
-@needs_numpy
-@given(
-    pieces=st.lists(
-        st.text(alphabet="abcde", min_size=6, max_size=12), max_size=20
-    ),
-    start=st.integers(min_value=0, max_value=6),
-    length=st.integers(min_value=0, max_value=6),
-)
-def test_slice_pieces_dual(pieces, start, length):
-    # end <= 6 <= len(piece): the callers' in-bounds guarantee.
-    end = min(start + length, 6)
-    assert blocks.slice_pieces_np(pieces, start, end) == (
-        blocks.slice_pieces_py(pieces, start, end)
-    )
-
-
-@needs_numpy
-@given(texts=st.lists(CELL, max_size=30))
-def test_str_lengths_dual(texts):
-    assert blocks.str_lengths_np(texts) == blocks.str_lengths_py(texts)
 
 
 ROW_SETS = st.lists(
@@ -208,40 +120,8 @@ def test_bitset_dispatchers_roundtrip_on_active_tier(row_sets):
 
 
 # --------------------------------------------------------------------------
-# Walker level: the block walkers against the serial reference walks.
+# Walker level: the apply block walker against the serial reference walk.
 # --------------------------------------------------------------------------
-
-
-@needs_numpy
-@settings(deadline=None, max_examples=60)
-@given(
-    string_pairs=STRING_PAIRS,
-    transformations=TRANSFORMATIONS,
-    row_offset=st.sampled_from([0, 7]),
-    use_cache=st.booleans(),
-)
-def test_coverage_walker_identical(
-    string_pairs, transformations, row_offset, use_cache
-):
-    """The numpy coverage walk returns the reference's exact tuple:
-    covered rows per transformation, cache hits/misses, applications,
-    rows processed."""
-    from repro.kernels.coverage import available, walk_trie_rows_numpy
-
-    if not available():
-        pytest.skip("numpy coverage walker not available")
-    pairs = pairs_from_strings(string_pairs)
-    trie = _build_unit_trie(transformations)
-    # Fresh cache state per walk: with use_cache the walkers *write* the
-    # per-row non-covering sets, so sharing one list would leak state from
-    # the reference walk into the kernel walk.
-    reference = _walk_trie_rows_python(
-        pairs, row_offset, trie, [set() for _ in pairs], use_cache
-    )
-    vectorized = walk_trie_rows_numpy(
-        pairs, row_offset, trie, [set() for _ in pairs], use_cache
-    )
-    assert vectorized == reference
 
 
 @needs_numpy
@@ -270,6 +150,94 @@ def test_apply_walker_identical_and_pinned_to_apply(
         for slot, value in enumerate(values):
             expected = transformation.apply(value)
             assert produced.get(row_offset + slot) == expected
+
+
+# --------------------------------------------------------------------------
+# Walker level: the one coverage walker, on whichever tier is active.
+# --------------------------------------------------------------------------
+
+
+STRING_PAIRS = st.lists(st.tuples(CELL, CELL), min_size=0, max_size=10)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    string_pairs=STRING_PAIRS,
+    transformations=TRANSFORMATIONS,
+    row_offset=st.sampled_from([0, 7]),
+    use_cache=st.booleans(),
+)
+def test_coverage_walker_pinned_to_covers(
+    string_pairs, transformations, row_offset, use_cache
+):
+    """The walker reports, as global row ids, exactly the rows for which
+    ``Transformation.covers`` holds — every row, none skipped."""
+    from repro.core.coverage import _walk_trie_rows
+
+    pairs = pairs_from_strings(string_pairs)
+    trie = _build_unit_trie(transformations)
+    covered, _, _, _, rows_processed = _walk_trie_rows(
+        pairs, row_offset, trie, [set() for _ in pairs], use_cache
+    )
+    assert rows_processed == len(pairs)
+    for index, transformation in enumerate(transformations):
+        expected = [
+            row_offset + slot
+            for slot, pair in enumerate(pairs)
+            if transformation.covers(pair.source, pair.target)
+        ]
+        assert covered.get(index, []) == expected
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    string_pairs=STRING_PAIRS,
+    transformations=TRANSFORMATIONS,
+    block_rows=st.sampled_from([1, 2, 3]),
+    use_cache=st.booleans(),
+)
+def test_coverage_walker_block_size_invariant(
+    string_pairs, transformations, block_rows, use_cache
+):
+    """Every cache of the walk is per-row, so the row-block size changes
+    neither the covered rows nor a single statistic."""
+    from unittest import mock
+
+    from repro.core import coverage
+
+    pairs = pairs_from_strings(string_pairs)
+    trie = _build_unit_trie(transformations)
+    whole = coverage._walk_trie_rows(
+        pairs, 0, trie, [set() for _ in pairs], use_cache
+    )
+    with mock.patch.object(coverage, "_WALK_BLOCK_ROWS", block_rows):
+        blocked = coverage._walk_trie_rows(
+            pairs, 0, trie, [set() for _ in pairs], use_cache
+        )
+    assert blocked == whole
+
+
+@settings(deadline=None, max_examples=40)
+@given(string_pairs=STRING_PAIRS, transformations=TRANSFORMATIONS)
+def test_coverage_walker_cache_flag_only_relabels_skips(
+    string_pairs, transformations
+):
+    """From cold caches the flag changes no classification: the same rows
+    are covered after the same applications, and the skips counted as hits
+    with the cache on are counted as misses with it off."""
+    from repro.core.coverage import _walk_trie_rows
+
+    pairs = pairs_from_strings(string_pairs)
+    trie = _build_unit_trie(transformations)
+    on = _walk_trie_rows(pairs, 0, trie, [set() for _ in pairs], True)
+    off = _walk_trie_rows(pairs, 0, trie, [set() for _ in pairs], False)
+    covered_on, hits_on, misses_on, applications_on, rows_on = on
+    covered_off, hits_off, misses_off, applications_off, rows_off = off
+    assert covered_on == covered_off
+    assert applications_on == applications_off
+    assert rows_on == rows_off == len(pairs)
+    assert hits_off == 0
+    assert hits_on + misses_on == misses_off
 
 
 # --------------------------------------------------------------------------
@@ -373,28 +341,3 @@ def test_sharded_index_build_tier_invariant(tier):
         )
     assert list(sharded._postings) == list(serial._postings)
     assert sharded._frequency == serial._frequency
-
-
-@settings(deadline=None, max_examples=25)
-@given(
-    string_pairs=STRING_PAIRS,
-    transformations=TRANSFORMATIONS,
-    use_cache=st.booleans(),
-)
-def test_walker_dispatch_matches_reference_on_active_tier(
-    string_pairs, transformations, use_cache
-):
-    """_walk_trie_rows (the tier dispatcher every engine calls) equals the
-    reference walk on whichever tier this process resolved — under
-    REPRO_KERNELS=python this pins the forced fallback to the spec."""
-    from repro.core.coverage import _walk_trie_rows
-
-    pairs = pairs_from_strings(string_pairs)
-    trie = _build_unit_trie(transformations)
-    reference = _walk_trie_rows_python(
-        pairs, 0, trie, [set() for _ in pairs], use_cache
-    )
-    dispatched = _walk_trie_rows(
-        pairs, 0, trie, [set() for _ in pairs], use_cache
-    )
-    assert dispatched == reference

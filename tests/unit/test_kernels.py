@@ -4,9 +4,8 @@ Three surfaces live here:
 
 * the tier resolution of :mod:`repro.kernels` — probe, override, error
   cases, and the write-through/restore behaviour of ``use_tier``;
-* fixed-case checks of every py/np op pair in
-  :mod:`repro.kernels.blocks` and :mod:`repro.kernels.bitset` (the
-  randomized sweeps live in ``tests/property/test_property_kernels.py``);
+* fixed-case checks of every py/np op pair in :mod:`repro.kernels.bitset`
+  (the randomized sweeps live in ``tests/property/test_property_kernels.py``);
 * the plumbing that keeps benchmarks honest about the tier — the
   tier-aware worker tuning, the BENCH host block, the mixed-tier
   comparison rejection, and the ``--kernels`` CLI flags.
@@ -21,7 +20,7 @@ from __future__ import annotations
 import pytest
 
 from repro import kernels
-from repro.kernels import bitset, blocks
+from repro.kernels import bitset
 
 
 def _np_or_skip():
@@ -97,60 +96,6 @@ class TestTierResolution:
             expected = None
         with kernels.use_tier("python"):
             assert kernels.numpy_version() == expected
-
-
-class TestBlockOps:
-    """Fixed-case py/np equality of every block op pair."""
-
-    def test_partition_statuses(self):
-        _np_or_skip()
-        statuses = [0, 1, 2, 2, 0, 1, 1, 0, 2]
-        assert blocks.partition_statuses_np(statuses) == (
-            blocks.partition_statuses_py(statuses)
-        )
-        assert blocks.partition_statuses_py(statuses) == (
-            [0, 4, 7],
-            [1, 5, 6],
-            3,
-        )
-        assert blocks.partition_statuses_np([]) == ([], [], 0)
-
-    def test_startswith_at(self):
-        _np_or_skip()
-        targets = ["abcdef", "abcdef", "abcdef", "xy", "xy", ""]
-        prefixes = ["abc", "cde", "", "xyz", "", ""]
-        starts = [0, 2, 3, 0, 2, 0]
-        expected = blocks.startswith_at_py(targets, prefixes, starts)
-        assert expected == [True, True, True, False, True, True]
-        assert blocks.startswith_at_np(targets, prefixes, starts) == expected
-
-    def test_find_positions(self):
-        _np_or_skip()
-        targets = ["hello world", "hello world", "abc", ""]
-        outputs = ["world", "xyz", "", "a"]
-        expected = blocks.find_positions_py(targets, outputs)
-        assert expected == [6, -1, 0, -1]
-        assert blocks.find_positions_np(targets, outputs) == expected
-
-    def test_slice_cuts(self):
-        _np_or_skip()
-        member_ends = [2, 4, 4, 7]
-        lengths = [0, 2, 3, 4, 5, 7, 9]
-        expected = blocks.slice_cuts_py(member_ends, lengths)
-        assert blocks.slice_cuts_np(member_ends, lengths) == expected
-
-    def test_slice_pieces(self):
-        _np_or_skip()
-        pieces = ["abcdef", "ghijkl", "mnopqr"]
-        for start, end in [(0, 3), (1, 5), (2, 2), (0, 6)]:
-            assert blocks.slice_pieces_np(pieces, start, end) == (
-                blocks.slice_pieces_py(pieces, start, end)
-            )
-
-    def test_str_lengths(self):
-        _np_or_skip()
-        texts = ["", "a", "abcdef", "hello world"]
-        assert blocks.str_lengths_np(texts) == blocks.str_lengths_py(texts)
 
 
 class TestBitsetOps:

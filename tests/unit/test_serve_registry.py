@@ -193,6 +193,56 @@ class TestModelRegistry:
         assert old_joiner.transformations == first.joiner().transformations
         assert new_joiner.transformations == second.joiner().transformations
 
+    def test_replaced_file_with_preserved_mtime_reloads(
+        self, tmp_path, name_initial_pairs, phone_pairs
+    ):
+        path = tmp_path / "m.json"
+        first = fit_model(name_initial_pairs)
+        first.save(path)
+        registry = ModelRegistry(tmp_path)
+        _, old_entry, _ = registry.joiner_for("m")
+        old_key = registry.peek_file_key("m")
+        old_stat = path.stat()
+        # Ship the new model the way `cp -p` or `rsync -t` do: move a copy
+        # into place, then restore the old timestamps.
+        staged = tmp_path / "m.json.new"
+        second = fit_model(phone_pairs)
+        second.save(staged)
+        os.replace(staged, path)
+        os.utime(path, ns=(old_stat.st_atime_ns, old_stat.st_mtime_ns))
+        assert path.stat().st_mtime_ns == old_entry.mtime_ns
+        assert registry.peek_file_key("m") != old_key
+        new_joiner, new_entry, hit = registry.joiner_for("m")
+        assert hit is False
+        assert new_entry.model == second
+        assert new_joiner.transformations == second.joiner().transformations
+
+    def test_in_place_rewrite_with_preserved_mtime_reloads(self, tmp_path, model):
+        path = tmp_path / "m.json"
+        model.save(path)
+        registry = ModelRegistry(tmp_path)
+        old_entry = registry.get("m")
+        old_stat = path.stat()
+        # Rewrite the same inode (compact JSON this time) and put the old
+        # timestamps back: only the size tells the versions apart.
+        path.write_text(model.dumps(indent=None), encoding="utf-8")
+        os.utime(path, ns=(old_stat.st_atime_ns, old_stat.st_mtime_ns))
+        new_stat = path.stat()
+        assert new_stat.st_ino == old_stat.st_ino
+        assert new_stat.st_mtime_ns == old_stat.st_mtime_ns
+        assert new_stat.st_size < old_stat.st_size
+        new_entry = registry.get("m")
+        assert new_entry is not old_entry
+        assert new_entry.model == model
+
+    def test_peek_file_key_is_inode_size_and_mtime(self, registry, tmp_path):
+        stat = (tmp_path / "names.json").stat()
+        key = (stat.st_ino, stat.st_size, stat.st_mtime_ns)
+        assert registry.peek_file_key("names") == key
+        assert registry.get("names").file_key == key
+        assert registry.peek_file_key("missing") is None
+        assert registry.peek_file_key("../escape") is None
+
     def test_deleted_file_turns_into_not_found(self, tmp_path, model):
         path = tmp_path / "m.json"
         model.save(path)

@@ -155,21 +155,50 @@ class TestCircuitBreaker:
         assert len(rejected) == workers - 1
 
     def test_changed_mtime_admits_a_probe_before_the_cooldown(self):
-        mtime = {"value": 100}
+        file_key = {"value": (1, 10, 100)}
         breaker = CircuitBreaker(
             "m",
             failure_threshold=1,
             cooldown_s=3600.0,
-            mtime_fn=lambda: mtime["value"],
+            file_key_fn=lambda: file_key["value"],
         )
         self._trip(breaker)
         with pytest.raises(CircuitOpenError):
             breaker.acquire()
-        mtime["value"] = 200  # the operator shipped a fixed artifact
+        file_key["value"] = (1, 10, 200)  # the operator shipped a fixed artifact
         breaker.acquire()  # probe admitted immediately, no cool-down wait
         assert breaker.state == "half_open"
         breaker.record_success()
         assert breaker.state == "closed"
+
+    def test_replaced_file_with_the_same_mtime_admits_a_probe(self):
+        file_key = {"value": (1, 10, 100)}
+        breaker = CircuitBreaker(
+            "m",
+            failure_threshold=1,
+            cooldown_s=3600.0,
+            file_key_fn=lambda: file_key["value"],
+        )
+        self._trip(breaker)
+        with pytest.raises(CircuitOpenError):
+            breaker.acquire()
+        file_key["value"] = (2, 10, 100)  # moved into place, old mtime kept
+        breaker.acquire()
+        assert breaker.state == "half_open"
+
+    def test_missing_file_does_not_admit_a_probe(self):
+        file_key = {"value": (1, 10, 100)}
+        breaker = CircuitBreaker(
+            "m",
+            failure_threshold=1,
+            cooldown_s=3600.0,
+            file_key_fn=lambda: file_key["value"],
+        )
+        self._trip(breaker)
+        file_key["value"] = None  # deleted mid-deploy: nothing new to probe
+        with pytest.raises(CircuitOpenError):
+            breaker.acquire()
+        assert breaker.state == "open"
 
     def test_snapshot_counters(self):
         breaker = CircuitBreaker("m", failure_threshold=1, cooldown_s=3600.0)
