@@ -18,7 +18,6 @@ equivalence tests compare the batched path against.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -33,23 +32,25 @@ from repro.parallel.executor import env_default_workers
 from repro.table.table import Table
 
 
-def target_values_key(values: Sequence[str]) -> bytes:
-    """A collision-resistant identity digest of a target value list.
+def shared_values_key(
+    values: tuple[str, ...], index: ValueIndex
+) -> tuple[str, ...]:
+    """*values*, the column *index* was built over, as a cache key in which
+    equal values are one string object.
 
-    Length-prefixed so value boundaries cannot alias (``["ab","c"]`` and
-    ``["a","bc"]`` digest differently).  This is the cache key for prebuilt
-    target :class:`ValueIndex` objects — on the joiner's most-recent-target
-    cache and in the serving registry's bounded index cache — so it must
-    never collide for differing inputs in practice; a 128-bit blake2b digest
-    over the exact bytes gives that without keeping the values alive.
+    The target index caches keep the key of every cached column alive, and
+    a decoded column holds one string object per row even when values
+    repeat.  Stored this way, a key costs 8 bytes per row plus one string
+    per distinct value, and for a case-sensitive joiner those strings are
+    the very objects *index* keeps as postings keys (both keep each
+    value's first occurrence).  A column without repeats (as many distinct
+    values in *index* as rows) is returned as is; any other costs one dict
+    probe per value.
     """
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(len(values).to_bytes(8, "little"))
-    for value in values:
-        raw = value.encode("utf-8")
-        digest.update(len(raw).to_bytes(8, "little"))
-        digest.update(raw)
-    return digest.digest()
+    if index.num_values == len(values):
+        return values
+    first: dict[str, str] = {}
+    return tuple([first.setdefault(value, value) for value in values])
 
 
 @dataclass
@@ -202,12 +203,13 @@ class TransformationJoiner:
         self._shard_retries = shard_retries
         self._serial_fallback = serial_fallback
         self._applier: TransformationApplier | None = None
-        # Most-recent target index, keyed by the identity digest of the raw
-        # target values: the apply-many scenario usually joins many source
+        # Most-recent target index, keyed by the raw target values as a
+        # tuple (stored via shared_values_key, so repeats cost no extra
+        # strings): the apply-many scenario usually joins many source
         # batches against one target column, and rebuilding the ValueIndex
         # per call was the known cold-path waste.  The lock also guards the
         # lazy applier build — joiners are shared across server threads.
-        self._target_index_cache: tuple[bytes, ValueIndex] | None = None
+        self._target_index_cache: tuple[tuple[str, ...], ValueIndex] | None = None
         self._lock = threading.Lock()
 
     @staticmethod
@@ -319,9 +321,10 @@ class TransformationJoiner:
         The target index is likewise built at most once per target column:
         pass a prebuilt *target_index* (see :meth:`build_target_index` — the
         caller owns normalization consistency then), or rely on the joiner's
-        most-recent-target cache, which recognizes a repeated *target_values*
-        list by content digest and reuses the previous index instead of
-        rebuilding it on every call.
+        most-recent-target cache, which keeps the last target column as a
+        tuple next to its index (see :func:`shared_values_key` for what
+        that tuple costs) and reuses the index when the next
+        *target_values* are equal to it, value for value.
         """
         task_timeout = self._task_timeout_s or None
         if deadline is not None:
@@ -337,13 +340,12 @@ class TransformationJoiner:
             )
         if not self._use_batched_apply:
             return self.join_values_reference(source_values, target_values)
-        key: bytes | None = None
+        key: tuple[str, ...] | None = None
         if target_index is None:
-            # Identity digest of the *raw* values: normalization happens
-            # after the lookup, so a cached index (built over normalized
-            # values) keyed by the raw digest is exactly the index this call
-            # would build.
-            key = target_values_key(target_values)
+            # Keyed by the *raw* values: normalization happens after the
+            # lookup, so a cached index (built over normalized values) keyed
+            # by the raw values is exactly the index this call would build.
+            key = tuple(target_values)
             with self._lock:
                 cached = self._target_index_cache
             if cached is not None and cached[0] == key:
@@ -357,6 +359,7 @@ class TransformationJoiner:
             # build pass, sorted array('i') postings probed without copying.
             target_index = self.build_target_index(target_values)
             assert key is not None
+            key = shared_values_key(key, target_index)
             with self._lock:
                 self._target_index_cache = (key, target_index)
         with self._lock:

@@ -49,9 +49,18 @@ class LRUCache:
             return len(self._entries)
 
     def get_or_build(
-        self, key: Hashable, build: Callable[[], Any]
+        self,
+        key: Hashable,
+        build: Callable[[], Any],
+        *,
+        stored_key: Callable[[Hashable, Any], Hashable] | None = None,
     ) -> tuple[Any, bool]:
-        """Return ``(value, hit)`` for *key*, building and caching on a miss."""
+        """Return ``(value, hit)`` for *key*, building and caching on a miss.
+
+        *stored_key*, if given, maps *key* and the built value to an equal
+        key that is cheaper to keep; a miss stores the entry under it, so
+        lookups that hit never pay for the conversion.
+        """
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
@@ -59,6 +68,8 @@ class LRUCache:
                 return self._entries[key], True
             self._misses += 1
             value = build()
+            if stored_key is not None:
+                key = stored_key(key, value)
             self._entries[key] = value
             if len(self._entries) > self._capacity:
                 self._entries.popitem(last=False)

@@ -8,9 +8,10 @@ Two serving shapes live here, both built on the warm artifacts of the
   with the joiner's most-recent-target index cache making repeated targets
   free.  This is the library-level API; it needs no registry or server.
 * :class:`ServeEngine` — the request/response form behind the HTTP server.
-  Its :class:`MicroBatcher` coalesces concurrent requests for the same
-  ``(model, target column)`` into **one** apply call: the leader request
-  briefly holds the batch open, concatenates every queued source batch,
+  Its :class:`MicroBatcher` never delays a request for an idle
+  ``(model, target column)``: it runs at once.  Requests that arrive while
+  that key's apply is running queue behind it, and the queue then runs as
+  **one** apply call: its leader concatenates every queued source batch,
   runs a single (optionally sharded) ``join_values`` over the union, and
   splits the joined pairs back per request by source-row offset.  The split
   preserves transformation-major, row-ascending order and first-match
@@ -28,7 +29,7 @@ from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from repro.join.joiner import JoinResult, TransformationJoiner, target_values_key
+from repro.join.joiner import JoinResult, TransformationJoiner
 from repro.model.artifact import TransformationModel
 from repro.parallel.errors import DeadlineExceededError as CoreDeadlineExceededError
 from repro.parallel.errors import ShardError, ShardTimeoutError
@@ -121,7 +122,9 @@ class _PendingRequest:
 
     ``deadline`` is the caller's own monotonic budget (``None`` =
     unbounded); the batch executes under the *loosest* member deadline and
-    each member still times out individually on its own.
+    each member still times out individually on its own.  ``batch`` is set
+    on a queued request when a finishing leader hands it the next batch to
+    lead.
     """
 
     __slots__ = (
@@ -129,6 +132,7 @@ class _PendingRequest:
         "target_values",
         "deadline",
         "event",
+        "batch",
         "result",
         "error",
         "size",
@@ -137,58 +141,44 @@ class _PendingRequest:
     def __init__(
         self,
         source_values: list[str],
-        target_values: list[str],
+        target_values: Sequence[str],
         deadline: float | None = None,
     ) -> None:
         self.source_values = source_values
         self.target_values = target_values
         self.deadline = deadline
         self.event = threading.Event()
+        self.batch: list[_PendingRequest] | None = None
         self.result: tuple[JoinResult, bool] | None = None
         self.error: BaseException | None = None
         self.size = 1
 
 
-class _Batch:
-    __slots__ = ("requests", "closed")
-
-    def __init__(self, first: _PendingRequest) -> None:
-        self.requests = [first]
-        self.closed = False
-
-
 class MicroBatcher:
-    """Coalesce concurrent same-key requests into one execution.
+    """Coalesce same-key requests that arrive while that key is busy.
 
-    The first request for a key becomes the batch *leader*: it keeps the
-    batch open for ``max_wait_s`` (concurrent arrivals for the same key
-    append themselves), then closes it and runs *execute* once over every
-    queued request — ``execute(key, requests)`` returns one
-    ``(result, warm)`` per request.  Followers block on their slot's event
-    and receive their share; an execution error propagates to every request
-    of the batch.
+    A request for an idle key executes at once, alone:
+    ``execute(key, requests)`` returns one ``(result, warm)`` per request.
+    While that execution runs, later requests for the same key queue.  When
+    it finishes, its leader wakes its members and hands up to
+    ``max_batch_size`` queued requests to the first of them, which leads
+    that next batch; a leader never runs a later batch.  So batches form
+    only behind a running batch, and nobody holds a batch open waiting for
+    company.  An execution error propagates to every request of its batch.
 
-    ``max_wait_s`` is the latency the leader donates to throughput; 0
-    still coalesces whatever arrived while the leader was scheduled, it
-    just doesn't wait for more.  ``max_batch_size`` caps a batch — the
-    overflow request starts a fresh batch with its own leader.
+    A queued request waits on its own event until its own deadline, then
+    leaves the queue and raises, so a batch taken off the queue always has
+    a live leader.  A key's state is dropped as soon as the key goes idle.
     """
 
-    def __init__(
-        self,
-        execute,
-        *,
-        max_batch_size: int = 32,
-        max_wait_s: float = 0.002,
-    ) -> None:
+    def __init__(self, execute, *, max_batch_size: int = 32) -> None:
         if max_batch_size <= 0:
             raise ValueError(f"max_batch_size must be positive, got {max_batch_size}")
-        if max_wait_s < 0:
-            raise ValueError(f"max_wait_s must be >= 0, got {max_wait_s}")
         self._execute = execute
         self._max_batch_size = max_batch_size
-        self._max_wait_s = max_wait_s
-        self._pending: dict = {}
+        # Busy keys only: each maps to the requests queued behind its
+        # running batch.
+        self._queues: dict = {}
         self._lock = threading.Lock()
         self._requests = 0
         self._batches = 0
@@ -199,74 +189,102 @@ class MicroBatcher:
         self,
         key,
         source_values: list[str],
-        target_values: list[str],
+        target_values: Sequence[str],
         *,
         deadline: float | None = None,
     ) -> tuple[JoinResult, bool, int]:
-        """Run (or join) the batch for *key*; returns ``(result, warm, size)``.
+        """Run (or queue for) the batch for *key*; returns ``(result, warm, size)``.
 
-        ``deadline`` is this caller's monotonic budget.  A follower whose
-        budget expires while the leader is still executing stops waiting
-        and raises the core
+        ``deadline`` is this caller's monotonic budget.  A request whose
+        budget expires while it is queued, or while another leader executes
+        its batch, stops waiting and raises the core
         :class:`~repro.parallel.errors.DeadlineExceededError` — its slot
-        simply goes unread; the leader and other members are unaffected.
+        simply goes unread; the other members are unaffected.  A leader
+        always returns its batch's outcome, late or not.
         """
         request = _PendingRequest(source_values, target_values, deadline)
         with self._lock:
             self._requests += 1
-            batch = self._pending.get(key)
-            if (
-                batch is not None
-                and not batch.closed
-                and len(batch.requests) < self._max_batch_size
-            ):
-                batch.requests.append(request)
-                leader = False
+            queue = self._queues.get(key)
+            if queue is None:
+                self._queues[key] = []
+                batch: list[_PendingRequest] | None = [request]
+                self._count(batch)
             else:
-                batch = _Batch(request)
-                self._pending[key] = batch
-                leader = True
-        if leader:
-            if self._max_wait_s > 0:
-                time.sleep(self._max_wait_s)
-            with self._lock:
-                batch.closed = True
-                if self._pending.get(key) is batch:
-                    del self._pending[key]
-                requests = list(batch.requests)
-                self._batches += 1
-                if len(requests) > 1:
-                    self._coalesced_requests += len(requests)
-                self._largest_batch = max(self._largest_batch, len(requests))
-            try:
-                results = self._execute(key, requests)
-                if len(results) != len(requests):
-                    raise RuntimeError(
-                        f"micro-batch execute returned {len(results)} results "
-                        f"for {len(requests)} requests"
-                    )
-                for queued, result in zip(requests, results):
-                    queued.result = result
-                    queued.size = len(requests)
-            except BaseException as error:  # noqa: BLE001 - must wake followers
-                for queued in requests:
-                    queued.error = error
-            finally:
-                for queued in requests:
-                    queued.event.set()
-        elif request.deadline is None:
-            request.event.wait()
-        elif not request.event.wait(
-            max(request.deadline - time.monotonic(), 0.0)
-        ):
-            raise CoreDeadlineExceededError(
-                "request deadline expired waiting for the micro-batch result"
-            )
+                queue.append(request)
+                batch = None
+        if batch is None:
+            batch = self._wait(key, request)
+        if batch is not None:
+            self._run(key, batch)
         if request.error is not None:
             raise request.error
         assert request.result is not None
         result, warm = request.result
         return result, warm, request.size
+
+    def _wait(
+        self, key, request: _PendingRequest
+    ) -> list[_PendingRequest] | None:
+        """Block a queued request until it is handed a batch to lead
+        (returned) or its leader has delivered its outcome (``None``)."""
+        if request.deadline is None:
+            request.event.wait()
+        elif not request.event.wait(
+            max(request.deadline - time.monotonic(), 0.0)
+        ):
+            with self._lock:
+                queue = self._queues.get(key)
+                if queue is not None and request in queue:
+                    queue.remove(request)
+                batch = request.batch
+            if batch is None:
+                raise CoreDeadlineExceededError(
+                    "request deadline expired waiting for the micro-batch result"
+                )
+            # Handed a batch between the timeout and the lock: its mates
+            # depend on this request, so it leads late rather than not at all.
+        # Drop the request -> batch -> request cycle before leading.
+        batch, request.batch = request.batch, None
+        return batch
+
+    def _run(self, key, batch: list[_PendingRequest]) -> None:
+        """Execute *batch* as its leader, hand the key on, wake the members."""
+        following: list[_PendingRequest] | None = None
+        try:
+            results = self._execute(key, batch)
+            if len(results) != len(batch):
+                raise RuntimeError(
+                    f"micro-batch execute returned {len(results)} results "
+                    f"for {len(batch)} requests"
+                )
+            for queued, result in zip(batch, results):
+                queued.result = result
+                queued.size = len(batch)
+        except BaseException as error:  # noqa: BLE001 - must wake the members
+            for queued in batch:
+                queued.error = error
+        finally:
+            with self._lock:
+                queue = self._queues[key]
+                if queue:
+                    following = queue[: self._max_batch_size]
+                    del queue[: self._max_batch_size]
+                    following[0].batch = following
+                    self._count(following)
+                else:
+                    del self._queues[key]
+            for queued in batch:
+                queued.event.set()
+            if following is not None:
+                following[0].event.set()
+
+    def _count(self, batch: list[_PendingRequest]) -> None:
+        """Record one formed batch (caller holds the lock)."""
+        self._batches += 1
+        if len(batch) > 1:
+            self._coalesced_requests += len(batch)
+        self._largest_batch = max(self._largest_batch, len(batch))
 
     def stats(self) -> dict:
         """Counters: requests, executed batches, coalesced requests, largest batch."""
@@ -277,7 +295,6 @@ class MicroBatcher:
                 "coalesced_requests": self._coalesced_requests,
                 "largest_batch": self._largest_batch,
                 "max_batch_size": self._max_batch_size,
-                "max_wait_s": self._max_wait_s,
             }
 
 
@@ -286,9 +303,9 @@ class ServeEngine:
 
     ``join()`` is the request path the HTTP server calls per
     ``POST /join/<model>``: resolve the model's warm joiner and the target
-    column's warm index from the registry, apply, and (when micro-batching
-    is on) share that apply with every concurrent request for the same
-    ``(model, target column)``.
+    column's warm index from the registry, and apply.  With micro-batching
+    on, the requests that queue behind a running apply for the same
+    ``(model, target column)`` share the next apply call.
     """
 
     def __init__(
@@ -297,16 +314,13 @@ class ServeEngine:
         *,
         micro_batch: bool = True,
         max_batch_size: int = 32,
-        max_batch_wait_s: float = 0.002,
         breaker_threshold: int = DEFAULT_FAILURE_THRESHOLD,
         breaker_cooldown_s: float = DEFAULT_COOLDOWN_S,
     ) -> None:
         self._registry = registry
         self._micro_batch = micro_batch
         self._batcher = MicroBatcher(
-            self._execute_batch,
-            max_batch_size=max_batch_size,
-            max_wait_s=max_batch_wait_s,
+            self._execute_batch, max_batch_size=max_batch_size
         )
         self._breaker_threshold = breaker_threshold
         self._breaker_cooldown_s = breaker_cooldown_s
@@ -335,8 +349,8 @@ class ServeEngine:
     ) -> ServeResponse:
         """Serve one join request; byte-identical to the offline apply path.
 
-        ``deadline`` (monotonic) bounds the whole request — batch wait,
-        apply, and split — surfacing as the serve-layer
+        ``deadline`` (monotonic) bounds the whole request — the wait behind
+        a running batch, apply, and split — surfacing as the serve-layer
         :class:`~repro.serve.errors.DeadlineExceededError` (504).  The
         model's circuit breaker gates entry
         (:class:`~repro.serve.errors.CircuitOpenError` when open) and is
@@ -367,16 +381,17 @@ class ServeEngine:
         """The un-gated request path (breaker handling lives in ``join``)."""
         started = time.perf_counter()
         source_list = list(source_values)
-        target_list = list(target_values)
+        # One tuple serves as the batch key, the registry's index key and
+        # the joined target column (``tuple()`` of it returns it unchanged).
+        target_key = tuple(target_values)
         if self._micro_batch:
             # Coalescing is only sound for requests that join against the
             # same model *and* the same target column — the key says so.
-            key = (name, target_values_key(target_list))
             result, warm, size = self._batcher.submit(
-                key, source_list, target_list, deadline=deadline
+                (name, target_key), source_list, target_key, deadline=deadline
             )
         else:
-            request = _PendingRequest(source_list, target_list, deadline)
+            request = _PendingRequest(source_list, target_key, deadline)
             (result, warm), = self._execute_batch((name, None), [request])
             size = 1
         if deadline is not None and time.monotonic() >= deadline:
@@ -386,11 +401,14 @@ class ServeEngine:
             raise DeadlineExceededError(
                 "request deadline expired before the response was assembled"
             )
+        # One label per distinct transformation, not one per pair.
+        labels = {t: repr(t) for t in set(result.matched_by.values())}
+        matched_by = [labels[result.matched_by[pair]] for pair in result.pairs]
         elapsed = time.perf_counter() - started
         return ServeResponse(
             model=name,
             pairs=list(result.pairs),
-            matched_by=[repr(result.matched_by[pair]) for pair in result.pairs],
+            matched_by=matched_by,
             warm=warm,
             coalesced=size,
             elapsed_s=elapsed,
@@ -404,7 +422,7 @@ class ServeEngine:
         """Remap core deadline cuts to the serve-layer 504 type.
 
         The cooperative deadline surfaces in three shapes: raised directly
-        (serial paths, queue waits, follower timeouts), as the cause chained
+        (serial paths, queue waits, batch-member timeouts), as the cause chained
         through a :class:`~repro.parallel.errors.ShardError` (a pool worker
         hit it), or as a :class:`~repro.parallel.errors.ShardTimeoutError`
         whose map timeout was the clamped request budget.  All three become
@@ -522,7 +540,7 @@ class ServeEngine:
         """One apply call for a closed micro-batch; split results per request.
 
         Every request of the batch shares the model (``key[0]``) and the
-        target values (coalescing keyed on their digest), so one target
+        target values (coalescing keyed on the values), so one target
         index probe and one ``join_values`` over the concatenated source
         rows serve them all.  The concatenated join emits pairs
         transformation-major with source rows ascending — filtering a
@@ -533,7 +551,7 @@ class ServeEngine:
         The shared apply runs under the *loosest* member deadline (``None``
         if any member is unbounded): a strict member must not starve the
         batch mates who still have budget — it times out individually in
-        :meth:`MicroBatcher.submit` (followers) or via the post-hoc check
+        :meth:`MicroBatcher.submit` (members) or via the post-hoc check
         in :meth:`join` (the leader) instead.
         """
         name = key[0]

@@ -31,7 +31,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.join.joiner import TransformationJoiner, target_values_key
+from repro.join.joiner import TransformationJoiner, shared_values_key
 from repro.matching.index import ValueIndex
 from repro.model.artifact import TransformationModel
 from repro.model.serialization import ModelFormatError
@@ -83,8 +83,8 @@ class ModelRegistry:
         Directory of ``<name>.json`` model files.
     joiner_cache_capacity / index_cache_capacity:
         Bounds of the compiled-artifact caches (joiners keyed by
-        ``(name, file key)``, target indexes keyed by the target values'
-        content digest).  Eviction is safe — the artifact is rebuilt on the
+        ``(name, file key)``, target indexes keyed by the target values
+        themselves).  Eviction is safe — the artifact is rebuilt on the
         next request — so small bounds just trade latency for memory.
     num_workers / min_rows_per_worker / task_timeout_s / shard_retries /
     serial_fallback:
@@ -246,15 +246,26 @@ class ModelRegistry:
     def target_index_for(
         self, joiner: TransformationJoiner, target_values: Sequence[str]
     ) -> tuple[ValueIndex, bool]:
-        """``(index, cache_hit)`` for a target column, keyed by content digest.
+        """``(index, cache_hit)`` for a target column, keyed by its values.
 
-        The key includes the joiner's normalization flag: a case-insensitive
+        The key is ``(case_insensitive, tuple(target_values))``.  Tuple
+        equality is exact, so two different columns never share an index.
+        The price is that each cached index keeps its column alive as a
+        :func:`~repro.join.joiner.shared_values_key` tuple: 8 bytes per row
+        on top of the index, plus, for a case-insensitive model (whose index
+        holds lower-cased copies), one raw string per distinct value.  The
+        normalization flag is part of the key because a case-insensitive
         model indexes lower-cased values, so it must never share an index
-        with a case-sensitive one even for byte-identical input.
+        with a case-sensitive one even for identical input.  Passing a
+        tuple reuses it as the lookup key without a copy.
         """
-        key = (joiner.case_insensitive, target_values_key(target_values))
+        key = (joiner.case_insensitive, tuple(target_values))
         return self._indexes.get_or_build(
-            key, lambda: joiner.build_target_index(target_values)
+            key,
+            lambda: joiner.build_target_index(key[1]),
+            stored_key=lambda lookup, index: (
+                lookup[0], shared_values_key(lookup[1], index)
+            ),
         )
 
     # ------------------------------------------------------------------ #

@@ -433,7 +433,6 @@ class JoinServer:
         index_cache_capacity: int = 32,
         micro_batch: bool = True,
         max_batch_size: int = 32,
-        max_batch_wait_s: float = 0.002,
         task_timeout_s: float = 0.0,
         shard_retries: int = 2,
         serial_fallback: bool = True,
@@ -462,7 +461,6 @@ class JoinServer:
             self.registry,
             micro_batch=micro_batch,
             max_batch_size=max_batch_size,
-            max_batch_wait_s=max_batch_wait_s,
             breaker_threshold=breaker_threshold,
             breaker_cooldown_s=breaker_cooldown_s,
         )

@@ -13,8 +13,10 @@ from http.client import HTTPConnection
 
 import pytest
 
+from repro.core.discovery import TransformationDiscovery
 from repro.datasets.synthetic import SyntheticConfig, generate_table_pair
 from repro.join.pipeline import JoinPipeline
+from repro.model.artifact import TransformationModel
 from repro.serve import JoinServer
 
 
@@ -100,6 +102,35 @@ def test_served_join_is_byte_identical_to_offline_apply(
         assert status == 200
         assert payload["pairs"] == expected_pairs
         assert payload["warm"] is True
+
+
+def test_lone_surrogate_in_target_is_served(tmp_path, name_initial_pairs):
+    """``"\\ud800"`` is valid JSON that decodes to a lone surrogate; the
+    request must join like the offline joiner, not answer 500."""
+    discovery = TransformationDiscovery()
+    model = TransformationModel.from_discovery(
+        discovery.discover_from_strings(name_initial_pairs),
+        config=discovery.config,
+        min_support=0.05,
+    )
+    model.save(tmp_path / "names.json")
+    source = ["Rafiei, Davood", "x\ud800, y"]
+    target = ["D Rafiei", "y x\ud800"]
+    offline = model.joiner().join_values(source, target)
+    assert offline.pairs == [(0, 0), (1, 1)]
+    with JoinServer(tmp_path, port=0) as server:
+        server.start_background()
+        status, payload = post_join(
+            server, "names", {"source": source, "target": target}
+        )
+        assert status == 200
+        assert payload["pairs"] == [list(pair) for pair in offline.pairs]
+        status, payload = post_join(
+            server, "names", {"source": source, "target": ["D Rafiei", "\ud800"]}
+        )
+        assert status == 200
+        offline = model.joiner().join_values(source, ["D Rafiei", "\ud800"])
+        assert payload["pairs"] == [list(pair) for pair in offline.pairs]
 
 
 def test_error_mapping_and_introspection_endpoints(model_dir):

@@ -4,15 +4,42 @@ target-index reuse (the cold-path waste fixed alongside the serving layer)."""
 from __future__ import annotations
 
 import os
+import sys
+import tracemalloc
 
 import pytest
 
 from repro.core.discovery import TransformationDiscovery
-from repro.join.joiner import TransformationJoiner, target_values_key
+from repro.join.joiner import TransformationJoiner
 from repro.model.artifact import TransformationModel
 from repro.serve.cache import LRUCache
 from repro.serve.errors import BadRequestError, ModelLoadError, ModelNotFoundError
 from repro.serve.registry import ModelRegistry
+
+
+#: Rows of the repeat-heavy column in the retained-memory tests.
+REPEATS = 50_000
+
+
+def retained_bytes(keep) -> int:
+    """Traced bytes still held after *keep* saw a column of ``REPEATS``
+    separate ``"ab"`` string objects (as a JSON decoder produces them) and
+    the column itself was dropped."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        column = ["".join(("a", "b")) for _ in range(REPEATS)]
+        keep(column)
+        del column
+        return tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+
+
+#: Half of what the column's own strings take: a cache that kept one string
+#: per row would retain more than this, one that keeps one per distinct
+#: value (plus 8 bytes a row for the key and 4 for the index) retains less.
+RETAINED_LIMIT = REPEATS * sys.getsizeof("ab") // 2
 
 
 def fit_model(pairs: list[tuple[str, str]]) -> TransformationModel:
@@ -48,6 +75,21 @@ class TestLRUCache:
         assert stats["misses"] == 1
         assert stats["evictions"] == 0
 
+    def test_miss_stores_under_stored_key(self):
+        cache = LRUCache(4)
+        conversions = []
+
+        def stored_key(key, value):
+            conversions.append((key, value))
+            return tuple(key)
+
+        cache.get_or_build(("a", "b"), lambda: "v", stored_key=stored_key)
+        value, hit = cache.get_or_build(
+            ("a", "b"), lambda: "other", stored_key=stored_key
+        )
+        assert (value, hit) == ("v", True)
+        assert conversions == [(("a", "b"), "v")]  # only the miss converts
+
     def test_capacity_bound_evicts_least_recent(self):
         cache = LRUCache(2)
         cache.get_or_build("a", lambda: "a")
@@ -75,11 +117,41 @@ class TestLRUCache:
             LRUCache(0)
 
 
-class TestTargetValuesKey:
-    def test_boundaries_do_not_alias(self):
-        assert target_values_key(["ab", "c"]) != target_values_key(["a", "bc"])
-        assert target_values_key([]) != target_values_key([""])
-        assert target_values_key(["x"]) == target_values_key(["x"])
+class TestTargetIndexKey:
+    """The registry keys target indexes by the column's values themselves."""
+
+    @pytest.mark.parametrize(
+        "first, second", [(["ab", "c"], ["a", "bc"]), ([], [""])]
+    )
+    def test_boundaries_do_not_alias(self, registry, first, second):
+        joiner, _, _ = registry.joiner_for("names")
+        first_index, first_hit = registry.target_index_for(joiner, first)
+        second_index, second_hit = registry.target_index_for(joiner, second)
+        assert (first_hit, second_hit) == (False, False)
+        assert first_index is not second_index
+        assert registry.stats()["target_index_cache"]["misses"] == 2
+
+    def test_equal_column_in_a_new_object_hits(self, registry):
+        joiner, _, _ = registry.joiner_for("names")
+        index, hit = registry.target_index_for(joiner, ["x", "y"])
+        assert hit is False
+        for same_values in (["x", "y"], ("x", "y")):
+            again, hit = registry.target_index_for(joiner, same_values)
+            assert hit is True
+            assert again is index
+
+    @pytest.mark.parametrize("case_insensitive", [False, True])
+    def test_repeated_values_are_kept_once(self, registry, case_insensitive):
+        joiner, _, _ = registry.joiner_for("names")
+        if case_insensitive:
+            joiner = TransformationJoiner(
+                joiner.transformations, case_insensitive=True
+            )
+        retained = retained_bytes(
+            lambda column: registry.target_index_for(joiner, column)
+        )
+        assert registry.stats()["target_index_cache"]["size"] == 1
+        assert retained < RETAINED_LIMIT
 
 
 class TestJoinerTargetIndexReuse:
@@ -104,6 +176,26 @@ class TestJoinerTargetIndexReuse:
         # A *different* target column must not reuse the cached index.
         joiner.join_values(sources, targets[:-1])
         assert len(builds) == 2
+
+    def test_lone_surrogate_in_target_joins(self, model):
+        """A lone surrogate is a valid ``str`` (JSON can carry one); the
+        target-index cache key must not try to encode it."""
+        result = model.joiner().join_values(
+            ["Rafiei, Davood", "x\ud800, y"], ["D Rafiei", "y x\ud800"]
+        )
+        assert result.pairs == [(0, 0), (1, 1)]
+
+    @pytest.mark.parametrize("case_insensitive", [False, True])
+    def test_cached_target_keeps_repeated_values_once(
+        self, model, case_insensitive
+    ):
+        joiner = TransformationJoiner(
+            model.transformations, case_insensitive=case_insensitive
+        )
+        retained = retained_bytes(
+            lambda column: joiner.join_values(["Rafiei, Davood"], column)
+        )
+        assert retained < RETAINED_LIMIT
 
     def test_prebuilt_index_skips_build_entirely(self, model, name_initial_pairs):
         joiner = model.joiner()

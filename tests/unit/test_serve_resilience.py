@@ -290,13 +290,25 @@ class TestAdmissionController:
 def test_micro_batch_follower_times_out_individually():
     """A follower whose budget lapses mid-execution raises; the leader is
     unaffected and still gets its (late but complete) result."""
+    running = threading.Event()
+    release_first = threading.Event()
+    release_second = threading.Event()
+    executions = []
 
     def execute(key, requests):
-        time.sleep(0.5)
+        executions.append(len(requests))
+        if len(executions) == 1:
+            running.set()
+            release_first.wait(30)  # the batch the others queue behind
+        else:
+            release_second.wait(30)  # held until the follower gave up
         return [("result", True) for _ in requests]
 
-    batcher = MicroBatcher(execute, max_batch_size=8, max_wait_s=0.2)
+    batcher = MicroBatcher(execute, max_batch_size=8)
     outcomes: dict[str, object] = {}
+
+    def first() -> None:
+        outcomes["first"] = batcher.submit("k", ["x"], ["b"])
 
     def leader() -> None:
         outcomes["leader"] = batcher.submit("k", ["a"], ["b"])
@@ -304,21 +316,38 @@ def test_micro_batch_follower_times_out_individually():
     def follower() -> None:
         try:
             batcher.submit(
-                "k", ["c"], ["b"], deadline=time.monotonic() + 0.15
+                "k", ["c"], ["b"], deadline=time.monotonic() + 0.5
             )
         except CoreDeadlineExceededError as error:
             outcomes["follower"] = error
 
-    leader_thread = threading.Thread(target=leader)
-    leader_thread.start()
-    time.sleep(0.05)  # arrive inside the leader's batch window
-    follower_thread = threading.Thread(target=follower)
-    follower_thread.start()
+    def queue_behind(target, requests: int) -> threading.Thread:
+        thread = threading.Thread(target=target)
+        thread.start()
+        give_up = time.monotonic() + 5
+        while batcher.stats()["requests"] < requests:
+            assert time.monotonic() < give_up
+            time.sleep(0.001)
+        return thread
+
+    first_thread = threading.Thread(target=first)
+    first_thread.start()
+    assert running.wait(5)
+    leader_thread = queue_behind(leader, 2)
+    follower_thread = queue_behind(follower, 3)
+    release_first.set()  # hands [leader, follower] to the leader
     follower_thread.join(timeout=5)
+    release_second.set()
     leader_thread.join(timeout=5)
+    first_thread.join(timeout=5)
+    assert not any(
+        thread.is_alive()
+        for thread in (first_thread, leader_thread, follower_thread)
+    )
     assert isinstance(outcomes["follower"], CoreDeadlineExceededError)
     result, warm, size = outcomes["leader"]
     assert result == "result" and warm is True and size == 2
+    assert executions == [1, 2]
 
 
 # --------------------------------------------------------------------- #
