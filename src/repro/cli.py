@@ -32,7 +32,6 @@ without writing Python:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -62,18 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
             "Learn string transformations that make differently formatted "
             "table columns equi-joinable (reproduction of Dargahi Nobari & "
             "Rafiei, ICDE 2022)."
-        ),
-    )
-    parser.add_argument(
-        "--kernels",
-        choices=("auto", "python", "numpy"),
-        default="auto",
-        help=(
-            "kernel tier for the vectorized fast paths: auto (default) uses "
-            "numpy when importable, python forces the byte-identical "
-            "pure-Python reference, numpy demands the vectorized tier and "
-            "fails fast when numpy is missing; equivalent to setting "
-            "REPRO_KERNELS (results are identical on every tier)"
         ),
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
@@ -651,19 +638,6 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.kernels != "auto":
-        # Write the override through the environment (so sharded workers
-        # under the spawn start method re-resolve to the same tier) and
-        # re-probe now — `--kernels numpy` on a numpy-less host must fail
-        # here, not deep inside the first walk.
-        from repro import kernels
-
-        os.environ["REPRO_KERNELS"] = args.kernels
-        try:
-            kernels.refresh_tier()
-        except ImportError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
     handlers = {
         "discover": run_discover,
         "join": run_join,

@@ -44,7 +44,6 @@ from repro.core.coverage import (
     mask_from_rows,
     rows_from_mask,
 )
-from repro.kernels.bitset import popcounts, union_masks
 
 __all__ = [
     "cover_fraction",
@@ -130,10 +129,8 @@ def greedy_minimal_cover(
         raise ValueError(f"min_support must be >= 1, got {min_support}")
 
     masks = [result.covered_mask for result in results]
-    # The round-0 upper bounds are plain popcounts over every candidate at
-    # once — the batched kernel op (per-byte table lookups under the numpy
-    # tier) replaces len(results) scattered bit_count calls.
-    gains = popcounts(masks)
+    # Round-0 gain bounds: each candidate's whole coverage.
+    gains = [mask.bit_count() for mask in masks]
     # Entries of both heaps end with (index, round): the index is unique per
     # entry, so the round is never compared, and equal keys pop in input
     # order — the reference scan's first-wins tie-breaking.
@@ -237,13 +234,11 @@ def greedy_minimal_cover_reference(
 
 
 def covered_mask(results: Sequence[CoverageResult]) -> int:
-    """Union of the covered-row bitmasks of *results*.
-
-    Delegates to the kernel tier's batched union
-    (:func:`repro.kernels.bitset.union_masks`): a byte-matrix ``bitwise_or``
-    reduction under the numpy tier, the plain ``|`` fold otherwise.
-    """
-    return union_masks([result.covered_mask for result in results])
+    """Union of the covered-row bitmasks of *results*."""
+    union = 0
+    for result in results:
+        union |= result.covered_mask
+    return union
 
 
 def covered_rows(results: Sequence[CoverageResult]) -> frozenset[int]:

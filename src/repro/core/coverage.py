@@ -67,13 +67,12 @@ cold path those writes were pure overhead (one hash-and-insert per failing
 (unit, row) that no later batch step ever read), and dropping them keeps the
 batch and sharded paths trivially identical.
 
-The walk is pure Python on every kernel tier (:mod:`repro.kernels`
-vectorizes only the bitset, apply and set-similarity loops).  A numpy
-block walker was measured against it on a 2-core host with numpy 2.4 and
-lost: the 300-row ``fit-wide`` fit of the repository benchmark walked in
-0.25-0.27 s against 0.17-0.18 s, a 1,000-row fit in 0.33-0.34 s against
-0.25 s (minimum of 7 interleaved runs each), with identical covered rows
-and cache statistics, and 25k rows ran at parity.
+The walk is pure Python (:mod:`repro.kernels` vectorizes only the apply
+walker).  A numpy block walker was measured against it on a 2-core host
+with numpy 2.4 and lost: the 300-row ``fit-wide`` fit of the repository
+benchmark walked in 0.25-0.27 s against 0.17-0.18 s, a 1,000-row fit in
+0.33-0.34 s against 0.25 s (minimum of 7 interleaved runs each), with
+identical covered rows and cache statistics, and 25k rows ran at parity.
 
 Covered-row sets are returned as packed integer bitmasks
 (:attr:`CoverageResult.covered_mask`, bit *r* = row *r* covered), the
@@ -105,12 +104,38 @@ from repro.parallel.executor import env_default_workers, tuned_num_workers
 
 
 # --------------------------------------------------------------------------- #
-# Bitset helpers — re-exported from the kernel tier.  The pure-Python
-# references live in :mod:`repro.kernels.bitset` alongside their numpy
-# twins; these tier-dispatching names keep the historical import surface
-# (``repro.core.coverage.mask_from_rows`` / ``rows_from_mask``) working.
+# Bitset helpers: covered-row sets as arbitrary-precision ints (bit r = row r,
+# little-endian bytes).  Popcount and union need no helper: ``bit_count()``
+# and ``|``.
 # --------------------------------------------------------------------------- #
-from repro.kernels.bitset import mask_from_rows, rows_from_mask
+def mask_from_rows(rows: Iterable[int]) -> int:
+    """Pack non-negative row ids into an integer bitmask (bit r = row r)."""
+    rows = list(rows)
+    if not rows:
+        return 0
+    buffer = bytearray((max(rows) >> 3) + 1)
+    for row in rows:
+        buffer[row >> 3] |= 1 << (row & 7)
+    return int.from_bytes(buffer, "little")
+
+
+def rows_from_mask(mask: int) -> list[int]:
+    """The set bits of *mask* as an ascending list of row ids."""
+    if mask == 0:
+        return []
+    if mask < 0:
+        raise ValueError(f"row masks must be non-negative, got {mask}")
+    data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
+    rows: list[int] = []
+    append = rows.append
+    for byte_index, byte in enumerate(data):
+        if byte:
+            base = byte_index << 3
+            while byte:
+                low = byte & -byte
+                append(base + low.bit_length() - 1)
+                byte ^= low
+    return rows
 
 
 class CoverageResult:
@@ -542,9 +567,9 @@ def _walk_trie_rows(
     passes every pair with ``row_offset=0``) and the process-sharded engine
     (where each worker passes its contiguous row shard and the shard's start
     index, so reported row ids are global).  It is the only coverage walker
-    on every kernel tier (see the module docstring).  ``non_covering_units``
-    holds one per-row cache set per element of *pairs*; warm (non-empty)
-    sets are consulted, never written.
+    (see the module docstring).  ``non_covering_units`` holds one per-row
+    cache set per element of *pairs*; warm (non-empty) sets are consulted,
+    never written.
 
     The traversal is *edge-major over row blocks*: each trie edge is visited
     once per block with the list of rows that survived the path to it, so

@@ -223,11 +223,10 @@ class TransformationJoiner:
         """The transformations passing the support threshold (None = no filter).
 
         Support is ``coverage / num_candidate_pairs`` on the discovery-time
-        counts — for :class:`CoverageResult` inputs the coverages come from
-        one batched popcount over the covered-row bitmasks
-        (:func:`repro.kernels.bitset.popcounts`), so filtering never
-        materializes per-transformation row sets, however large discovery's
-        input was.
+        counts — for :class:`CoverageResult` inputs the coverage is a
+        popcount of the covered-row bitmask (:attr:`CoverageResult.coverage`),
+        so filtering never materializes per-transformation row sets, however
+        large discovery's input was.
         """
         if min_support <= 0.0 or (not coverage_results and not coverage_counts):
             return None
@@ -241,15 +240,10 @@ class TransformationJoiner:
                 "DiscoveryResult.num_candidate_pairs)"
             )
         if coverage_results is not None:
-            from repro.kernels.bitset import popcounts  # noqa: PLC0415
-
-            counts = popcounts(
-                [result.covered_mask for result in coverage_results]
-            )
             return {
                 result.transformation
-                for result, count in zip(coverage_results, counts)
-                if count / num_candidate_pairs >= min_support
+                for result in coverage_results
+                if result.coverage / num_candidate_pairs >= min_support
             }
         assert coverage_counts is not None
         return {

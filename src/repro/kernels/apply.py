@@ -1,9 +1,9 @@
 """numpy block walker for the apply-only engine.
 
-:func:`transform_trie_rows_numpy` is the kernel-tier implementation of
+:func:`transform_trie_rows_numpy` is the numpy implementation of
 :func:`repro.model.apply.transform_trie_rows` — same signature, equal
 return value.  The apply walk has no target column, so unlike the coverage
-kernel there are no statistics to preserve and no warm cache to consult:
+walk there are no statistics to preserve and no warm cache to consult:
 a unit's output per row is a pure function of the row.  That makes the
 aggressive form legal — when a unit is first touched in a block, its
 output is computed for *every* row of the block in one vectorized pass
@@ -23,9 +23,9 @@ reference's ``num_pieces < 2 or piece_index >= num_pieces`` guard.
 
 from __future__ import annotations
 
+from functools import cache
+from types import ModuleType
 from typing import TYPE_CHECKING, Any, Sequence
-
-from repro.kernels import numpy_or_none
 
 if TYPE_CHECKING:
     from repro.core.coverage import PackedTrie
@@ -37,15 +37,26 @@ _APPLY_MIN_ROWS = 64
 _BLOCK_ROWS = 1024
 
 
+@cache
+def _numpy() -> ModuleType | None:
+    """numpy when it has the ``np.strings`` ops the walker uses, else ``None``.
+
+    Probed once per process, and only when a batch is large enough to use
+    the walker, so a fit or a run of micro-batches never imports numpy.
+    """
+    try:
+        import numpy
+    except ImportError:
+        return None
+    strings = getattr(numpy, "strings", None)
+    if not (hasattr(strings, "slice") and hasattr(strings, "partition")):
+        return None
+    return numpy
+
+
 def available() -> bool:
     """Whether the numpy apply walker can run (numpy with ``np.strings``)."""
-    np = numpy_or_none()
-    return (
-        np is not None
-        and hasattr(np, "strings")
-        and hasattr(np.strings, "slice")
-        and hasattr(np.strings, "partition")
-    )
+    return _numpy() is not None
 
 
 def transform_trie_rows_numpy(
@@ -53,9 +64,9 @@ def transform_trie_rows_numpy(
     row_offset: int,
     trie: "PackedTrie",
 ) -> dict[int, list[tuple[int, str]]]:
-    """The numpy-tier twin of :func:`repro.model.apply.transform_trie_rows`."""
-    np = numpy_or_none()
-    assert np is not None, "numpy apply walker requires the numpy tier"
+    """The numpy twin of :func:`repro.model.apply.transform_trie_rows`."""
+    np = _numpy()
+    assert np is not None, "numpy apply walker requires numpy with np.strings"
     from numpy.dtypes import StringDType
 
     from repro.core.coverage import _OP_LITERAL  # noqa: PLC0415

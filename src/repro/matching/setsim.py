@@ -27,8 +27,7 @@ The pipeline, in order:
    :class:`SetSimIndex`: per token, parallel arrays of (row id, prefix
    position, row token count).  Probing applies the size filter and the
    positional overlap bound per posting entry
-   (:func:`repro.kernels.setsim.filter_token_postings`, tier-dispatched to
-   a numpy fast path with a byte-identical python dual).
+   (:func:`filter_token_postings`).
 4. **Exact verification** — every surviving candidate is verified with an
    exact sorted-int-merge overlap count and the measure's exact similarity
    expression.  Filters are conservative-only, verification is exact, so
@@ -51,7 +50,6 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from repro.core.pairs import RowPair
-from repro.kernels.setsim import FILTER_EPS, filter_token_postings, intersect_count
 from repro.matching.row_matcher import MatchingConfig, RowMatcher
 from repro.matching.tokenize import tokenizer_for
 from repro.parallel.executor import tuned_num_workers
@@ -59,6 +57,11 @@ from repro.table.table import Table
 
 #: Sentinel upper size bound for measures without one (overlap).
 _NO_UPPER_BOUND = 2**31 - 1
+
+#: Conservative slack on filter-bound comparisons.  Filters err on the side
+#: of admitting a candidate, never pruning one — a borderline admission only
+#: costs one exact verification, a borderline prune would lose a match.
+FILTER_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -166,6 +169,73 @@ def similarity_score(
     return float(overlap)
 
 
+def required_overlap(
+    probe_size: int, candidate_size: int, similarity: str, threshold: float
+) -> float:
+    """The minimum token overlap two rows of these sizes need to clear
+    *threshold* — the bound every prefix/position filter compares against.
+
+    jaccard: ``t/(1+t) * (|x|+|y|)``; cosine: ``t * sqrt(|x|*|y|)``;
+    overlap: the threshold itself (an absolute count).
+    """
+    if similarity == "jaccard":
+        return threshold / (1.0 + threshold) * (probe_size + candidate_size)
+    if similarity == "cosine":
+        return threshold * math.sqrt(probe_size * candidate_size)
+    return float(threshold)
+
+
+def filter_token_postings(
+    rows: Sequence[int],
+    positions: Sequence[int],
+    sizes: Sequence[int],
+    *,
+    probe_size: int,
+    probe_position: int,
+    similarity: str,
+    threshold: float,
+    size_low: int,
+    size_high: int,
+) -> list[int]:
+    """Admit the posting entries that can still reach the overlap bound.
+
+    *rows*/*positions*/*sizes* are one token's parallel posting arrays
+    (target row id ascending, the token's position in that row's ordered
+    token list, and the row's token count).  An entry survives when the
+    candidate's size lies in ``[size_low, size_high]`` and the positional
+    upper bound on the overlap — one shared token plus whatever remains
+    after both positions — still reaches the measure's required overlap.
+    """
+    admitted: list[int] = []
+    remaining_probe = probe_size - probe_position - 1
+    for entry in range(len(rows)):
+        candidate_size = sizes[entry]
+        if candidate_size < size_low or candidate_size > size_high:
+            continue
+        alpha = required_overlap(probe_size, candidate_size, similarity, threshold)
+        bound = 1 + min(remaining_probe, candidate_size - positions[entry] - 1)
+        if bound + FILTER_EPS >= alpha:
+            admitted.append(rows[entry])
+    return admitted
+
+
+def intersect_count(left: Sequence[int], right: Sequence[int]) -> int:
+    """Size of the intersection of two sorted duplicate-free int sequences."""
+    i = j = count = 0
+    left_len, right_len = len(left), len(right)
+    while i < left_len and j < right_len:
+        a, b = left[i], right[j]
+        if a == b:
+            count += 1
+            i += 1
+            j += 1
+        elif a < b:
+            i += 1
+        else:
+            j += 1
+    return count
+
+
 class SetSimIndex:
     """Position-augmented inverted index over the targets' prefix tokens.
 
@@ -173,7 +243,7 @@ class SetSimIndex:
     target row ids (ascending — build order), the token's position in the
     row's globally-ordered token list, and the row's token count.  Packing
     the count into the posting keeps the probe's size filter free of row-id
-    indirections, which is what lets the numpy kernel vectorize it.
+    indirections.
 
     The full ordered token-id lists (``token_ids``) ride along for exact
     verification.  Everything is plain arrays and dicts: the index pickles

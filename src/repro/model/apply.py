@@ -48,6 +48,11 @@ from repro.core.coverage import (
     _build_unit_trie,
 )
 from repro.core.transformation import Transformation
+from repro.kernels.apply import (
+    _APPLY_MIN_ROWS,
+    available,
+    transform_trie_rows_numpy,
+)
 from repro.parallel.errors import DeadlineExceededError
 from repro.parallel.executor import tuned_num_workers
 
@@ -76,10 +81,10 @@ def transform_trie_rows(
     are absent (exactly the rows where ``Transformation.apply`` returns
     ``None``).
 
-    Under the numpy kernel tier (see :mod:`repro.kernels`) batches large
-    enough to amortize array setup run the vectorized walker of
-    :mod:`repro.kernels.apply`; serve-style micro-batches and the pure
-    Python tier take the loop below.  Results are equal either way.
+    Batches large enough to amortize array setup run the numpy walker of
+    :mod:`repro.kernels.apply` when it is available; serve-style
+    micro-batches and numpy-less installs take the loop below.  Results
+    are equal either way.
 
     ``deadline`` (a ``time.monotonic()`` timestamp; ``CLOCK_MONOTONIC`` is
     system-wide, so sharded workers can honour a deadline computed in the
@@ -123,18 +128,12 @@ def _dispatch_trie_rows(
     row_offset: int,
     trie: PackedTrie,
 ) -> dict[int, list[tuple[int, str]]]:
-    """Run one batch through the kernel tier's walker (no deadline logic)."""
-    from repro import kernels  # noqa: PLC0415
+    """Run one batch through the numpy or the Python walker (no deadline logic).
 
-    if kernels.active_tier() == "numpy":
-        from repro.kernels.apply import (  # noqa: PLC0415
-            _APPLY_MIN_ROWS,
-            available,
-            transform_trie_rows_numpy,
-        )
-
-        if len(values) >= _APPLY_MIN_ROWS and available():
-            return transform_trie_rows_numpy(values, row_offset, trie)
+    The size test comes first, so small batches never import numpy.
+    """
+    if len(values) >= _APPLY_MIN_ROWS and available():
+        return transform_trie_rows_numpy(values, row_offset, trie)
     return _transform_trie_rows_python(values, row_offset, trie)
 
 
@@ -143,8 +142,8 @@ def _transform_trie_rows_python(
     row_offset: int,
     trie: PackedTrie,
 ) -> dict[int, list[tuple[int, str]]]:
-    """The reference per-row apply walk — the executable spec both kernel
-    tiers must match (the property tests pin both to
+    """The reference per-row apply walk — the executable spec the numpy
+    walker must match (the property tests pin both to
     ``Transformation.apply``)."""
     outputs: dict[int, list[tuple[int, str]]] = {}
     num_units = trie.num_units

@@ -205,32 +205,6 @@ def env_min_items_per_worker(default: int = DEFAULT_MIN_ITEMS_PER_WORKER) -> int
     return threshold
 
 
-#: Tier-aware counterpart of :data:`DEFAULT_MIN_ITEMS_PER_WORKER`: under the
-#: numpy kernel tier a row costs a fraction of the python tier's (the
-#: vectorized walkers amortize numpy's per-call overhead across whole
-#: blocks), so a worker needs proportionally more rows before forking pays.
-NUMPY_MIN_ITEMS_PER_WORKER = 1024
-
-
-def tier_min_items_per_worker() -> int:
-    """The small-input threshold the sharded engines actually use.
-
-    ``REPRO_MIN_ROWS_PER_WORKER`` always wins when set (including ``0`` =
-    tuning disabled).  Unset, the default scales with the active kernel
-    tier — :data:`DEFAULT_MIN_ITEMS_PER_WORKER` rows per worker on the
-    pure-Python tier, :data:`NUMPY_MIN_ITEMS_PER_WORKER` on the numpy tier
-    — so ``num_workers=0`` ("all cores") auto-tunes to a pool only when
-    the per-worker slice is worth a fork *at the speed rows actually run*.
-    """
-    if os.environ.get("REPRO_MIN_ROWS_PER_WORKER", "").strip():
-        return env_min_items_per_worker()
-    from repro import kernels  # noqa: PLC0415
-
-    if kernels.active_tier() == "numpy":
-        return NUMPY_MIN_ITEMS_PER_WORKER
-    return DEFAULT_MIN_ITEMS_PER_WORKER
-
-
 def tuned_num_workers(
     num_workers: int,
     num_items: int,
@@ -247,16 +221,17 @@ def tuned_num_workers(
     is spawned.  Purely a scheduling decision: results are identical for
     every worker count.
 
-    ``min_items_per_worker=None`` reads :func:`tier_min_items_per_worker`
-    (environment first, then a kernel-tier-scaled default); ``0`` (or any
-    non-positive threshold) disables the tuning and returns the resolved
-    worker count clamped to ``num_items`` only.
+    ``min_items_per_worker=None`` reads :func:`env_min_items_per_worker`
+    (``REPRO_MIN_ROWS_PER_WORKER``, else
+    :data:`DEFAULT_MIN_ITEMS_PER_WORKER`); ``0`` (or any non-positive
+    threshold) disables the tuning and returns the resolved worker count
+    clamped to ``num_items`` only.
     """
     workers = min(resolve_num_workers(num_workers), max(num_items, 1))
     if workers <= 1:
         return workers
     if min_items_per_worker is None:
-        min_items_per_worker = tier_min_items_per_worker()
+        min_items_per_worker = env_min_items_per_worker()
     if min_items_per_worker <= 0:
         return workers
     if (os.cpu_count() or 1) <= 1:
@@ -732,7 +707,6 @@ __all__: Sequence[str] = (
     "DEFAULT_MAX_SHARD_RETRIES",
     "DEFAULT_MIN_ITEMS_PER_WORKER",
     "DEFAULT_RETRY_BACKOFF_S",
-    "NUMPY_MIN_ITEMS_PER_WORKER",
     "ShardError",
     "ShardTimeoutError",
     "ShardedExecutor",
@@ -743,7 +717,6 @@ __all__: Sequence[str] = (
     "map_sharded",
     "resolve_num_workers",
     "shard_plan",
-    "tier_min_items_per_worker",
     "tuned_num_workers",
     "worker_state",
 )

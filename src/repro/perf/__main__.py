@@ -145,16 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory BENCH_*.json files are written to (default: cwd)",
     )
     parser.add_argument(
-        "--kernels",
-        choices=("auto", "python", "numpy"),
-        default="auto",
-        help=(
-            "kernel tier the benchmark runs under (auto = numpy when "
-            "importable); recorded in the payload's host block — "
-            "mixed-tier baseline comparisons are rejected"
-        ),
-    )
-    parser.add_argument(
         "--smoke",
         action="store_true",
         help=(
@@ -244,17 +234,6 @@ def _run_serve(args: argparse.Namespace) -> tuple[dict, Path]:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.kernels != "auto":
-        import os
-
-        from repro import kernels
-
-        os.environ["REPRO_KERNELS"] = args.kernels
-        try:
-            kernels.refresh_tier()
-        except ImportError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
     if args.benchmark == "serve":
         payload, path = _run_serve(args)
         problems = [f"serve: {problem}" for problem in validate_payload(payload)]

@@ -102,10 +102,11 @@ def host_metadata() -> dict:
 
     Parallel speedup is meaningless without knowing how many cores the run
     had, and a timing is meaningless without knowing which kernel tier
-    produced it — every BENCH payload embeds this block.  ``kernels`` is the
-    resolved tier of this process (see :mod:`repro.kernels`); ``numpy`` is
-    the importable numpy version or ``None``, recorded regardless of tier so
-    a forced-fallback run is distinguishable from a numpy-less host.
+    produced it — every BENCH payload embeds this block.  ``kernels`` says
+    whether the numpy apply walker can run in this process (see
+    :mod:`repro.kernels`); ``numpy`` is the importable numpy version or
+    ``None``, recorded regardless of tier so a numpy without ``np.strings``
+    is distinguishable from a numpy-less host.
     """
     from repro import kernels  # noqa: PLC0415
 

@@ -1,27 +1,25 @@
-"""Kernel tier equivalence: every vectorized path must be byte-identical.
+"""The numpy apply walker and the one coverage walker, pinned to the oracle.
 
-The numpy tier of :mod:`repro.kernels` is an *implementation* of the serial
-Python code, never a reinterpretation — so equality here is exact, not
-approximate, at three levels:
+The numpy walker of :mod:`repro.kernels.apply` is an *implementation* of
+the serial Python walker, never a reinterpretation — so equality here is
+exact, not approximate:
 
-* **op level** — every py/np dual in :mod:`repro.kernels.bitset` computes
-  equal values on randomized inputs;
+* **op level** — the bitset helpers of :mod:`repro.core.coverage`
+  round-trip row sets through masks on randomized inputs, and the ``|``
+  union and ``bit_count`` popcount of cover selection match set union and
+  set size;
 * **walker level** — the numpy apply walker returns the same
   ``(row, output)`` pairs as the reference, both pinned to
   ``Transformation.apply`` row by row; coverage has a single, pure-Python
-  walker on both tiers, pinned to ``Transformation.covers`` row by row and
-  invariant under its row blocking and its cache flag;
-* **engine level** — ``CoverageComputer`` produces identical coverage
-  under ``use_tier("python")`` and ``use_tier("numpy")`` across worker
-  counts {1, 2, 3}, and the sharded matching-index build reproduces the
+  walker, pinned to ``Transformation.covers`` row by row and invariant
+  under its row blocking and its cache flag;
+* **engine level** — the sharded matching-index build reproduces the
   serial ``InvertedIndex`` byte for byte (postings *dict order* included)
   under fork and spawn — the spawn case is what caught the string-hash-seed
   ordering bug fixed in ``unique_ngrams_by_size``.
 
-numpy-vs-python cases skip themselves when the numpy tier is not active;
-the CI forced-fallback leg (``REPRO_KERNELS=python``) still runs the
-tier-independent cases — dispatch plumbing, sharded index identity — so the
-override path is exercised, not just the tier it selects.
+The numpy-vs-python case skips itself when the numpy apply walker is not
+available (numpy missing, or without ``np.strings``).
 """
 
 from __future__ import annotations
@@ -33,20 +31,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import kernels
-from repro.core.coverage import CoverageComputer, _build_unit_trie
+from repro.core.cover import covered_mask
+from repro.core.coverage import (
+    CoverageResult,
+    _build_unit_trie,
+    mask_from_rows,
+    rows_from_mask,
+)
 from repro.core.pairs import pairs_from_strings
 from repro.core.transformation import Transformation
 from repro.core.units import Literal, Split, SplitSubstr, Substr
-from repro.kernels import bitset
+from repro.kernels.apply import available, transform_trie_rows_numpy
 from repro.matching.index import InvertedIndex
 from repro.model.apply import _transform_trie_rows_python
-
-NUMPY_TIER = kernels.numpy_or_none() is not None
-needs_numpy = pytest.mark.skipif(
-    not NUMPY_TIER,
-    reason="numpy tier not active (numpy missing or REPRO_KERNELS=python)",
-)
 
 WORKER_COUNTS = (1, 2, 3)
 
@@ -78,7 +75,7 @@ TRANSFORMATIONS = st.lists(
 )
 
 # --------------------------------------------------------------------------
-# Op level: the py/np duals of repro.kernels.bitset.
+# Op level: the bitset helpers of repro.core.coverage.
 # --------------------------------------------------------------------------
 
 
@@ -90,33 +87,29 @@ ROW_SETS = st.lists(
 )
 
 
-@needs_numpy
 @given(row_sets=ROW_SETS)
-def test_bitset_duals(row_sets):
-    masks_py = [bitset.mask_from_rows_py(rows) for rows in row_sets]
-    masks_np = [bitset.mask_from_rows_np(rows) for rows in row_sets]
-    assert masks_py == masks_np
-    for rows, mask in zip(row_sets, masks_py):
-        assert bitset.rows_from_mask_py(mask) == rows
-        assert bitset.rows_from_mask_np(mask) == rows
-    assert bitset.union_masks_np(masks_py) == bitset.union_masks_py(masks_py)
-    assert bitset.popcounts_np(masks_py) == bitset.popcounts_py(masks_py)
-
-
-@given(row_sets=ROW_SETS)
-def test_bitset_dispatchers_roundtrip_on_active_tier(row_sets):
-    # Runs on whichever tier is active — the forced-fallback leg covers the
-    # python dispatch, the default leg the numpy dispatch.
-    masks = [bitset.mask_from_rows(rows) for rows in row_sets]
-    for rows, mask in zip(row_sets, masks):
-        assert bitset.rows_from_mask(mask) == rows
+def test_bitset_roundtrip(row_sets):
+    for rows in row_sets:
+        mask = mask_from_rows(rows)
+        assert rows_from_mask(mask) == rows
         assert mask.bit_count() == len(rows)
-    assert bitset.popcounts(masks) == [mask.bit_count() for mask in masks]
-    union = bitset.union_masks(masks)
-    expected = 0
-    for mask in masks:
-        expected |= mask
-    assert union == expected
+
+
+@given(row_sets=ROW_SETS)
+def test_bitset_union_and_popcount(row_sets):
+    # Cover selection unions masks with | and counts them with bit_count;
+    # both must agree with the same operations on the row sets.
+    masks = [mask_from_rows(rows) for rows in row_sets]
+    results = [
+        CoverageResult(Transformation([Literal(str(i))]), covered_mask=mask)
+        for i, mask in enumerate(masks)
+    ]
+    union_rows = sorted({row for rows in row_sets for row in rows})
+    assert covered_mask(results) == mask_from_rows(union_rows)
+    assert rows_from_mask(covered_mask(results)) == union_rows
+    assert [result.coverage for result in results] == [
+        len(rows) for rows in row_sets
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -124,7 +117,7 @@ def test_bitset_dispatchers_roundtrip_on_active_tier(row_sets):
 # --------------------------------------------------------------------------
 
 
-@needs_numpy
+@pytest.mark.skipif(not available(), reason="numpy apply walker not available")
 @settings(deadline=None, max_examples=60)
 @given(
     values=st.lists(CELL, max_size=12),
@@ -134,10 +127,6 @@ def test_bitset_dispatchers_roundtrip_on_active_tier(row_sets):
 def test_apply_walker_identical_and_pinned_to_apply(
     values, transformations, row_offset
 ):
-    from repro.kernels.apply import available, transform_trie_rows_numpy
-
-    if not available():
-        pytest.skip("numpy apply walker not available")
     trie = _build_unit_trie(transformations)
     reference = _transform_trie_rows_python(values, row_offset, trie)
     vectorized = transform_trie_rows_numpy(values, row_offset, trie)
@@ -153,7 +142,7 @@ def test_apply_walker_identical_and_pinned_to_apply(
 
 
 # --------------------------------------------------------------------------
-# Walker level: the one coverage walker, on whichever tier is active.
+# Walker level: the one coverage walker.
 # --------------------------------------------------------------------------
 
 
@@ -241,37 +230,8 @@ def test_coverage_walker_cache_flag_only_relabels_skips(
 
 
 # --------------------------------------------------------------------------
-# Engine level: tiers × worker counts, and the sharded index build.
+# Engine level: the sharded index build.
 # --------------------------------------------------------------------------
-
-
-@needs_numpy
-@settings(deadline=None, max_examples=10)
-@given(
-    string_pairs=st.lists(st.tuples(CELL, CELL), min_size=1, max_size=8),
-    transformations=TRANSFORMATIONS,
-    num_workers=st.sampled_from(WORKER_COUNTS),
-)
-def test_coverage_computer_tier_equivalence(
-    string_pairs, transformations, num_workers
-):
-    """CoverageComputer: python tier serial == numpy tier at any worker
-    count (min_rows_per_worker=0 forces real pools for workers > 1)."""
-    pairs = pairs_from_strings(string_pairs)
-
-    def masks(tier):
-        with kernels.use_tier(tier):
-            computer = CoverageComputer(
-                pairs, num_workers=num_workers, min_rows_per_worker=0
-            )
-            results = computer.coverage_of_all(list(transformations))
-        return [result.covered_mask for result in results], (
-            computer.stats.cache_hits,
-            computer.stats.cache_misses,
-            computer.stats.applications,
-        )
-
-    assert masks("numpy") == masks("python")
 
 
 def _synthetic_rows(count: int) -> list[str]:
@@ -316,28 +276,3 @@ def test_sharded_index_build_byte_identical(start_method, stop_gram_cap):
         for gram, postings in serial._postings.items():
             assert list(sharded._postings[gram]) == list(postings)
         assert sharded._frequency == serial._frequency
-
-
-@pytest.mark.parametrize("tier", ["python", "numpy"])
-def test_sharded_index_build_tier_invariant(tier):
-    """The index build is string work, not array work — but it runs inside
-    tier-dispatched engines, so pin that both tiers leave it untouched."""
-    if tier == "numpy" and not NUMPY_TIER:
-        pytest.skip("numpy tier not active")
-    from repro.parallel.index_build import sharded_index_build
-
-    rows = _synthetic_rows(120)
-    with kernels.use_tier(tier):
-        serial = InvertedIndex.build(
-            rows, min_size=4, max_size=7, lowercase=True, stop_gram_cap=30
-        )
-        sharded = sharded_index_build(
-            rows,
-            min_size=4,
-            max_size=7,
-            lowercase=True,
-            stop_gram_cap=30,
-            num_workers=2,
-        )
-    assert list(sharded._postings) == list(serial._postings)
-    assert sharded._frequency == serial._frequency

@@ -1,7 +1,8 @@
-"""The setsim matcher is exact, deterministic, and shard/tier-invariant.
+"""The setsim matcher is exact, deterministic, and shard-invariant.
 
-Three guarantees, each load-bearing for the engine's claim that its speedup
-is *pure pruning*:
+Two guarantees, each load-bearing for the engine's claim that its speedup
+is *pure pruning* (the posting filter and overlap count it rests on are
+checked on their own at the end):
 
 * **Exactness** — on randomized token tables the prefix-filtered matcher
   returns the same match set as brute-force all-pairs similarity at the same
@@ -14,10 +15,6 @@ is *pure pruning*:
   produce byte-identical orderings and matches, and the sharded path must
   reproduce the serial pair list exactly under fork and spawn at any worker
   count.
-* **Tier invariance** — ``use_tier("python")`` and ``use_tier("numpy")``
-  produce identical pairs *and identical pruning statistics*: the numpy
-  posting-filter kernel is an implementation of the python dual, never a
-  reinterpretation.
 """
 
 from __future__ import annotations
@@ -34,26 +31,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import kernels
-from repro.kernels.setsim import (
-    filter_token_postings_np,
-    filter_token_postings_py,
-    intersect_count_np,
-    intersect_count_py,
-)
 from repro.matching.row_matcher import MatchingConfig
 from repro.matching.setsim import (
     SetSimRowMatcher,
     build_token_order,
+    filter_token_postings,
+    intersect_count,
     similarity_score,
+    size_bounds,
 )
 from repro.matching.tokenize import whitespace_tokens
-
-NUMPY_TIER = kernels.numpy_or_none() is not None
-needs_numpy = pytest.mark.skipif(
-    not NUMPY_TIER,
-    reason="numpy tier not active (numpy missing or REPRO_KERNELS=python)",
-)
 
 WORKER_COUNTS = (1, 2, 3)
 
@@ -284,14 +271,52 @@ def test_token_order_and_matches_hash_seed_independent():
 
 
 # --------------------------------------------------------------------------
-# Tier invariance: python and numpy kernels agree bit for bit.
+# The posting filter: sound, order-preserving, monotone in the threshold.
 # --------------------------------------------------------------------------
+
+TOKEN_IDS = st.lists(
+    st.integers(min_value=0, max_value=11), min_size=1, max_size=8, unique=True
+).map(sorted)
+
+
+@settings(max_examples=200)
+@given(
+    probe=TOKEN_IDS,
+    candidate=TOKEN_IDS,
+    measure=st.sampled_from(
+        [("jaccard", t) for t in JACCARD_THRESHOLDS]
+        + [("cosine", t) for t in COSINE_THRESHOLDS]
+        + [("overlap", t) for t in OVERLAP_THRESHOLDS]
+    ),
+)
+def test_posting_filter_never_prunes_a_match(probe, candidate, measure):
+    """Probing at the first shared token, a pair that clears the threshold
+    is always admitted: the filter is conservative, never lossy."""
+    similarity, threshold = measure
+    shared = sorted(set(probe) & set(candidate))
+    overlap = len(shared)
+    score = similarity_score(overlap, len(probe), len(candidate), similarity)
+    if overlap == 0 or score < threshold:
+        return
+    size_low, size_high = size_bounds(len(probe), similarity, threshold)
+    admitted = filter_token_postings(
+        array("i", [5]),
+        array("i", [candidate.index(shared[0])]),
+        array("i", [len(candidate)]),
+        probe_size=len(probe),
+        probe_position=probe.index(shared[0]),
+        similarity=similarity,
+        threshold=threshold,
+        size_low=size_low,
+        size_high=size_high,
+    )
+    assert admitted == [5]
 
 
 @st.composite
 def _posting_cases(draw):
     count = draw(st.integers(min_value=0, max_value=40))
-    rows = array("i", range(count))
+    rows = array("i", range(0, 3 * count, 3))
     sizes = array(
         "i", [draw(st.integers(min_value=1, max_value=10)) for _ in range(count)]
     )
@@ -303,53 +328,51 @@ def _posting_cases(draw):
     probe_position = draw(st.integers(min_value=0, max_value=probe_size - 1))
     similarity = draw(st.sampled_from(["jaccard", "cosine", "overlap"]))
     if similarity == "overlap":
-        threshold = float(draw(st.integers(min_value=1, max_value=5)))
+        thresholds = sorted(
+            float(draw(st.integers(min_value=1, max_value=5))) for _ in range(2)
+        )
     else:
-        threshold = draw(st.sampled_from([1.0 / 3.0, 0.5, 0.7, 1.0]))
+        thresholds = sorted(
+            draw(st.sampled_from([1.0 / 3.0, 0.5, 0.7, 1.0])) for _ in range(2)
+        )
     size_low = draw(st.integers(min_value=1, max_value=6))
     size_high = draw(st.integers(min_value=size_low, max_value=12))
-    return (
-        rows,
-        positions,
-        sizes,
-        probe_size,
-        probe_position,
-        similarity,
-        threshold,
-        size_low,
-        size_high,
-    )
-
-
-@needs_numpy
-@settings(deadline=None, max_examples=120)
-@given(case=_posting_cases())
-def test_filter_token_postings_dual(case):
-    (
-        rows,
-        positions,
-        sizes,
-        probe_size,
-        probe_position,
-        similarity,
-        threshold,
-        size_low,
-        size_high,
-    ) = case
-    kwargs = dict(
+    return rows, positions, sizes, dict(
         probe_size=probe_size,
         probe_position=probe_position,
         similarity=similarity,
-        threshold=threshold,
         size_low=size_low,
         size_high=size_high,
-    )
-    assert filter_token_postings_np(rows, positions, sizes, **kwargs) == (
-        filter_token_postings_py(rows, positions, sizes, **kwargs)
-    )
+    ), thresholds
 
 
-@needs_numpy
+@settings(deadline=None, max_examples=120)
+@given(case=_posting_cases())
+def test_posting_filter_keeps_order_and_size_window(case):
+    rows, positions, sizes, kwargs, (low_threshold, high_threshold) = case
+    loose = filter_token_postings(
+        rows, positions, sizes, threshold=low_threshold, **kwargs
+    )
+    strict = filter_token_postings(
+        rows, positions, sizes, threshold=high_threshold, **kwargs
+    )
+    size_of = dict(zip(rows, sizes))
+    for admitted in (loose, strict):
+        # Admitted rows keep posting order and lie inside the size window.
+        assert admitted == [row for row in rows if row in set(admitted)]
+        assert all(
+            kwargs["size_low"] <= size_of[row] <= kwargs["size_high"]
+            for row in admitted
+        )
+    # A higher threshold can only prune more.
+    assert set(strict) <= set(loose)
+
+
+# --------------------------------------------------------------------------
+# The exact verification's overlap count.
+# --------------------------------------------------------------------------
+
+
 @given(
     left=st.lists(
         st.integers(min_value=0, max_value=300), max_size=120, unique=True
@@ -358,34 +381,6 @@ def test_filter_token_postings_dual(case):
         st.integers(min_value=0, max_value=300), max_size=120, unique=True
     ).map(sorted),
 )
-def test_intersect_count_dual(left, right):
-    left_arr = array("i", left)
-    right_arr = array("i", right)
+def test_intersect_count_matches_set_intersection(left, right):
     expected = len(set(left) & set(right))
-    assert intersect_count_py(left_arr, right_arr) == expected
-    assert intersect_count_np(left_arr, right_arr) == expected
-
-
-@needs_numpy
-def test_matcher_tier_equivalence():
-    """use_tier("python") == use_tier("numpy"): identical pairs and
-    identical pruning statistics through the full matcher."""
-    import random
-
-    rng = random.Random(5)
-    source = [
-        " ".join(rng.choice(VOCAB) for _ in range(rng.randint(0, 6)))
-        for _ in range(200)
-    ]
-    target = [
-        " ".join(rng.choice(VOCAB) for _ in range(rng.randint(0, 6)))
-        for _ in range(200)
-    ]
-
-    def run(tier):
-        with kernels.use_tier(tier):
-            return matcher_for("jaccard", 0.5).match_values_with_stats(
-                source, target
-            )
-
-    assert run("numpy") == run("python")
+    assert intersect_count(array("i", left), array("i", right)) == expected

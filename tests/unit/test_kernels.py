@@ -1,91 +1,149 @@
-"""Unit tests for the kernel tier: selection machinery, op duals, guards.
+"""Unit tests for the numpy tier's scope and the plumbing that records it.
 
-Three surfaces live here:
+Five surfaces live here:
 
-* the tier resolution of :mod:`repro.kernels` — probe, override, error
-  cases, and the write-through/restore behaviour of ``use_tier``;
-* fixed-case checks of every py/np op pair in :mod:`repro.kernels.bitset`
-  (the randomized sweeps live in ``tests/property/test_property_kernels.py``);
-* the plumbing that keeps benchmarks honest about the tier — the
-  tier-aware worker tuning, the BENCH host block, the mixed-tier
-  comparison rejection, and the ``--kernels`` CLI flags.
+* what :func:`repro.kernels.active_tier` reports — ``"numpy"`` only when
+  the numpy apply walker can actually run;
+* where numpy runs at all — large apply batches only: a fit never imports
+  it, and a micro-batch takes the Python walker;
+* the bitset helpers of :mod:`repro.core.coverage` (the randomized sweep
+  lives in ``tests/property/test_property_kernels.py``);
+* the plumbing that keeps benchmarks honest about the tier — the worker
+  tuning that ignores it, the BENCH host block and the mixed-tier
+  comparison rejection;
+* the absence of any tier override: neither CLI takes ``--kernels``.
 
-Every test must pass on both tiers: numpy-side cases skip themselves when
-the numpy tier is not active (numpy missing, or ``REPRO_KERNELS=python``
-as in the forced-fallback CI leg).
+Every test passes with and without numpy installed: cases that need the
+numpy apply walker skip themselves when it is not available.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
+
 import pytest
 
 from repro import kernels
-from repro.kernels import bitset
+from repro.core.coverage import _build_unit_trie, mask_from_rows, rows_from_mask
+from repro.core.transformation import Transformation
+from repro.core.units import Literal, Split, Substr
+from repro.kernels.apply import _APPLY_MIN_ROWS, available
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+NUMPY_IMPORT = re.compile(r"^\s*(?:import|from)\s+numpy\b", re.MULTILINE)
 
 
-def _np_or_skip():
-    np = kernels.numpy_or_none()
-    if np is None:
-        pytest.skip("numpy tier not active (numpy missing or forced python)")
-    return np
+def _block_numpy(directory: Path) -> None:
+    """Make ``import numpy`` fail for interpreters with *directory* on the path."""
+    stub = directory / "numpy"
+    stub.mkdir()
+    (stub / "__init__.py").write_text(
+        'raise ImportError("numpy blocked for this test")\n', encoding="utf-8"
+    )
 
 
-@pytest.fixture
-def restore_tier():
-    """Re-resolve the tier after a test that mutated the environment."""
-    yield
-    kernels.refresh_tier()
+def _run_python(code: str, *path_prefix: str, **env_overrides: str) -> str:
+    """Run *code* in a fresh interpreter with ``src`` importable.
+
+    *path_prefix* goes ahead of ``src`` and the inherited ``PYTHONPATH``.
+    """
+    inherited = [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([*path_prefix, SRC, *inherited]),
+    )
+    env.update(env_overrides)
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+        timeout=120,
+    )
+    return result.stdout.strip()
 
 
 class TestTierResolution:
     def test_active_tier_is_a_known_tier(self):
-        assert kernels.active_tier() in ("python", "numpy")
+        assert kernels.active_tier() == ("numpy" if available() else "python")
 
-    def test_use_tier_python_disables_numpy(self):
-        import os
+    def test_numpy_without_strings_slice_is_python_tier(self, tmp_path):
+        # A numpy whose np.strings lacks slice cannot run the apply walker,
+        # so the recorded tier must say python; its version is still known.
+        stub = tmp_path / "numpy"
+        stub.mkdir()
+        (stub / "__init__.py").write_text(
+            '__version__ = "0.0-stub"\n'
+            "class strings:\n"
+            "    partition = staticmethod(str.partition)\n",
+            encoding="utf-8",
+        )
+        out = _run_python(
+            "from repro import kernels\n"
+            "print(kernels.active_tier(), kernels.numpy_version())\n",
+            str(tmp_path),
+        )
+        assert out == "python 0.0-stub"
 
-        with kernels.use_tier("python") as tier:
-            assert tier == "python"
-            assert kernels.active_tier() == "python"
-            # The module handle must be withheld even when numpy is
-            # importable — dispatchers key off numpy_or_none(), so this is
-            # what makes the forced fallback actually take the python path.
-            assert kernels.numpy_or_none() is None
-            # Written through to the environment so spawn workers agree.
-            assert os.environ.get("REPRO_KERNELS") == "python"
-        assert kernels.active_tier() in ("python", "numpy")
+    @pytest.mark.parametrize(
+        "strings_body",
+        [
+            pytest.param(
+                "    slice = staticmethod(str.__getitem__)\n", id="no-partition"
+            ),
+            pytest.param(None, id="no-strings"),
+        ],
+    )
+    def test_incomplete_numpy_is_python_tier(self, tmp_path, strings_body):
+        stub = tmp_path / "numpy"
+        stub.mkdir()
+        source = '__version__ = "0.0-stub"\n'
+        if strings_body is not None:
+            source += "class strings:\n" + strings_body
+        (stub / "__init__.py").write_text(source, encoding="utf-8")
+        out = _run_python(
+            "from repro import kernels\n"
+            "print(kernels.active_tier(), kernels.numpy_version())\n",
+            str(tmp_path),
+        )
+        assert out == "python 0.0-stub"
 
-    def test_use_tier_numpy_demands_numpy(self):
-        try:
-            import numpy  # noqa: F401
+    def test_numpy_missing_is_python_tier(self, tmp_path):
+        _block_numpy(tmp_path)
+        out = _run_python(
+            "from repro import kernels\n"
+            "print(kernels.active_tier(), kernels.numpy_version())\n",
+            str(tmp_path),
+        )
+        assert out == "python None"
 
-            has_numpy = True
-        except ImportError:
-            has_numpy = False
-        if has_numpy:
-            with kernels.use_tier("numpy"):
-                assert kernels.active_tier() == "numpy"
-                assert kernels.numpy_or_none() is not None
-        else:
-            with pytest.raises(ImportError), kernels.use_tier("numpy"):
-                pass  # pragma: no cover
+    @pytest.mark.parametrize("setting", ["python", "cuda"])
+    def test_repro_kernels_setting_is_ignored(self, setting):
+        # The tier is what the host can run, never an override: a leftover
+        # REPRO_KERNELS (even a value the old selector rejected) changes
+        # nothing and raises nothing.
+        out = _run_python(
+            "from repro import kernels\nprint(kernels.active_tier())\n",
+            REPRO_KERNELS=setting,
+        )
+        assert out == kernels.active_tier()
 
-    def test_use_tier_rejects_unknown_tier(self):
-        with pytest.raises(ValueError), kernels.use_tier("cuda"):
-            pass  # pragma: no cover
+    def test_probe_runs_once_per_process(self):
+        from repro.kernels import apply as kernels_apply
 
-    def test_bad_env_value_raises(self, restore_tier, monkeypatch):
-        # restore_tier is requested first so its teardown (the re-probe)
-        # runs after monkeypatch has removed the bad value again.
-        monkeypatch.setenv("REPRO_KERNELS", "cuda")
-        with pytest.raises(ValueError, match="REPRO_KERNELS"):
-            kernels.refresh_tier()
-
-    def test_numpy_demanded_but_missing_raises(self, restore_tier, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "numpy")
-        monkeypatch.setattr(kernels, "_import_numpy", lambda: None)
-        with pytest.raises(ImportError, match="demands the numpy tier"):
-            kernels.refresh_tier()
+        kernels_apply._numpy.cache_clear()
+        for _ in range(3):
+            kernels.active_tier()
+            available()
+        assert kernels_apply._numpy.cache_info().misses == 1
 
     def test_numpy_version_reported_regardless_of_tier(self):
         try:
@@ -94,102 +152,207 @@ class TestTierResolution:
             expected = str(numpy.__version__)
         except ImportError:
             expected = None
-        with kernels.use_tier("python"):
-            assert kernels.numpy_version() == expected
+        assert kernels.numpy_version() == expected
+
+
+class TestNumpyScope:
+    def test_fit_imports_no_numpy(self):
+        out = _run_python(
+            "import sys\n"
+            "from repro.datasets.synthetic import SyntheticConfig, "
+            "generate_table_pair\n"
+            "from repro.join.pipeline import JoinPipeline\n"
+            "pair, _ = generate_table_pair(SyntheticConfig(num_rows=300, seed=3))\n"
+            "model = JoinPipeline().fit(pair.source, pair.target, "
+            "source_column=pair.source_column, "
+            "target_column=pair.target_column)\n"
+            "assert model.transformations\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        assert out == "False"
+
+    @pytest.mark.skipif(not available(), reason="numpy apply walker not available")
+    @pytest.mark.parametrize(("rows", "numpy_walks"), [(200, True), (32, False)])
+    def test_apply_walker_selected_by_batch_size(self, rows, numpy_walks):
+        from repro.datasets.synthetic import SyntheticConfig, generate_table_pair
+        from repro.join.pipeline import JoinPipeline
+        from repro.model import apply as model_apply
+
+        pair, _ = generate_table_pair(SyntheticConfig(num_rows=rows, seed=3))
+        pipeline = JoinPipeline(num_workers=1)
+        columns = dict(
+            source_column=pair.source_column, target_column=pair.target_column
+        )
+        model = pipeline.fit(pair.source, pair.target, **columns)
+        with mock.patch.object(
+            model_apply,
+            "transform_trie_rows_numpy",
+            wraps=model_apply.transform_trie_rows_numpy,
+        ) as walker:
+            result = pipeline.apply(model, pair.source, pair.target, **columns)
+        assert walker.called is numpy_walks
+        assert result.joined_pairs
+
+    @pytest.mark.skipif(not available(), reason="numpy apply walker not available")
+    @pytest.mark.parametrize(
+        ("rows", "numpy_walks"),
+        [(_APPLY_MIN_ROWS - 1, False), (_APPLY_MIN_ROWS, True)],
+    )
+    def test_walker_cutoff(self, rows, numpy_walks):
+        from repro.model import apply as model_apply
+
+        transformations = [
+            Transformation([Split(" ", 1)]),
+            Transformation([Substr(0, 3), Literal("-"), Split(" ", 2)]),
+        ]
+        trie = _build_unit_trie(transformations)
+        values = [f"row{index} name{index % 7} x" for index in range(rows)]
+        with mock.patch.object(
+            model_apply,
+            "transform_trie_rows_numpy",
+            wraps=model_apply.transform_trie_rows_numpy,
+        ) as walker:
+            outputs = model_apply.transform_trie_rows(values, 0, trie)
+        assert walker.called is numpy_walks
+        assert outputs == model_apply._transform_trie_rows_python(values, 0, trie)
+
+    def test_small_apply_imports_no_numpy(self):
+        # A serve-style micro-batch is below the walker cutoff, so the
+        # size test must keep numpy from being imported at all.
+        out = _run_python(
+            "import sys\n"
+            "from repro.datasets.synthetic import SyntheticConfig, "
+            "generate_table_pair\n"
+            "from repro.join.pipeline import JoinPipeline\n"
+            "pair, _ = generate_table_pair(SyntheticConfig(num_rows=32, seed=3))\n"
+            "columns = dict(source_column=pair.source_column, "
+            "target_column=pair.target_column)\n"
+            "pipeline = JoinPipeline(num_workers=1)\n"
+            "model = pipeline.fit(pair.source, pair.target, **columns)\n"
+            "result = pipeline.apply(model, pair.source, pair.target, **columns)\n"
+            "assert result.joined_pairs\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        assert out == "False"
+
+    def test_join_without_numpy_is_identical(self, tmp_path):
+        # A numpy-less install runs the Python walker on every batch; its
+        # joined pairs must equal this process's, which takes the numpy
+        # walker on a 300-row batch when it is available.
+        code = (
+            "import json\n"
+            "from repro.datasets.synthetic import SyntheticConfig, "
+            "generate_table_pair\n"
+            "from repro.join.pipeline import JoinPipeline\n"
+            "from repro import kernels\n"
+            "pair, _ = generate_table_pair(SyntheticConfig(num_rows=300, seed=4))\n"
+            "columns = dict(source_column=pair.source_column, "
+            "target_column=pair.target_column)\n"
+            "pipeline = JoinPipeline(num_workers=1)\n"
+            "model = pipeline.fit(pair.source, pair.target, **columns)\n"
+            "result = pipeline.apply(model, pair.source, pair.target, **columns)\n"
+            "print(json.dumps([kernels.active_tier(), "
+            "sorted(list(p) for p in result.joined_pairs)]))\n"
+        )
+        with_numpy = json.loads(_run_python(code))
+        _block_numpy(tmp_path)
+        without_numpy = json.loads(_run_python(code, str(tmp_path)))
+        assert without_numpy[0] == "python"
+        assert with_numpy[0] == kernels.active_tier()
+        assert with_numpy[1]
+        assert without_numpy[1] == with_numpy[1]
+
+    def test_only_the_apply_walker_imports_numpy(self):
+        package = Path(SRC) / "repro"
+        importers = sorted(
+            path.relative_to(package).as_posix()
+            for path in package.rglob("*.py")
+            if NUMPY_IMPORT.search(path.read_text(encoding="utf-8"))
+        )
+        # kernels/__init__ imports numpy only to report its version.
+        assert importers == ["kernels/__init__.py", "kernels/apply.py"]
 
 
 class TestBitsetOps:
     MASKS = [0, 1, 0b1010, (1 << 100) | (1 << 3), (1 << 999) | 1]
 
-    def test_mask_from_rows_duals(self):
-        _np_or_skip()
-        for rows in ([], [0], [0, 3, 100], list(range(0, 1500, 7))):
-            assert bitset.mask_from_rows_np(rows) == bitset.mask_from_rows_py(
-                rows
-            )
-
-    def test_rows_from_mask_duals(self):
-        _np_or_skip()
-        for mask in self.MASKS:
-            assert bitset.rows_from_mask_np(mask) == bitset.rows_from_mask_py(
-                mask
-            )
-
-    def test_union_masks_duals(self):
-        _np_or_skip()
-        assert bitset.union_masks_np(self.MASKS) == bitset.union_masks_py(
-            self.MASKS
-        )
-        assert bitset.union_masks_np([]) == 0
-
-    def test_popcounts_duals(self):
-        _np_or_skip()
-        assert bitset.popcounts_np(self.MASKS) == bitset.popcounts_py(
-            self.MASKS
-        )
-        assert bitset.popcounts_np([]) == []
-
     def test_roundtrip(self):
         rows = [0, 5, 63, 64, 65, 511, 512, 2000]
-        assert bitset.rows_from_mask(bitset.mask_from_rows(rows)) == rows
+        mask = mask_from_rows(rows)
+        assert rows_from_mask(mask) == rows
+        assert mask.bit_count() == len(rows)
 
-    def test_dispatchers_match_python_reference_on_both_tiers(self):
-        rows = list(range(0, 2048, 3))
-        mask = bitset.mask_from_rows_py(rows)
-        for tier in ("python", "numpy"):
-            if tier == "numpy" and kernels.numpy_or_none() is None:
-                continue
-            with kernels.use_tier(tier):
-                assert bitset.mask_from_rows(rows) == mask
-                assert bitset.rows_from_mask(mask) == rows
-                assert bitset.union_masks([mask, 1 << 4096]) == (
-                    mask | 1 << 4096
-                )
-                assert bitset.popcounts([mask, 0, 7]) == [len(rows), 0, 3]
+    def test_mask_from_rows_sets_exactly_the_row_bits(self):
+        for rows in ([], [0], [0, 3, 100], list(range(0, 1500, 7))):
+            assert mask_from_rows(rows) == sum(1 << row for row in rows)
+
+    def test_mask_from_rows_ignores_order_and_duplicates(self):
+        # Covered rows often arrive as a frozenset, in no particular order.
+        assert mask_from_rows([100, 3, 0, 3]) == mask_from_rows([0, 3, 100])
+        assert mask_from_rows(frozenset({9, 1, 4})) == 0b1000010010
+
+    def test_rows_from_mask_lists_the_set_bits(self):
+        for mask in self.MASKS:
+            expected = [bit for bit in range(mask.bit_length()) if mask >> bit & 1]
+            assert rows_from_mask(mask) == expected
+
+    @pytest.mark.parametrize("num_rows", [2048, 25_000])
+    def test_large_row_sets(self, num_rows):
+        # Sizes where the deleted numpy helpers used to take over.
+        rows = list(range(0, num_rows, 3))
+        mask = mask_from_rows(rows)
+        assert mask == sum(1 << row for row in rows)
+        assert rows_from_mask(mask) == rows
+        assert mask.bit_count() == len(rows)
+
+    def test_cover_union_and_coverage(self):
+        from repro.core.cover import covered_mask
+        from repro.core.coverage import CoverageResult
+
+        results = [
+            CoverageResult(Transformation([Literal(str(i))]), covered_mask=mask)
+            for i, mask in enumerate(self.MASKS)
+        ]
+        expected = 0
+        for mask in self.MASKS:
+            expected |= mask
+        assert covered_mask(results) == expected
+        assert covered_mask([]) == 0
+        assert [result.coverage for result in results] == [
+            len(rows_from_mask(mask)) for mask in self.MASKS
+        ]
 
 
-class TestTierAwareWorkerTuning:
-    def test_env_override_wins_on_any_tier(self, monkeypatch):
-        from repro.parallel.executor import tier_min_items_per_worker
+class TestWorkerTuning:
+    def test_env_override_wins(self, monkeypatch):
+        from repro.parallel.executor import tuned_num_workers
 
         monkeypatch.setenv("REPRO_MIN_ROWS_PER_WORKER", "10")
-        with kernels.use_tier("python"):
-            assert tier_min_items_per_worker() == 10
+        monkeypatch.setattr("os.cpu_count", lambda: 8)
+        assert tuned_num_workers(4, 20) == 2
 
-    def test_python_tier_uses_default_threshold(self, monkeypatch):
+    def test_default_threshold_whether_or_not_numpy(self, monkeypatch):
         from repro.parallel.executor import (
             DEFAULT_MIN_ITEMS_PER_WORKER,
-            tier_min_items_per_worker,
+            tuned_num_workers,
         )
-
-        monkeypatch.delenv("REPRO_MIN_ROWS_PER_WORKER", raising=False)
-        with kernels.use_tier("python"):
-            assert tier_min_items_per_worker() == DEFAULT_MIN_ITEMS_PER_WORKER
-
-    def test_numpy_tier_raises_threshold(self, monkeypatch):
-        from repro.parallel.executor import (
-            NUMPY_MIN_ITEMS_PER_WORKER,
-            tier_min_items_per_worker,
-        )
-
-        _np_or_skip()
-        monkeypatch.delenv("REPRO_MIN_ROWS_PER_WORKER", raising=False)
-        with kernels.use_tier("numpy"):
-            assert tier_min_items_per_worker() == NUMPY_MIN_ITEMS_PER_WORKER
-        assert NUMPY_MIN_ITEMS_PER_WORKER > 0
-
-    def test_tuned_num_workers_uses_tier_threshold(self, monkeypatch):
-        from repro.parallel.executor import tuned_num_workers
 
         monkeypatch.delenv("REPRO_MIN_ROWS_PER_WORKER", raising=False)
         monkeypatch.setattr("os.cpu_count", lambda: 8)
-        with kernels.use_tier("python"):
-            # 600 rows: enough for 2 python-tier workers (256/worker) ...
-            assert tuned_num_workers(4, 600) == 2
-        if kernels.numpy_or_none() is not None:
-            with kernels.use_tier("numpy"):
-                # ... but below the numpy tier's 1024-per-worker break-even.
-                assert tuned_num_workers(4, 600) == 1
+        assert DEFAULT_MIN_ITEMS_PER_WORKER == 256
+        # 600 rows: enough for 2 workers at 256 rows each, numpy or not.
+        assert tuned_num_workers(4, 600) == 2
+        assert tuned_num_workers(4, 1024) == 4
+
+    def test_benchmark_speedup_layer_stays_serial(self, monkeypatch):
+        # The benchmark records tuned_num_workers(2, 300) as its effective
+        # worker count; with the default threshold that is one worker.
+        from repro.parallel.executor import tuned_num_workers
+
+        monkeypatch.delenv("REPRO_MIN_ROWS_PER_WORKER", raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        assert tuned_num_workers(2, 300) == 1
+        assert tuned_num_workers(2, 512) == 2
 
 
 class TestBenchTierGuards:
@@ -197,15 +360,11 @@ class TestBenchTierGuards:
         from repro.perf.runner import host_metadata
 
         host = host_metadata()
-        assert host["kernels"] in ("python", "numpy")
-        assert "numpy" in host
-        with kernels.use_tier("python"):
-            forced = host_metadata()
-        assert forced["kernels"] == "python"
-        # numpy's availability is reported regardless of the active tier,
-        # so a forced-fallback run stays distinguishable from a numpy-less
+        assert host["kernels"] == kernels.active_tier()
+        # numpy's availability is reported regardless of the tier, so a
+        # numpy without np.strings stays distinguishable from a numpy-less
         # host in the payload alone.
-        assert forced["numpy"] == host["numpy"]
+        assert host["numpy"] == kernels.numpy_version()
 
     def test_validate_payload_flags_missing_tier(self):
         from repro.perf.runner import validate_payload
@@ -249,74 +408,53 @@ class TestBenchTierGuards:
         assert compare_to_baseline(payload, {"host": {}, "rungs": []}) == []
 
 
-class TestKernelsCliFlag:
-    def test_cli_parser_accepts_tiers(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            [
-                "--kernels",
-                "python",
-                "discover",
-                "a.csv",
-                "b.csv",
-                "--source-column",
-                "v",
-                "--target-column",
-                "v",
-            ]
-        )
-        assert args.kernels == "python"
-
-    def test_cli_parser_rejects_unknown_tier(self):
+class TestNoTierSelection:
+    def test_cli_has_no_kernels_flag(self, capsys):
         from repro.cli import build_parser
 
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["--kernels", "cuda", "discover", "a.csv", "b.csv"]
-            )
-
-    def test_perf_parser_accepts_tiers(self):
-        from repro.perf.__main__ import build_parser
-
-        args = build_parser().parse_args(["--kernels", "numpy", "--smoke"])
-        assert args.kernels == "numpy"
-        assert build_parser().parse_args([]).kernels == "auto"
-
-    def test_cli_forces_tier_for_the_run(self, tmp_path):
-        import os
-
-        from repro.cli import main
-        from repro.table.io import write_csv
-        from repro.table.table import Table
-
-        source = tmp_path / "source.csv"
-        target = tmp_path / "target.csv"
-        write_csv(Table(columns={"v": ["ab cd", "xy zw"]}), source)
-        write_csv(Table(columns={"v": ["ab", "xy"]}), target)
-        # The CLI writes REPRO_KERNELS itself (deliberately: spawn workers
-        # must re-resolve to the pinned tier), so the test restores the
-        # environment by hand — monkeypatch only undoes its own changes.
-        previous = os.environ.get("REPRO_KERNELS")
-        try:
-            exit_code = main(
                 [
-                    "--kernels",
-                    "python",
+                    "--kernels=python",
                     "discover",
-                    str(source),
-                    str(target),
+                    "a.csv",
+                    "b.csv",
                     "--source-column",
                     "v",
                     "--target-column",
                     "v",
                 ]
             )
-            assert exit_code == 0
-            assert kernels.active_tier() == "python"
-        finally:
-            if previous is None:
-                os.environ.pop("REPRO_KERNELS", None)
-            else:
-                os.environ["REPRO_KERNELS"] = previous
-            kernels.refresh_tier()
+        assert "unrecognized arguments: --kernels=python" in capsys.readouterr().err
+
+    def test_perf_has_no_kernels_flag(self, capsys):
+        from repro.perf.__main__ import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--kernels=numpy", "--smoke"])
+        assert "unrecognized arguments: --kernels=numpy" in capsys.readouterr().err
+
+    def test_cli_run_leaves_the_environment_alone(self, tmp_path, monkeypatch):
+        from repro.cli import main
+        from repro.table.io import write_csv
+        from repro.table.table import Table
+
+        monkeypatch.delenv("REPRO_KERNELS", raising=False)
+        source = tmp_path / "source.csv"
+        target = tmp_path / "target.csv"
+        write_csv(Table(columns={"v": ["ab cd", "xy zw"]}), source)
+        write_csv(Table(columns={"v": ["ab", "xy"]}), target)
+        before = dict(os.environ)
+        exit_code = main(
+            [
+                "discover",
+                str(source),
+                str(target),
+                "--source-column",
+                "v",
+                "--target-column",
+                "v",
+            ]
+        )
+        assert exit_code == 0
+        assert dict(os.environ) == before

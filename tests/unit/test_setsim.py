@@ -12,12 +12,6 @@ from repro.baselines.setsimjoin import (
     overlap_join,
     set_similarity_join_values,
 )
-from repro.kernels.setsim import (
-    FILTER_EPS,
-    filter_token_postings,
-    intersect_count,
-    required_overlap,
-)
 from repro.matching.row_matcher import (
     MATCHER_ENGINES,
     MatchingConfig,
@@ -25,11 +19,15 @@ from repro.matching.row_matcher import (
     create_row_matcher,
 )
 from repro.matching.setsim import (
+    FILTER_EPS,
     SetSimRowMatcher,
     SetSimStats,
     build_token_order,
+    filter_token_postings,
+    intersect_count,
     ordered_token_ids,
     prefix_length,
+    required_overlap,
     similarity_score,
     size_bounds,
 )
@@ -131,8 +129,8 @@ class TestFilterMath:
         assert FILTER_EPS < 1e-6
 
 
-class TestKernelDispatchers:
-    def test_filter_token_postings_small_input_python_path(self):
+class TestPostingFilter:
+    def test_filter_token_postings(self):
         rows = array("i", [0, 1, 2])
         positions = array("i", [0, 0, 1])
         sizes = array("i", [2, 4, 9])
