@@ -334,9 +334,10 @@ def _add_pair_arguments(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help=(
-            "worker processes for row matching, coverage and the apply "
+            "worker processes for coverage, setsim matching and the apply "
             "stage (1 = serial, 0 = all cores; default: REPRO_NUM_WORKERS "
-            "or 1); results are identical at any worker count"
+            "or 1; n-gram matching is always serial); results are identical "
+            "at any worker count"
         ),
     )
     parser.add_argument(

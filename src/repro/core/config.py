@@ -155,6 +155,11 @@ class DiscoveryConfig:
             raise ValueError(f"sample_size must be >= 0, got {self.sample_size}")
         if self.num_workers < 0:
             raise ValueError(f"num_workers must be >= 0, got {self.num_workers}")
+        if self.min_rows_per_worker is not None and self.min_rows_per_worker < 0:
+            raise ValueError(
+                "min_rows_per_worker must be >= 0, got "
+                f"{self.min_rows_per_worker}"
+            )
         if self.time_budget_s < 0:
             raise ValueError(
                 f"time_budget_s must be >= 0, got {self.time_budget_s}"

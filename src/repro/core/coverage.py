@@ -56,7 +56,7 @@ Rows are mutually independent (every structure above is per-row), which makes
 the batch engine embarrassingly parallel: with ``num_workers > 1`` the rows
 are sharded across a process pool that shares the frozen trie — including the
 anchor posting table, so the prefilter shards exactly
-(:mod:`repro.parallel.coverage`).  Covered rows are byte-identical to the
+(:func:`_walk_shard`).  Covered rows are byte-identical to the
 serial walk always; the cache statistics are byte-identical too when both
 walks start from the same cache state — workers always start cold, so on a
 warm computer (a prior ``coverage_of`` call populated the persistent per-row
@@ -100,7 +100,12 @@ from repro.core.units import (
     TransformationUnit,
     TwoCharSplitSubstr,
 )
-from repro.parallel.executor import env_default_workers, tuned_num_workers
+from repro.parallel.executor import (
+    env_default_workers,
+    map_sharded,
+    tuned_num_workers,
+    worker_state,
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -1089,6 +1094,21 @@ def _walk_trie_rows(
     return covered, hits, misses, applications, rows_processed
 
 
+def _walk_shard(
+    start: int, stop: int
+) -> tuple[dict[int, list[int]], int, int, int, int]:
+    """Shard worker of :meth:`CoverageComputer._coverage_sharded`.
+
+    Walks rows ``[start, stop)`` of the shared ``(pairs, trie, use_cache,
+    deadline)`` state with fresh per-row caches, reporting global row ids.
+    """
+    pairs, trie, use_cache, deadline = worker_state()
+    shard = pairs[start:stop]
+    return _walk_trie_rows(
+        shard, start, trie, [set() for _ in shard], use_cache, deadline
+    )
+
+
 @dataclass
 class CoverageComputer:
     """Apply transformations to row pairs, with unit-level early filtering.
@@ -1280,21 +1300,27 @@ class CoverageComputer:
         num_workers: int,
         deadline: float | None,
     ) -> list[CoverageResult]:
-        from repro.parallel.coverage import sharded_coverage
-
-        covered, hits, misses, applications, rows_processed = sharded_coverage(
-            self.pairs,
-            transformations,
-            use_unit_cache=self.use_unit_cache,
+        pairs = list(self.pairs)
+        trie = _build_unit_trie(transformations)
+        shards = map_sharded(
+            (pairs, trie, self.use_unit_cache, deadline),
+            _walk_shard,
+            len(pairs),
             num_workers=num_workers,
             task_timeout=self.task_timeout,
             max_shard_retries=self.shard_retries,
             serial_fallback=self.serial_fallback,
-            deadline=deadline,
         )
-        self.stats.cache_hits += hits
-        self.stats.cache_misses += misses
-        self.stats.applications += applications
+        covered: list[list[int]] = [[] for _ in transformations]
+        rows_processed = 0
+        for shard_covered, hits, misses, applications, shard_rows in shards:
+            self.stats.cache_hits += hits
+            self.stats.cache_misses += misses
+            self.stats.applications += applications
+            rows_processed += shard_rows
+            # Shards arrive in row order, so every row list stays ascending.
+            for index, rows in shard_covered.items():
+                covered[index].extend(rows)
         self._note_rows(rows_processed)
         return [
             CoverageResult(transformation, covered_mask=mask_from_rows(rows))

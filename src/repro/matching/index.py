@@ -45,31 +45,6 @@ from repro.matching.ngrams import unique_ngrams_by_size
 _EMPTY_POSTINGS: Final = array("i")
 
 
-def _representative_of(
-    grams: Sequence[str],
-    source_frequency: dict[str, int],
-    target_frequency: dict[str, int],
-) -> str | None:
-    """The highest-Rscore n-gram of *grams* (None when the list is empty).
-
-    Same arithmetic as ``scoring.representative_score`` so floating-point
-    behaviour is identical to the reference matcher, and ties break towards
-    the lexicographically smallest n-gram — which makes the selection
-    independent of the iteration order of *grams* (and therefore of the
-    per-process string-hash seed, a requirement of the sharded matcher).
-    """
-    best: str | None = None
-    best_score = 0.0
-    for gram in grams:
-        score = (1.0 / source_frequency[gram]) * (1.0 / target_frequency[gram])
-        if score > best_score:
-            best_score = score
-            best = gram
-        elif score == best_score and best is not None and gram < best:
-            best = gram
-    return best
-
-
 class InvertedIndex:
     """Map n-grams (of a range of sizes) to the ids of rows containing them."""
 
@@ -137,68 +112,6 @@ class InvertedIndex:
         )
         for row_id, text in enumerate(rows):
             index.add(row_id, text)
-        index.prune_stop_grams()
-        return index
-
-    @classmethod
-    def merged(
-        cls,
-        shards: Sequence["InvertedIndex"],
-        *,
-        stop_gram_cap: int = 0,
-    ) -> "InvertedIndex":
-        """Merge per-shard partial indexes into one, byte-identical to serial.
-
-        *shards* must be unpruned partial indexes over contiguous,
-        non-overlapping, increasing global row-id ranges (each built with
-        ``stop_gram_cap=0`` — pruning happens exactly once, here, with the
-        real cap).  The merge preserves the serial :meth:`build` result
-        exactly, including dict insertion order: a gram's first shard is the
-        shard holding its globally first row, shards are consumed in row
-        order, and within a shard grams appear in first-occurrence order —
-        so keys come out in global first-occurrence order, and posting
-        arrays concatenate ascending.
-        """
-        if not shards:
-            raise ValueError("merged() needs at least one shard index")
-        first = shards[0]
-        index = cls(
-            min_size=first._min_size,
-            max_size=first._max_size,
-            lowercase=first._lowercase,
-            stop_gram_cap=stop_gram_cap,
-        )
-        postings = index._postings
-        frequency = index._frequency
-        last_row_id = -1
-        num_rows = 0
-        for shard in shards:
-            if (
-                shard._min_size != first._min_size
-                or shard._max_size != first._max_size
-                or shard._lowercase != first._lowercase
-            ):
-                raise ValueError("shard indexes disagree on configuration")
-            if shard._num_pruned:
-                raise ValueError("shard indexes must be unpruned (cap 0)")
-            if shard._num_rows and shard._last_row_id <= last_row_id:
-                raise ValueError(
-                    "shard indexes must cover increasing row ranges"
-                )
-            for gram, arr in shard._postings.items():
-                existing = postings.get(gram)
-                if existing is None:
-                    # Adopt the shard's array: shards are throwaway carriers.
-                    postings[gram] = arr
-                    frequency[gram] = shard._frequency[gram]
-                else:
-                    existing.extend(arr)
-                    frequency[gram] += shard._frequency[gram]
-            if shard._num_rows:
-                last_row_id = shard._last_row_id
-            num_rows += shard._num_rows
-        index._num_rows = num_rows
-        index._last_row_id = last_row_id
         index.prune_stop_grams()
         return index
 
@@ -319,25 +232,6 @@ class InvertedIndex:
         column — all others score 0), so no per-row re-tokenisation or
         sorting happens at match time.
         """
-        per_row_grams, source_frequency = self.source_grams(source_values)
-        return self.representatives_from(per_row_grams, source_frequency)
-
-    def source_grams(
-        self, source_values: Sequence[str]
-    ) -> tuple[list[list[list[str]]], dict[str, int]]:
-        """The counting pass of the fused Algorithm 1, split out for sharding.
-
-        Tokenises every source row once, keeps only n-grams that occur in the
-        target column (anything else has Rscore 0 and can never be a
-        representative), and counts their source-side row frequencies.
-        Returns ``(per_row_grams, source_frequency)`` where
-        ``per_row_grams[row]`` holds one kept-gram list per n-gram size.
-
-        Selection needs the *global* frequencies, which no single row shard
-        can compute — so the sharded matcher runs this once in the parent and
-        shares both outputs with the workers, which then only score and emit
-        (no re-tokenisation anywhere).
-        """
         target_frequency = self._frequency
         source_frequency: dict[str, int] = {}
         per_row_grams: list[list[list[str]]] = []
@@ -351,31 +245,25 @@ class InvertedIndex:
                     source_frequency[gram] = source_frequency.get(gram, 0) + 1
                 per_size.append(kept)
             per_row_grams.append(per_size)
-        return per_row_grams, source_frequency
 
-    def representatives_from(
-        self,
-        per_row_grams: Sequence[Sequence[Sequence[str]]],
-        source_frequency: dict[str, int],
-        *,
-        start: int = 0,
-        stop: int | None = None,
-    ) -> list[list[str]]:
-        """The selection pass: representatives of rows ``[start, stop)``.
-
-        Operates on the outputs of :meth:`source_grams`.  Row shards
-        evaluated this way concatenate to exactly the full
-        :meth:`representatives` output: selection is per-row and the
-        tie-breaking of :func:`_representative_of` is order-independent.
-        """
-        if stop is None:
-            stop = len(per_row_grams)
-        target_frequency = self._frequency
         representatives: list[list[str]] = []
-        for row in range(start, stop):
+        for per_size in per_row_grams:
             row_representatives: list[str] = []
-            for kept in per_row_grams[row]:
-                best = _representative_of(kept, source_frequency, target_frequency)
+            for kept in per_size:
+                best: str | None = None
+                best_score = 0.0
+                for gram in kept:
+                    # Same arithmetic as scoring.representative_score so that
+                    # floating-point behaviour (and therefore tie-breaking)
+                    # is identical to the reference matcher.
+                    score = (1.0 / source_frequency[gram]) * (
+                        1.0 / target_frequency[gram]
+                    )
+                    if score > best_score:
+                        best_score = score
+                        best = gram
+                    elif score == best_score and best is not None and gram < best:
+                        best = gram
                 if best is not None:
                     row_representatives.append(best)
             representatives.append(row_representatives)

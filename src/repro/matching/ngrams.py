@@ -48,9 +48,7 @@ def unique_ngrams_by_size(
     enumeration order feeds the index's postings-dict insertion order, and a
     set's iteration order depends on the per-interpreter string hash seed —
     first-occurrence order makes index builds reproducible across
-    interpreters, which is what lets the process-sharded build
-    (:mod:`repro.parallel.index_build`) merge to a byte-identical index
-    even under the ``spawn`` start method.
+    interpreters.
     """
     if min_size <= 0:
         raise ValueError(f"min n-gram size must be positive, got {min_size}")

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from repro.core.pairs import RowPair
 from repro.matching.index import InvertedIndex
 from repro.matching.tokenize import TOKENIZERS
-from repro.parallel.executor import env_default_workers, tuned_num_workers
+from repro.parallel.executor import env_default_workers
 from repro.table.table import Table
 
 #: Matching engines :func:`create_row_matcher` can build: "ngram" is
@@ -61,11 +61,11 @@ class MatchingConfig:
     sweep in ``benchmarks/bench_stop_gram_cap.py`` measures the
     recall/runtime trade-off of enabling it.
 
-    ``num_workers`` shards source rows across worker processes (1 = serial,
-    0 = all cores; the default honours ``REPRO_NUM_WORKERS``).  Candidate
-    pairs are identical to the serial matcher — same pairs, same order,
-    including Rscore ties — because representative selection runs against
-    global source frequencies computed once in the parent.
+    ``num_workers`` shards source rows of the setsim engine across worker
+    processes (1 = serial, 0 = all cores; the default honours
+    ``REPRO_NUM_WORKERS``); pairs are identical to the serial matcher.  The
+    n-gram engine runs serially at any value: sharding it lost to serial on
+    two cores (see the README's *Process sharding*).
 
     ``min_rows_per_worker`` is the small-input fast path: when the source
     rows per worker fall below it (or the host has a single core), the pool
@@ -75,9 +75,9 @@ class MatchingConfig:
     disables the tuning.
 
     ``task_timeout_s`` / ``shard_retries`` / ``serial_fallback`` configure
-    the sharded path's fault tolerance (submission-time deadline per map,
-    pool retries per failed shard, and the serial inline fallback that keeps
-    a flaky pool's results byte-identical); see
+    the sharded setsim path's fault tolerance (submission-time deadline per
+    map, pool retries per failed shard, and the serial inline fallback that
+    keeps a flaky pool's results byte-identical); see
     :class:`~repro.parallel.executor.ShardedExecutor`.  ``task_timeout_s``
     0 means unbounded.
 
@@ -89,8 +89,7 @@ class MatchingConfig:
     engine only: the similarity measure and its threshold (jaccard/cosine in
     (0, 1], overlap an absolute token count >= 1), and the tokenization
     ("whitespace" for token-rich strings, "qgram" for short keys, with
-    ``setsim_qgram`` the q).  Both engines share ``lowercase`` and all the
-    sharding/fault-tolerance knobs.
+    ``setsim_qgram`` the q).  Both engines share ``lowercase``.
     """
 
     min_ngram: int = 4
@@ -160,6 +159,11 @@ class MatchingConfig:
             raise ValueError(
                 f"num_workers must be >= 0, got {self.num_workers}"
             )
+        if self.min_rows_per_worker is not None and self.min_rows_per_worker < 0:
+            raise ValueError(
+                "min_rows_per_worker must be >= 0, got "
+                f"{self.min_rows_per_worker}"
+            )
         if self.task_timeout_s < 0:
             raise ValueError(
                 f"task_timeout_s must be >= 0, got {self.task_timeout_s}"
@@ -181,11 +185,9 @@ def emit_candidate_pairs(
 ) -> list[RowPair]:
     """Emit candidate pairs by scanning the representatives' posting arrays.
 
-    The emission loop of the packed matcher, shared by the serial path (all
-    rows, ``row_offset=0``) and the sharded path (a contiguous slice of the
-    source rows, with *row_offset* restoring global source-row ids).
-    *representatives* is aligned with *source_values*; emission is per-row,
-    so shard outputs concatenate to exactly the serial output.
+    The emission loop of the packed matcher.  *representatives* is aligned
+    with *source_values*; *row_offset* is added to every emitted source-row
+    id, for callers that pass a slice of the source column.
     """
     pairs: list[RowPair] = []
     append_pair = pairs.append
@@ -283,65 +285,19 @@ class NGramRowMatcher(RowMatcher):
         once, compute every source row's representative n-grams in a fused
         build pass, then emit candidates by scanning the representatives'
         sorted posting arrays (size-major, ascending row id — the exact
-        order of the reference implementation).
-
-        With ``num_workers`` above 1 the selection and emission are sharded
-        over source rows (:mod:`repro.parallel.matching`); the returned pairs
-        are identical either way.
+        order of the reference implementation).  Serial at any
+        ``num_workers``.
         """
         config = self._config
         source_values = list(source_values)
         target_values = list(target_values)
-        # The index build shards over target rows (byte-identical merge; see
-        # repro.parallel.index_build) under the same worker tuning that
-        # gates the matching shards, but sized by the *target* column.
-        index_workers = tuned_num_workers(
-            config.num_workers,
-            len(target_values),
-            min_items_per_worker=config.min_rows_per_worker,
+        target_index = InvertedIndex.build(
+            target_values,
+            min_size=config.min_ngram,
+            max_size=config.max_ngram,
+            lowercase=config.lowercase,
+            stop_gram_cap=config.stop_gram_cap,
         )
-        if index_workers > 1:
-            from repro.parallel.index_build import sharded_index_build
-
-            target_index = sharded_index_build(
-                target_values,
-                min_size=config.min_ngram,
-                max_size=config.max_ngram,
-                lowercase=config.lowercase,
-                stop_gram_cap=config.stop_gram_cap,
-                num_workers=index_workers,
-                task_timeout=config.task_timeout_s or None,
-                max_shard_retries=config.shard_retries,
-                serial_fallback=config.serial_fallback,
-            )
-        else:
-            target_index = InvertedIndex.build(
-                target_values,
-                min_size=config.min_ngram,
-                max_size=config.max_ngram,
-                lowercase=config.lowercase,
-                stop_gram_cap=config.stop_gram_cap,
-            )
-        # Small-input fast path: more workers than the input justifies
-        # (or a single-core host) fall back to the serial emission.
-        num_workers = tuned_num_workers(
-            config.num_workers,
-            len(source_values),
-            min_items_per_worker=config.min_rows_per_worker,
-        )
-        if num_workers > 1 and target_values:
-            from repro.parallel.matching import sharded_match
-
-            return sharded_match(
-                target_index,
-                source_values,
-                target_values,
-                max_candidates_per_row=config.max_candidates_per_row,
-                num_workers=num_workers,
-                task_timeout=config.task_timeout_s or None,
-                max_shard_retries=config.shard_retries,
-                serial_fallback=config.serial_fallback,
-            )
         representatives = target_index.representatives(source_values)
         return emit_candidate_pairs(
             source_values,

@@ -36,10 +36,9 @@ The pipeline, in order:
    approximation.  The property tests assert exactly that.
 
 Sharding: matching is per-source-row once the ordering and the index exist,
-so the engine row-shards through the shared
-:class:`~repro.parallel.executor.ShardedExecutor`
-(:mod:`repro.parallel.setsim`) with byte-identical concatenation, like the
-packed n-gram engine.
+so the engine row-shards through
+:func:`~repro.parallel.executor.map_sharded` (:func:`_match_shard`) with
+byte-identical concatenation.
 """
 
 from __future__ import annotations
@@ -52,7 +51,11 @@ from dataclasses import dataclass
 from repro.core.pairs import RowPair
 from repro.matching.row_matcher import MatchingConfig, RowMatcher
 from repro.matching.tokenize import tokenizer_for
-from repro.parallel.executor import tuned_num_workers
+from repro.parallel.executor import (
+    map_sharded,
+    tuned_num_workers,
+    worker_state,
+)
 from repro.table.table import Table
 
 #: Sentinel upper size bound for measures without one (overlap).
@@ -368,6 +371,18 @@ def match_token_rows(
     return pairs, candidates_total
 
 
+def _match_shard(start: int, stop: int) -> tuple[list[RowPair], int]:
+    """Shard worker of :meth:`SetSimRowMatcher.match_values_with_stats`.
+
+    Matches source rows ``[start, stop)`` of the shared ``(index,
+    source_token_ids, source_values, target_values)`` state.
+    """
+    index, source_ids, source_values, target_values = worker_state()
+    return match_token_rows(
+        index, source_ids, source_values, target_values, start=start, stop=stop
+    )
+
+
 class SetSimRowMatcher(RowMatcher):
     """Prefix-filtered set-similarity candidate pair detection.
 
@@ -440,18 +455,22 @@ class SetSimRowMatcher(RowMatcher):
             min_items_per_worker=config.min_rows_per_worker,
         )
         if num_workers > 1 and target_values:
-            from repro.parallel.setsim import sharded_setsim_match
-
-            pairs, candidates = sharded_setsim_match(
-                index,
-                source_ids,
-                source_values,
-                target_values,
+            shards = map_sharded(
+                (index, source_ids, source_values, target_values),
+                _match_shard,
+                len(source_ids),
                 num_workers=num_workers,
                 task_timeout=config.task_timeout_s or None,
                 max_shard_retries=config.shard_retries,
                 serial_fallback=config.serial_fallback,
             )
+            # Shards arrive in row order: concatenating them is the serial
+            # pair list, and their candidate counts sum to the serial count.
+            pairs: list[RowPair] = []
+            candidates = 0
+            for shard_pairs, shard_candidates in shards:
+                pairs.extend(shard_pairs)
+                candidates += shard_candidates
         else:
             pairs, candidates = match_token_rows(
                 index, source_ids, source_values, target_values

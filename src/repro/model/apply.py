@@ -27,10 +27,10 @@ results are exactly ``transformation.apply(value)`` for every pair — the
 property tests assert that equivalence against the reference loop.
 
 Every structure is per-row, so the kernel shards exactly like the coverage
-kernel: :func:`repro.parallel.transform.sharded_transform` splits the rows
-across a :class:`~repro.parallel.executor.ShardedExecutor` sharing the
-frozen trie and concatenates shard outputs in order, byte-identical to the
-serial walk.
+kernel: :meth:`TransformationApplier.transform_rows` splits the rows across
+:func:`~repro.parallel.executor.map_sharded` workers sharing the frozen trie
+(:func:`_transform_shard`) and concatenates shard outputs in order,
+byte-identical to the serial walk.
 """
 
 from __future__ import annotations
@@ -54,7 +54,11 @@ from repro.kernels.apply import (
     transform_trie_rows_numpy,
 )
 from repro.parallel.errors import DeadlineExceededError
-from repro.parallel.executor import tuned_num_workers
+from repro.parallel.executor import (
+    map_sharded,
+    tuned_num_workers,
+    worker_state,
+)
 
 #: Row-block granularity of the cooperative deadline checks: with a
 #: deadline set, the walk dispatches one block at a time and checks the
@@ -121,6 +125,20 @@ def transform_trie_rows(
             else:
                 existing.extend(pairs)
     return outputs
+
+
+def _transform_shard(
+    start: int, stop: int
+) -> dict[int, list[tuple[int, str]]]:
+    """Shard worker of :meth:`TransformationApplier.transform_rows`.
+
+    Transforms rows ``[start, stop)`` of the shared ``(values, trie,
+    deadline)`` state, reporting global row ids.
+    """
+    values, trie, deadline = worker_state()
+    return transform_trie_rows(
+        values[start:stop], start, trie, deadline=deadline
+    )
 
 
 def _dispatch_trie_rows(
@@ -315,17 +333,22 @@ class TransformationApplier:
             min_items_per_worker=min_rows_per_worker,
         )
         if workers > 1:
-            from repro.parallel.transform import sharded_transform
-
-            return sharded_transform(
-                values,
-                self._trie,
+            shards = map_sharded(
+                (list(values), self._trie, deadline),
+                _transform_shard,
+                len(values),
                 num_workers=workers,
                 task_timeout=task_timeout,
                 max_shard_retries=shard_retries,
                 serial_fallback=serial_fallback,
-                deadline=deadline,
             )
+            outputs: dict[int, list[tuple[int, str]]] = {}
+            # Shards arrive in row order, so every (row, output) list stays
+            # ascending, as in the serial walk.
+            for shard in shards:
+                for index, pairs in shard.items():
+                    outputs.setdefault(index, []).extend(pairs)
+            return outputs
         return transform_trie_rows(values, 0, self._trie, deadline=deadline)
 
     def apply_all(

@@ -1,24 +1,26 @@
-"""Process-sharded execution of the matching/coverage/apply hot paths.
+"""Process-sharded execution of the coverage, setsim and apply stages.
 
-Rows are independent in all three hot stages of the pipeline, so this
-package shards them across a process pool while keeping results
-byte-identical to the serial engines (which remain the executable spec):
+Rows are independent in batched coverage, setsim matching and the apply
+walk, so each of them can shard its rows across a process pool while
+keeping results byte-identical to its serial branch (the executable spec).
+Each stage calls :func:`~repro.parallel.executor.map_sharded` directly with
+a plain tuple of read-only state and a module-level worker that sits beside
+its serial kernel, and merges the in-order shard results itself:
 
-* :mod:`repro.parallel.executor` — the :class:`ShardedExecutor`: one pool
-  per run, read-only state (packed index, frozen unit trie) shared
-  copy-on-write under fork or pickled once per worker under spawn, guided
-  shard sizing with a work-stealing task queue, deterministic in-order
-  merges;
-* :mod:`repro.parallel.coverage` — row-sharded batched coverage (identical
-  covered rows always, identical cache statistics from a cold cache —
-  workers never see a computer's warmed persistent cache);
-* :mod:`repro.parallel.matching` — source-row-sharded candidate matching
-  (identical pairs, order and Rscore tie behaviour);
-* :mod:`repro.parallel.transform` — source-row-sharded batch
-  transformation for the apply-only path of the artifact layer (identical
-  outputs, ascending row order per transformation).
+* :meth:`repro.core.coverage.CoverageComputer.coverage_of_all` — identical
+  covered rows always, identical cache statistics from a cold cache
+  (workers never see a computer's warmed persistent cache);
+* :meth:`repro.matching.setsim.SetSimRowMatcher.match_values_with_stats` —
+  identical pairs, order and candidate count;
+* :meth:`repro.model.apply.TransformationApplier.transform_rows` —
+  identical outputs, ascending row order per transformation.
 
-The knobs are ``DiscoveryConfig.num_workers``,
+The n-gram matcher is serial: sharding it lost to serial on two cores.
+
+:mod:`repro.parallel.executor` holds the :class:`ShardedExecutor` (one pool
+per run, state shared copy-on-write under fork or pickled once per worker
+under spawn, guided shard sizing with a work-stealing task queue, in-order
+results).  The knobs are ``DiscoveryConfig.num_workers``,
 ``MatchingConfig.num_workers`` and ``TransformationJoiner``'s
 ``num_workers`` (1 = serial, 0 = all cores; defaults honour the
 ``REPRO_NUM_WORKERS`` environment variable), surfaced on the CLI as

@@ -1,9 +1,8 @@
-"""The shared-index process executor behind the sharded engines.
+"""The shared-state process executor behind the sharded stages.
 
-Both hot stages of the pipeline — batched coverage and row matching — are
-embarrassingly parallel over rows, but the read-only structures they walk
-(the frozen unit-prefix trie, the packed
-:class:`~repro.matching.index.InvertedIndex`) are large, and shipping them
+Batched coverage, setsim matching and the apply walk are embarrassingly
+parallel over rows, but the read-only structures they walk (the frozen
+unit-prefix trie, the setsim prefix index) are large, and shipping them
 with every task would drown the win in serialization.  The
 :class:`ShardedExecutor` therefore shares that state with the pool exactly
 once per run:
@@ -223,16 +222,20 @@ def tuned_num_workers(
 
     ``min_items_per_worker=None`` reads :func:`env_min_items_per_worker`
     (``REPRO_MIN_ROWS_PER_WORKER``, else
-    :data:`DEFAULT_MIN_ITEMS_PER_WORKER`); ``0`` (or any non-positive
-    threshold) disables the tuning and returns the resolved worker count
-    clamped to ``num_items`` only.
+    :data:`DEFAULT_MIN_ITEMS_PER_WORKER`); ``0`` disables the tuning and
+    returns the resolved worker count clamped to ``num_items`` only;
+    negative thresholds are rejected.
     """
+    if min_items_per_worker is not None and min_items_per_worker < 0:
+        raise ValueError(
+            f"min_items_per_worker must be >= 0, got {min_items_per_worker}"
+        )
     workers = min(resolve_num_workers(num_workers), max(num_items, 1))
     if workers <= 1:
         return workers
     if min_items_per_worker is None:
         min_items_per_worker = env_min_items_per_worker()
-    if min_items_per_worker <= 0:
+    if min_items_per_worker == 0:
         return workers
     if (os.cpu_count() or 1) <= 1:
         return 1
@@ -689,7 +692,12 @@ def map_sharded(
     retry_backoff_s: float = DEFAULT_RETRY_BACKOFF_S,
     serial_fallback: bool = True,
 ) -> list[Any]:
-    """One-shot convenience: pool up, map the shards, tear the pool down."""
+    """Pool up, map ``worker`` over the shards, tear the pool down.
+
+    The one entry point of the sharded stages: each passes its read-only
+    *state* (a plain tuple) and a module-level worker that unpacks it via
+    :func:`worker_state`, then merges the in-order shard results itself.
+    """
     executor = ShardedExecutor(
         state,
         num_workers=num_workers,

@@ -8,9 +8,10 @@ root)::
 
     PYTHONPATH=src python -m repro.perf --out . --workers 1,2,4,8
 
-CI smoke (smallest rung, packed engine only, fails when stage timings are
-missing or outputs are empty; ``--workers 1,2`` additionally smoke-tests the
-process-sharded path and its identical-results flag)::
+CI smoke (smallest rung, packed and setsim engines, fails when stage
+timings are missing or outputs are empty; ``--workers 1,2`` additionally
+smoke-tests sharded setsim matching and sharded coverage against their
+serial runs through the identical-results flag)::
 
     PYTHONPATH=src python -m repro.perf --smoke --out /tmp/bench --workers 1,2
 """
@@ -113,9 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=_parse_workers,
         default=DEFAULT_WORKERS,
         help=(
-            "comma-separated worker counts swept for the packed engine, "
-            "e.g. 1,2,4,8 (default: %(default)s); results stay identical, "
-            "per-rung speedup and parallel efficiency are recorded"
+            "comma-separated worker counts swept for setsim matching and "
+            "packed discovery, e.g. 1,2,4,8 (default: %(default)s); results "
+            "stay identical, per-rung speedup and parallel efficiency are "
+            "recorded"
         ),
     )
     parser.add_argument(

@@ -31,7 +31,7 @@ writes a JSON report whose schema is stable enough to diff across PRs:
 
 ``identical`` is computed from the actual candidate-pair lists and discovered
 covers, not from counts — the harness doubles as a large-scale equivalence
-test for the packed fast path and its process-sharded variants.  The
+test for the packed fast path and the process-sharded variants.  The
 ``host`` block (CPU count, start method) is what makes multi-worker numbers
 interpretable across machines: an ``efficiency`` of 0.5 at 4 workers is poor
 scaling on 8 cores and the physical ceiling on 2.
@@ -137,12 +137,13 @@ class BenchmarkRunner:
         Base RNG seed; rung *n* uses ``seed + n`` so inputs are reproducible
         and identical across engines.
     workers:
-        Worker counts swept for the packed engine (the seed engine is
-        inherently serial).  ``1`` records the serial fast path under the
-        plain ``packed`` key and is always included — it is the baseline of
-        every speedup/efficiency figure; higher counts are recorded as
-        ``packed-w<n>`` with speedup-vs-serial and parallel efficiency per
-        rung.
+        Worker counts swept for the engines with a sharded stage: packed on
+        the discovery ladder (coverage shards) and setsim on the matching
+        ladder.  The seed engine and packed matching are serial.  ``1``
+        records the serial run under the plain engine key and is always
+        included — it is the baseline of every speedup/efficiency figure;
+        higher counts are recorded as ``<engine>-w<n>`` with
+        speedup-vs-serial and parallel efficiency per rung.
     output_dir:
         Where :meth:`write` puts ``BENCH_<name>.json`` (default: cwd).
     """
@@ -410,9 +411,12 @@ class BenchmarkRunner:
                     # The seed engine is O(slow); cap how far up the ladder it
                     # climbs.  The packed engine still records the rung.
                     continue
-                # The workers axis applies to the sharded engines (packed,
-                # setsim); the seed engine is the serial executable spec.
-                worker_counts = (1,) if engine == "seed" else self.workers
+                # The workers axis applies only where a stage shards:
+                # setsim matching, and packed discovery's coverage.  The
+                # seed engine and the n-gram matcher are serial, and a
+                # worker label on them would time the serial run.
+                sharded = engine == "setsim" or (discovery and engine == "packed")
+                worker_counts = self.workers if sharded else (1,)
                 for num_workers in worker_counts:
                     label = engine if num_workers == 1 else f"{engine}-w{num_workers}"
                     if discovery:

@@ -12,11 +12,7 @@ exact, not approximate:
   ``(row, output)`` pairs as the reference, both pinned to
   ``Transformation.apply`` row by row; coverage has a single, pure-Python
   walker, pinned to ``Transformation.covers`` row by row and invariant
-  under its row blocking and its cache flag;
-* **engine level** — the sharded matching-index build reproduces the
-  serial ``InvertedIndex`` byte for byte (postings *dict order* included)
-  under fork and spawn — the spawn case is what caught the string-hash-seed
-  ordering bug fixed in ``unique_ngrams_by_size``.
+  under its row blocking and its cache flag.
 
 The numpy-vs-python case skips itself when the numpy apply walker is not
 available (numpy missing, or without ``np.strings``).
@@ -24,7 +20,6 @@ available (numpy missing, or without ``np.strings``).
 
 from __future__ import annotations
 
-import random
 import string
 
 import pytest
@@ -42,10 +37,7 @@ from repro.core.pairs import pairs_from_strings
 from repro.core.transformation import Transformation
 from repro.core.units import Literal, Split, SplitSubstr, Substr
 from repro.kernels.apply import available, transform_trie_rows_numpy
-from repro.matching.index import InvertedIndex
 from repro.model.apply import _transform_trie_rows_python
-
-WORKER_COUNTS = (1, 2, 3)
 
 CELL = st.text(
     alphabet=string.ascii_lowercase + string.digits + " ,-.", max_size=14
@@ -227,52 +219,3 @@ def test_coverage_walker_cache_flag_only_relabels_skips(
     assert rows_on == rows_off == len(pairs)
     assert hits_off == 0
     assert hits_on + misses_on == misses_off
-
-
-# --------------------------------------------------------------------------
-# Engine level: the sharded index build.
-# --------------------------------------------------------------------------
-
-
-def _synthetic_rows(count: int) -> list[str]:
-    rng = random.Random(7)
-    words = ["alpha", "beta", "gamma", "delta", "omega", "zeta", "theta"]
-    return [
-        " ".join(rng.choice(words) for _ in range(rng.randint(1, 5)))
-        + str(rng.randint(0, 999))
-        for _ in range(count)
-    ]
-
-
-@pytest.mark.parametrize("start_method", ["fork", "spawn"])
-@pytest.mark.parametrize("stop_gram_cap", [0, 40])
-def test_sharded_index_build_byte_identical(start_method, stop_gram_cap):
-    """The merged sharded index equals the serial build byte for byte —
-    including the *insertion order* of the postings dict, which is what the
-    string-hash-seed bug broke under spawn before ``unique_ngrams_by_size``
-    switched to order-preserving dedup."""
-    import multiprocessing
-
-    from repro.parallel.index_build import sharded_index_build
-
-    if start_method not in multiprocessing.get_all_start_methods():
-        pytest.skip(f"start method {start_method} unavailable")
-    rows = _synthetic_rows(300)
-    serial = InvertedIndex.build(
-        rows, min_size=4, max_size=8, lowercase=True, stop_gram_cap=stop_gram_cap
-    )
-    for num_workers in WORKER_COUNTS:
-        sharded = sharded_index_build(
-            rows,
-            min_size=4,
-            max_size=8,
-            lowercase=True,
-            stop_gram_cap=stop_gram_cap,
-            num_workers=num_workers,
-            start_method=start_method,
-        )
-        assert sharded.num_rows == serial.num_rows
-        assert list(sharded._postings) == list(serial._postings)
-        for gram, postings in serial._postings.items():
-            assert list(sharded._postings[gram]) == list(postings)
-        assert sharded._frequency == serial._frequency

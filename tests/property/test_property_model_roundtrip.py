@@ -120,12 +120,9 @@ class TestApplierEquivalence:
 
 
 class TestSpawnFallback:
-    def test_spawn_sharded_transform_matches_serial(self):
+    def test_spawn_transform_rows_matches_serial(self, monkeypatch):
         # The pickle-once fallback: the frozen trie and the value list ship
-        # to spawn workers through TransformShardState.__getstate__.
-        from repro.model.apply import TransformationApplier, transform_trie_rows
-        from repro.parallel.transform import sharded_transform
-
+        # to spawn workers as the plain state tuple of transform_rows.
         transformations = [
             Transformation([SplitSubstr(" ", 2, 0, 1), Literal(" "), Split(",", 1)]),
             Transformation([Split(",", 2)]),
@@ -133,11 +130,10 @@ class TestSpawnFallback:
         ]
         values = [f"last{i:02d}, first{i:02d}" for i in range(40)]
         applier = TransformationApplier(transformations)
-        trie = applier.trie
-        assert trie is not None
-        serial = transform_trie_rows(values, 0, trie)
-        spawned = sharded_transform(
-            values, trie, num_workers=2, start_method="spawn"
+        serial = applier.transform_rows(values)
+        monkeypatch.setenv("REPRO_START_METHOD", "spawn")
+        spawned = applier.transform_rows(
+            values, num_workers=2, min_rows_per_worker=0
         )
         assert spawned == serial
 

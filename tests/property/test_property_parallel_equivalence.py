@@ -1,22 +1,23 @@
 """Sharded/serial equivalence: process sharding must not change any result.
 
-The process-sharded engines of :mod:`repro.parallel` re-run the exact serial
-kernels over row shards, so their outputs must be *byte-identical* to the
-serial engines for every worker count:
+Sharded coverage re-runs the exact serial kernel over row shards through
+:func:`repro.parallel.map_sharded`, so its outputs must be *byte-identical*
+to the serial engine for every worker count:
 
 * sharded coverage must reproduce the serial batched engine's covered rows
   **and** its cache statistics (every cache in the walk is per-row, so the
   hit/miss/application tallies are shard-invariant);
-* the sharded matcher must reproduce the serial packed matcher's pairs —
-  same pairs, same order, including Rscore ties (tie-breaking is
-  order-independent, so it survives per-process string-hash seeds);
+* the n-gram matcher is serial at every ``num_workers``: it must return the
+  serial and reference matchers' pairs — same pairs, same order, including
+  Rscore ties — and must never build a process pool;
 * results must be cache-independent: re-running on a warm computer, or
   interleaving serial and sharded calls, changes nothing;
 * the ``num_workers=0`` knob must resolve to ``os.cpu_count()``.
 
 Worker counts {1, 2, 3} are exercised on randomized inputs (1 takes the
 serial path — the degenerate case of the knob — while 2 and 3 fork real
-pools), plus the spawn start method for the pickle-once fallback.
+pools for coverage), plus the spawn start method for the pickle-once
+fallback.
 
 Every sharded construction here disables the small-input fast path
 (``min_rows_per_worker=0``): these inputs are tiny by design, and the tuning
@@ -40,12 +41,9 @@ from repro.core.pairs import pairs_from_strings
 from repro.core.transformation import Transformation
 from repro.core.units import Literal, Split, SplitSubstr, Substr
 from repro.datasets.synthetic import SyntheticConfig, generate_table_pair
-from repro.matching.index import InvertedIndex
 from repro.matching.reference import ReferenceRowMatcher
 from repro.matching.row_matcher import MatchingConfig, NGramRowMatcher
-from repro.parallel.coverage import sharded_coverage
-from repro.parallel.executor import resolve_num_workers
-from repro.parallel.matching import sharded_match
+from repro.parallel.executor import ShardedExecutor, resolve_num_workers
 
 WORKER_COUNTS = (1, 2, 3)
 
@@ -93,7 +91,7 @@ def stats_tuple(computer: CoverageComputer) -> tuple[int, int, int]:
     )
 
 
-def assert_sharded_coverage_matches_serial(pairs, transformations, workers):
+def assert_coverage_shards_match_serial(pairs, transformations, workers):
     serial = CoverageComputer(pairs, num_workers=1)
     sharded = CoverageComputer(pairs, num_workers=workers, min_rows_per_worker=0)
     serial_results = serial.coverage_of_all(transformations)
@@ -104,7 +102,7 @@ def assert_sharded_coverage_matches_serial(pairs, transformations, workers):
     assert stats_tuple(sharded) == stats_tuple(serial)
 
 
-def assert_sharded_match_equals_serial(source, target, config, workers):
+def assert_match_at_workers_equals_serial(source, target, config, workers):
     serial = NGramRowMatcher(config).match_values(source, target)
     sharded_config = MatchingConfig(
         min_ngram=config.min_ngram,
@@ -131,7 +129,7 @@ class TestShardedCoverageEquivalence:
     def test_matches_serial_on_random_inputs(
         self, raw_pairs, transformations, workers
     ):
-        assert_sharded_coverage_matches_serial(
+        assert_coverage_shards_match_serial(
             pairs_from_strings(raw_pairs), transformations, workers
         )
 
@@ -182,7 +180,7 @@ class TestShardedCoverageEquivalence:
         assert warm.coverage_of_all(transformations) == expected
         assert warm.coverage_of_all(transformations) == expected
 
-    def test_spawn_fallback_matches_fork(self):
+    def test_spawn_fallback_matches_fork(self, monkeypatch):
         # The pickle-once fallback for platforms without fork must agree with
         # the serial engine (and therefore with the fork path) exactly.
         pair, _ = generate_table_pair(
@@ -199,16 +197,15 @@ class TestShardedCoverageEquivalence:
             sorted(result.covered_rows)
             for result in serial.coverage_of_all(transformations)
         ]
-        covered, hits, misses, applications, rows_processed = sharded_coverage(
-            pairs,
-            transformations,
-            use_unit_cache=True,
-            num_workers=2,
-            start_method="spawn",
-        )
-        assert [sorted(rows) for rows in covered] == expected
-        assert (hits, misses, applications) == stats_tuple(serial)
-        assert rows_processed == len(pairs)
+        monkeypatch.setenv("REPRO_START_METHOD", "spawn")
+        spawned = CoverageComputer(pairs, num_workers=2, min_rows_per_worker=0)
+        covered = [
+            sorted(result.covered_rows)
+            for result in spawned.coverage_of_all(transformations)
+        ]
+        assert covered == expected
+        assert stats_tuple(spawned) == stats_tuple(serial)
+        assert spawned.rows_processed == len(pairs)
 
 
 class TestShardedMatchingEquivalence:
@@ -219,7 +216,7 @@ class TestShardedMatchingEquivalence:
         workers=st.sampled_from(WORKER_COUNTS),
     )
     def test_matches_serial_on_random_inputs(self, source, target, workers):
-        assert_sharded_match_equals_serial(
+        assert_match_at_workers_equals_serial(
             source, target, MatchingConfig(min_ngram=2, max_ngram=5), workers
         )
 
@@ -233,7 +230,7 @@ class TestShardedMatchingEquivalence:
         # A 3-symbol alphabet forces representative selection to be dominated
         # by tie-breaking, which must be identical across process boundaries
         # (per-process string-hash seeds change set iteration order).
-        assert_sharded_match_equals_serial(
+        assert_match_at_workers_equals_serial(
             source, target, MatchingConfig(min_ngram=1, max_ngram=3), workers
         )
 
@@ -244,7 +241,7 @@ class TestShardedMatchingEquivalence:
         cap=st.integers(min_value=1, max_value=3),
     )
     def test_matches_serial_with_candidate_cap(self, source, target, cap):
-        assert_sharded_match_equals_serial(
+        assert_match_at_workers_equals_serial(
             source,
             target,
             MatchingConfig(min_ngram=2, max_ngram=4, max_candidates_per_row=cap),
@@ -260,27 +257,25 @@ class TestShardedMatchingEquivalence:
         source = list(pair.source["value"])
         target = list(pair.target["value"])
         for workers in WORKER_COUNTS:
-            assert_sharded_match_equals_serial(
+            assert_match_at_workers_equals_serial(
                 source, target, MatchingConfig(), workers
             )
 
-    def test_spawn_fallback_matches_fork(self):
+    def test_workers_build_no_pool(self, monkeypatch):
+        # The n-gram matcher is serial: a worker count, even with the
+        # small-input threshold off, must not construct an executor.
+        def refuse(*args, **kwargs):
+            raise AssertionError("NGramRowMatcher constructed a ShardedExecutor")
+
+        monkeypatch.setattr(ShardedExecutor, "__init__", refuse)
         pair, _ = generate_table_pair(
-            SyntheticConfig(num_rows=30, seed=9), name="spawn-match-eq"
+            SyntheticConfig(num_rows=30, seed=9), name="serial-match"
         )
         source = list(pair.source["value"])
         target = list(pair.target["value"])
-        serial = NGramRowMatcher(MatchingConfig()).match_values(source, target)
-        index = InvertedIndex.build(target, min_size=4, max_size=20, lowercase=True)
-        spawned = sharded_match(
-            index,
-            source,
-            target,
-            max_candidates_per_row=0,
-            num_workers=2,
-            start_method="spawn",
-        )
-        assert spawned == serial
+        config = MatchingConfig(num_workers=2, min_rows_per_worker=0)
+        pairs = NGramRowMatcher(config).match_values(source, target)
+        assert pairs == ReferenceRowMatcher(config).match_values(source, target)
 
 
 class TestWorkerKnobs:
@@ -307,6 +302,16 @@ class TestWorkerKnobs:
             MatchingConfig(num_workers=-1)
         with pytest.raises(ValueError):
             CoverageComputer([], num_workers=-1).coverage_of_all([])
+
+    def test_negative_min_rows_per_worker_rejected(self):
+        # Only 0 turns the small-input fast path off; a negative threshold
+        # is an error, not a second spelling of 0.
+        with pytest.raises(ValueError):
+            DiscoveryConfig(min_rows_per_worker=-5)
+        with pytest.raises(ValueError):
+            MatchingConfig(min_rows_per_worker=-5)
+        assert DiscoveryConfig(min_rows_per_worker=0).min_rows_per_worker == 0
+        assert MatchingConfig(min_rows_per_worker=0).min_rows_per_worker == 0
 
     def test_env_default_reaches_configs(self, monkeypatch):
         monkeypatch.setenv("REPRO_NUM_WORKERS", "3")

@@ -34,7 +34,6 @@ from hypothesis import strategies as st
 from repro.matching.row_matcher import MatchingConfig
 from repro.matching.setsim import (
     SetSimRowMatcher,
-    build_token_order,
     filter_token_postings,
     intersect_count,
     similarity_score,
@@ -155,7 +154,7 @@ def test_empty_and_duplicate_rows():
 
 
 @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-def test_sharded_matches_byte_identical(start_method):
+def test_shards_reproduce_serial_byte_identical(start_method, monkeypatch):
     """Shard concatenation reproduces the serial matcher exactly — pairs,
     order, and the candidate count — at any worker count, fork or spawn."""
     import multiprocessing
@@ -164,6 +163,7 @@ def test_sharded_matches_byte_identical(start_method):
         pytest.skip(f"start method {start_method} unavailable")
     import random
 
+    monkeypatch.setenv("REPRO_START_METHOD", start_method)
     rng = random.Random(11)
     source = [
         " ".join(rng.choice(VOCAB) for _ in range(rng.randint(0, 6)))
@@ -177,27 +177,11 @@ def test_sharded_matches_byte_identical(start_method):
         source, target
     )
     for num_workers in WORKER_COUNTS[1:]:
-        from repro.matching.setsim import SetSimIndex, ordered_token_ids
-        from repro.matching.tokenize import tokenizer_for
-        from repro.parallel.setsim import sharded_setsim_match
-
-        tokenize = tokenizer_for("whitespace")
-        source_tokens = [tokenize(v) for v in source]
-        target_tokens = [tokenize(v) for v in target]
-        order = build_token_order([*source_tokens, *target_tokens])
-        index = SetSimIndex(
-            [ordered_token_ids(t, order) for t in target_tokens], "jaccard", 0.5
-        )
-        pairs, candidates = sharded_setsim_match(
-            index,
-            [ordered_token_ids(t, order) for t in source_tokens],
-            source,
-            target,
-            num_workers=num_workers,
-            start_method=start_method,
-        )
+        pairs, stats = matcher_for(
+            "jaccard", 0.5, num_workers=num_workers, min_rows_per_worker=0
+        ).match_values_with_stats(source, target)
         assert pairs == serial_pairs
-        assert candidates == serial_stats.candidates
+        assert stats.candidates == serial_stats.candidates
 
 
 def test_matcher_sharded_config_path_identical():

@@ -220,3 +220,57 @@ class TestEngineRecovery:
             (c.transformation, c.covered_rows) for c in sharded.cover
         ] == [(c.transformation, c.covered_rows) for c in serial.cover]
         assert sharded.top_coverage == serial.top_coverage
+
+    def test_setsim_matching_recovers_from_a_worker_crash(
+        self, monkeypatch, name_initial_pairs
+    ):
+        # The crashed shard is re-run inline in the parent against the same
+        # state tuple: pairs and candidate count equal the serial run's.
+        from repro.matching.row_matcher import MatchingConfig
+        from repro.matching.setsim import SetSimRowMatcher
+
+        source = [source for source, _ in name_initial_pairs] * 4
+        target = [target for _, target in name_initial_pairs] * 4
+
+        def match(num_workers):
+            config = MatchingConfig(
+                engine="setsim",
+                setsim_tokenizer="qgram",
+                setsim_qgram=2,
+                setsim_threshold=0.2,
+                num_workers=num_workers,
+                min_rows_per_worker=0,
+            )
+            pairs, stats = SetSimRowMatcher(config).match_values_with_stats(
+                source, target
+            )
+            return pairs, stats.candidates
+
+        monkeypatch.setenv(FAULT_ENV, "crash:shard=0")
+        serial = match(1)
+        assert serial[0]
+        assert match(2) == serial
+
+    def test_apply_recovers_from_a_worker_crash(
+        self, monkeypatch, name_initial_pairs
+    ):
+        from repro.core.transformation import Transformation
+        from repro.core.units import Literal, Split, SplitSubstr
+        from repro.model.apply import TransformationApplier
+
+        applier = TransformationApplier(
+            [
+                Transformation(
+                    (SplitSubstr(" ", 2, 0, 1), Literal(" "), Split(",", 1))
+                ),
+                Transformation((Split(",", 2),)),
+            ]
+        )
+        values = [source for source, _ in name_initial_pairs] * 4
+        monkeypatch.setenv(FAULT_ENV, "crash:shard=0")
+        serial = applier.transform_rows(values)
+        assert serial
+        sharded = applier.transform_rows(
+            values, num_workers=2, min_rows_per_worker=0
+        )
+        assert sharded == serial

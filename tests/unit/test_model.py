@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from time import monotonic
 
 import pytest
 
@@ -25,6 +26,8 @@ from repro.model import (
     unit_from_dict,
     unit_to_dict,
 )
+from repro.parallel import ShardError
+from repro.parallel.errors import DeadlineExceededError
 
 ALL_UNITS = [
     Literal("x-"),
@@ -346,3 +349,18 @@ class TestTransformationApplier:
         dense = applier.apply_all(["a,b", "nope"])
         assert dense[0] == ["a!", None]
         assert dense[1] == ["a?", None]
+
+    def test_sharded_deadline_reaches_the_workers(self):
+        # The deadline travels to the workers in the shards' state: expired,
+        # every shard refuses to run (complete-or-error, never a prefix);
+        # generous, the outputs equal the serial walk's.
+        applier = TransformationApplier([Transformation([Split(",", 2)])])
+        values = [f"a{i},b{i}" for i in range(40)]
+        sharded = {"num_workers": 2, "min_rows_per_worker": 0}
+        with pytest.raises(ShardError) as raised:
+            applier.transform_rows(values, deadline=monotonic() - 1.0, **sharded)
+        assert isinstance(raised.value.cause, DeadlineExceededError)
+        generous = applier.transform_rows(
+            values, deadline=monotonic() + 60.0, **sharded
+        )
+        assert generous == applier.transform_rows(values)

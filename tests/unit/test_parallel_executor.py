@@ -251,3 +251,11 @@ class TestTunedNumWorkers:
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError):
             tuned_num_workers(-1, 10)
+
+    def test_negative_threshold_rejected(self):
+        # Only 0 turns the small-input tuning off; a negative threshold is
+        # an error, even where the worker count needs no tuning.
+        with pytest.raises(ValueError):
+            tuned_num_workers(2, 10, min_items_per_worker=-5)
+        with pytest.raises(ValueError):
+            tuned_num_workers(1, 10, min_items_per_worker=-1)

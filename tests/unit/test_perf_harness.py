@@ -154,30 +154,32 @@ class TestWorkersAxis:
     def test_records_one_engine_per_worker_count(self, workers_payloads):
         _, matching, discovery = workers_payloads
         for rung in matching["rungs"]:
-            # The workers axis sweeps both sharded engines on the matching
-            # ladder; the discovery ladder has no setsim variant.
+            # On the matching ladder the workers axis sweeps setsim only:
+            # the n-gram matcher is serial, so a packed-w2 record would time
+            # the serial matcher under a worker label.  The discovery ladder
+            # keeps packed-w2 (coverage shards) and has no setsim variant.
             assert set(rung["engines"]) == {
                 "seed",
                 "packed",
-                "packed-w2",
                 "setsim",
                 "setsim-w2",
             }
             assert rung["engines"]["setsim-w2"]["num_workers"] == 2
         for rung in discovery["rungs"]:
             assert set(rung["engines"]) == {"seed", "packed", "packed-w2"}
+            assert rung["engines"]["packed-w2"]["num_workers"] == 2
         for payload in (matching, discovery):
             for rung in payload["rungs"]:
-                assert rung["engines"]["packed-w2"]["num_workers"] == 2
                 assert rung["identical"] is True
             assert payload["config"]["workers"] == [1, 2]
             assert validate_payload(payload) == []
 
     def test_parallel_efficiency_recorded(self, workers_payloads):
         _, matching, discovery = workers_payloads
-        for payload in (matching, discovery):
+        for payload, label in ((matching, "setsim-w2"), (discovery, "packed-w2")):
             for rung in payload["rungs"]:
-                parallel = rung["parallel"]["packed-w2"]
+                assert set(rung["parallel"]) == {label}
+                parallel = rung["parallel"][label]
                 assert parallel["workers"] == 2
                 assert parallel["speedup_vs_serial"] > 0
                 # Efficiency is normalized by what actually ran: on tiny
@@ -186,7 +188,7 @@ class TestWorkersAxis:
                 # reporting the serial run as 2-worker inefficiency.
                 effective = parallel["effective_workers"]
                 assert 1 <= effective <= 2
-                assert rung["engines"]["packed-w2"]["effective_workers"] == effective
+                assert rung["engines"][label]["effective_workers"] == effective
                 assert parallel["efficiency"] == pytest.approx(
                     parallel["speedup_vs_serial"] / effective, abs=0.01
                 )
@@ -195,7 +197,7 @@ class TestWorkersAxis:
         # Even with the seed engine skipped, the rung still carries the
         # equivalence flag: packed vs packed-w2 on real outputs.
         runner = BenchmarkRunner(ladder=(40,), sample_size=15, workers=(1, 2))
-        payload = runner.run_matching(engines=("packed",))
+        payload = runner.run_discovery(engines=("packed",))
         rung = payload["rungs"][0]
         assert set(rung["engines"]) == {"packed", "packed-w2"}
         assert rung["identical"] is True
