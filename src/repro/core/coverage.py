@@ -67,12 +67,12 @@ cold path those writes were pure overhead (one hash-and-insert per failing
 (unit, row) that no later batch step ever read), and dropping them keeps the
 batch and sharded paths trivially identical.
 
-The walk is pure Python (:mod:`repro.kernels` vectorizes only the apply
-walker).  A numpy block walker was measured against it on a 2-core host
-with numpy 2.4 and lost: the 300-row ``fit-wide`` fit of the repository
-benchmark walked in 0.25-0.27 s against 0.17-0.18 s, a 1,000-row fit in
-0.33-0.34 s against 0.25 s (minimum of 7 interleaved runs each), with
-identical covered rows and cache statistics, and 25k rows ran at parity.
+The walk is pure Python, like every loop of the package.  A numpy block
+walker was measured against it on a 2-core host with numpy 2.4 and lost:
+the 300-row ``fit-wide`` fit of the repository benchmark walked in
+0.25-0.27 s against 0.17-0.18 s, a 1,000-row fit in 0.33-0.34 s against
+0.25 s (minimum of 7 interleaved runs each), with identical covered rows
+and cache statistics, and 25k rows ran at parity.
 
 Covered-row sets are returned as packed integer bitmasks
 (:attr:`CoverageResult.covered_mask`, bit *r* = row *r* covered), the
@@ -238,10 +238,11 @@ def _unit_op(
     Split-family delimiters are interned into *delimiter_ids*, the index of
     the per-row split-cache slot the op reads.
 
-    Two walkers consume these opcodes: the coverage kernel below and the
-    apply-only kernel in :mod:`repro.model.apply` (same evaluation rules,
-    no target checks).  Both are pinned to the units' ``apply()`` semantics
-    by property tests; a semantic change here must be mirrored there.
+    Two walkers consume these opcodes: the per-row coverage kernel below
+    and the column walker in :mod:`repro.model.apply` (same evaluation
+    rules, no target checks).  Both are pinned to the units' ``apply()``
+    semantics by property tests, so a semantic change must update both
+    places.
     """
     kind = type(unit)
     if kind is Literal:

@@ -10,7 +10,9 @@ The application itself is the batched apply engine of
 packed unit-prefix trie (shared unit prefixes evaluated once per row, one
 ``str.split`` per (delimiter, row)), walked serially or row-sharded across a
 process pool (``num_workers``), and the transformed values are equi-joined
-through the packed :class:`~repro.matching.index.ValueIndex`.  The
+through the packed :class:`~repro.matching.index.ValueIndex`.  The walk
+probes the target as it goes — it keeps only the outputs the index
+contains — so the join loop sees only outputs that join.  The
 one-transformation-at-a-time loop survives as
 :meth:`TransformationJoiner.join_values_reference` — the executable spec the
 equivalence tests compare the batched path against.
@@ -296,7 +298,7 @@ class TransformationJoiner:
         ``deadline`` (a ``time.monotonic()`` timestamp) bounds the apply
         stage cooperatively: the remaining budget clamps the sharded
         executor's map timeout and is checked at block boundaries inside
-        the walkers, so an expired deadline raises
+        the walk, so an expired deadline raises
         :class:`~repro.parallel.errors.DeadlineExceededError` (possibly as
         the cause of a :class:`~repro.parallel.errors.ShardError`) instead
         of returning a partial result — responses are complete or typed
@@ -306,11 +308,13 @@ class TransformationJoiner:
         trie is cached on the joiner, so repeated calls — the apply-many
         scenario — pay the build exactly once), transforms every source row
         through it (sharded over rows when ``num_workers`` resolves above 1
-        — see :func:`~repro.parallel.executor.tuned_num_workers`), and
-        probes the packed target :class:`ValueIndex` in the same
-        transformation-major order as the reference loop, so pairs, order
-        and first-match attribution are identical to
-        :meth:`join_values_reference`.
+        — see :func:`~repro.parallel.executor.tuned_num_workers`), keeping
+        only the outputs the target index contains (its ``in`` test agrees
+        with ``rows_for``, lower-casing included), and probes the packed
+        target :class:`ValueIndex` in the same transformation-major order
+        as the reference loop, so pairs, order and first-match attribution
+        are identical to :meth:`join_values_reference`.  An output the walk
+        drops has no target row, so dropping it changes no pair.
 
         The target index is likewise built at most once per target column:
         pass a prebuilt *target_index* (see :meth:`build_target_index` — the
@@ -370,6 +374,7 @@ class TransformationJoiner:
             shard_retries=self._shard_retries,
             serial_fallback=self._serial_fallback,
             deadline=deadline,
+            within=target_index,
         )
 
         result = JoinResult()

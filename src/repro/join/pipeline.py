@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 from repro.core.config import DiscoveryConfig
 from repro.core.discovery import DiscoveryResult, TransformationDiscovery
-from repro.join.joiner import JoinResult, TransformationJoiner
+from repro.join.joiner import JoinResult
 from repro.matching.row_matcher import RowMatcher, create_row_matcher
 from repro.model.artifact import TransformationModel
 from repro.table.table import Table

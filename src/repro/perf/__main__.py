@@ -26,7 +26,6 @@ from pathlib import Path
 from repro.perf.runner import (
     DEFAULT_LADDER,
     DEFAULT_WORKERS,
-    ENGINES,
     MATCHING_ENGINES,
     BenchmarkRunner,
     compare_to_baseline,

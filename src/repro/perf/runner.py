@@ -102,11 +102,11 @@ def host_metadata() -> dict:
 
     Parallel speedup is meaningless without knowing how many cores the run
     had, and a timing is meaningless without knowing which kernel tier
-    produced it — every BENCH payload embeds this block.  ``kernels`` says
-    whether the numpy apply walker can run in this process (see
-    :mod:`repro.kernels`); ``numpy`` is the importable numpy version or
-    ``None``, recorded regardless of tier so a numpy without ``np.strings``
-    is distinguishable from a numpy-less host.
+    produced it — every BENCH payload embeds this block.  ``kernels`` is
+    the walker tier, ``python`` since the numpy apply walker was deleted
+    (see :mod:`repro.kernels`), so a baseline recorded with that walker
+    (``numpy``) is refused rather than compared; ``numpy`` is the
+    importable numpy version or ``None``.
     """
     from repro import kernels  # noqa: PLC0415
 

@@ -18,7 +18,6 @@ from repro.baselines.autojoin import AutoJoin, AutoJoinConfig
 from repro.baselines.fuzzyjoin import AutoFuzzyJoin
 from repro.core.config import DiscoveryConfig
 from repro.core.discovery import TransformationDiscovery
-from repro.core.pairs import pairs_from_strings
 from repro.datasets.open_data import generate_open_data
 from repro.datasets.spreadsheet import generate_spreadsheet_dataset
 from repro.datasets.synthetic import generate_synthetic_dataset

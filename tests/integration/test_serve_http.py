@@ -131,6 +131,15 @@ def test_lone_surrogate_in_target_is_served(tmp_path, name_initial_pairs):
         assert status == 200
         offline = model.joiner().join_values(source, ["D Rafiei", "\ud800"])
         assert payload["pairs"] == [list(pair) for pair in offline.pairs]
+        # A source batch of 72 rows walks like a 2-row one.
+        batch = source + [f"Name{i}, First{i}" for i in range(70)]
+        status, payload = post_join(
+            server, "names", {"source": batch, "target": target}
+        )
+        assert status == 200
+        offline = model.joiner().join_values(batch, target)
+        assert (1, 1) in offline.pairs
+        assert payload["pairs"] == [list(pair) for pair in offline.pairs]
 
 
 def test_error_mapping_and_introspection_endpoints(model_dir):

@@ -1,28 +1,23 @@
-"""The numpy apply walker and the one coverage walker, pinned to the oracle.
+"""The apply walker and the coverage walker, pinned to the oracle.
 
-The numpy walker of :mod:`repro.kernels.apply` is an *implementation* of
-the serial Python walker, never a reinterpretation — so equality here is
-exact, not approximate:
+Each walker is an *implementation* of the public unit semantics, never a
+reinterpretation — so equality here is exact, not approximate:
 
 * **op level** — the bitset helpers of :mod:`repro.core.coverage`
   round-trip row sets through masks on randomized inputs, and the ``|``
   union and ``bit_count`` popcount of cover selection match set union and
   set size;
-* **walker level** — the numpy apply walker returns the same
-  ``(row, output)`` pairs as the reference, both pinned to
-  ``Transformation.apply`` row by row; coverage has a single, pure-Python
-  walker, pinned to ``Transformation.covers`` row by row and invariant
-  under its row blocking and its cache flag.
-
-The numpy-vs-python case skips itself when the numpy apply walker is not
-available (numpy missing, or without ``np.strings``).
+* **walker level** — the column walker of :mod:`repro.model.apply` returns,
+  row by row, exactly ``Transformation.apply``'s outputs, and with
+  *within* exactly those of them that are in *within*; the coverage walker
+  is pinned to ``Transformation.covers`` row by row and invariant under its
+  row blocking and its cache flag.
 """
 
 from __future__ import annotations
 
 import string
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,13 +30,29 @@ from repro.core.coverage import (
 )
 from repro.core.pairs import pairs_from_strings
 from repro.core.transformation import Transformation
-from repro.core.units import Literal, Split, SplitSubstr, Substr
-from repro.kernels.apply import available, transform_trie_rows_numpy
-from repro.model.apply import _transform_trie_rows_python
+from repro.core.units import (
+    Literal,
+    Split,
+    SplitSubstr,
+    Substr,
+    TwoCharSplitSubstr,
+)
+from repro.model.apply import transform_trie_rows
 
 CELL = st.text(
     alphabet=string.ascii_lowercase + string.digits + " ,-.", max_size=14
 )
+
+
+class UpperSubstr(Substr):
+    """A unit subclass the trie cannot specialize: it keeps its apply()."""
+
+    __slots__ = ()
+
+    def apply(self, source: str) -> str | None:
+        output = super().apply(source)
+        return None if output is None else output.upper()
+
 
 UNITS = st.one_of(
     st.builds(Literal, st.text(alphabet="ab, ", min_size=0, max_size=3)),
@@ -57,6 +68,22 @@ UNITS = st.one_of(
         st.integers(1, 2),
         st.integers(0, 2),
         st.integers(3, 5),
+    ),
+    # Both, the first, the second and neither delimiter a single character:
+    # the four split modes of the two-character unit.
+    st.builds(
+        lambda delimiters, index, start, end: TwoCharSplitSubstr(
+            *delimiters, index, start, end
+        ),
+        st.sampled_from([(",", " "), ("-", ", "), (", ", "-"), ("a,", "1 ")]),
+        st.integers(1, 3),
+        st.integers(0, 1),
+        st.integers(2, 4),
+    ),
+    st.builds(
+        UpperSubstr,
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=4, max_value=8),
     ),
 )
 
@@ -105,32 +132,50 @@ def test_bitset_union_and_popcount(row_sets):
 
 
 # --------------------------------------------------------------------------
-# Walker level: the apply block walker against the serial reference walk.
+# Walker level: the apply column walker.
 # --------------------------------------------------------------------------
 
 
-@pytest.mark.skipif(not available(), reason="numpy apply walker not available")
 @settings(deadline=None, max_examples=60)
 @given(
     values=st.lists(CELL, max_size=12),
     transformations=TRANSFORMATIONS,
     row_offset=st.sampled_from([0, 5]),
+    data=st.data(),
 )
 def test_apply_walker_identical_and_pinned_to_apply(
-    values, transformations, row_offset
+    values, transformations, row_offset, data
 ):
-    trie = _build_unit_trie(transformations)
-    reference = _transform_trie_rows_python(values, row_offset, trie)
-    vectorized = transform_trie_rows_numpy(values, row_offset, trie)
-    assert vectorized == reference
-    # Both walkers are pinned to the unbatched public semantics: entry
-    # (index, row, output) exists iff transformations[index].apply of that
-    # row's value returns output (None = row absent).
+    # Entry (index, row, output) exists iff transformations[index].apply of
+    # that row's value returns output (None = row absent), and with
+    # *within* iff that output is also in *within*.
+    expected = {}
     for index, transformation in enumerate(transformations):
-        produced = dict(reference.get(index, []))
-        for slot, value in enumerate(values):
-            expected = transformation.apply(value)
-            assert produced.get(row_offset + slot) == expected
+        pairs = [
+            (row_offset + slot, output)
+            for slot, value in enumerate(values)
+            if (output := transformation.apply(value)) is not None
+        ]
+        if pairs:
+            expected[index] = pairs
+    trie = _build_unit_trie(transformations)
+    assert transform_trie_rows(values, row_offset, trie) == expected
+
+    produced = sorted({output for pairs in expected.values() for _, output in pairs})
+    within = set(
+        data.draw(st.lists(st.sampled_from(produced), unique=True))
+        if produced
+        else ()
+    )
+    within.update(
+        text for text in data.draw(st.lists(CELL, max_size=4)) if text not in produced
+    )
+    kept = {}
+    for index, pairs in expected.items():
+        pairs = [(row, output) for row, output in pairs if output in within]
+        if pairs:
+            kept[index] = pairs
+    assert transform_trie_rows(values, row_offset, trie, within=within) == kept
 
 
 # --------------------------------------------------------------------------

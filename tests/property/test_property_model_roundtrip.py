@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import string
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.transformation import Transformation
 from repro.core.units import Literal, Split, SplitSubstr, Substr
 from repro.join.joiner import TransformationJoiner
+from repro.matching.index import ValueIndex
 from repro.model import TransformationApplier, TransformationModel
 
 TEXT = st.text(alphabet=string.ascii_letters + string.digits + " ,.-@/", max_size=30)
@@ -136,6 +138,30 @@ class TestSpawnFallback:
             values, num_workers=2, min_rows_per_worker=0
         )
         assert spawned == serial
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_sharded_transform_rows_within_matches_serial(
+        self, monkeypatch, start_method
+    ):
+        # within travels in the shards' state tuple: the joiner's container
+        # (the target ValueIndex itself) ships to spawned workers too.
+        transformations = [
+            Transformation([SplitSubstr(" ", 2, 0, 1), Literal(" "), Split(",", 1)]),
+            Transformation([Split(",", 2)]),
+            Transformation([Substr(0, 4)]),
+        ]
+        values = [f"last{i:02d}, first{i:02d}" for i in range(40)]
+        within = ValueIndex.build(
+            ["f last03", " first07", "last", "nowhere", "f last39"]
+        )
+        applier = TransformationApplier(transformations)
+        serial = applier.transform_rows(values, within=within)
+        assert sorted(serial) == [0, 1, 2]
+        monkeypatch.setenv("REPRO_START_METHOD", start_method)
+        sharded = applier.transform_rows(
+            values, num_workers=2, min_rows_per_worker=0, within=within
+        )
+        assert sharded == serial
 
 
 class TestJoinerEquivalence:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import string
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.matching.index import InvertedIndex

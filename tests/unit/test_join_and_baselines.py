@@ -12,7 +12,6 @@ from repro.core.transformation import Transformation
 from repro.core.units import Literal, Split, SplitSubstr, Substr
 from repro.join.joiner import TransformationJoiner
 from repro.join.pipeline import JoinPipeline
-from repro.table.table import Table
 
 
 @pytest.fixture
@@ -46,6 +45,22 @@ class TestTransformationJoiner:
         )
         assert joined.num_rows == source.num_rows
         assert "Name_source" in joined and "Phone_target" in joined
+
+    def test_lone_surrogate_in_source_joins_like_the_reference(
+        self, paper_transformation
+    ):
+        # "\ud800" is what JSON "\ud800" decodes to, and it cannot be
+        # encoded as UTF-8: a 64-row batch must join like a 2-row one.
+        sources = ["x\ud800, y"] + [f"Name{i}, First{i}" for i in range(63)]
+        targets = ["y x\ud800", "F Name1", "F Name63", "\ud800"]
+        joiner = TransformationJoiner(
+            [paper_transformation, Transformation([Split(",", 1)])]
+        )
+        result = joiner.join_values(sources, targets)
+        reference = joiner.join_values_reference(sources, targets)
+        assert (0, 0) in result.pairs
+        assert result.pairs == reference.pairs
+        assert result.matched_by == reference.matched_by
 
     def test_first_matching_transformation_wins(self):
         first = Transformation([Substr(0, 1)])

@@ -1,11 +1,10 @@
-"""Unit tests for the numpy tier's scope and the plumbing that records it.
+"""Unit tests for numpy's absence and the plumbing that records the tier.
 
 Five surfaces live here:
 
-* what :func:`repro.kernels.active_tier` reports — ``"numpy"`` only when
-  the numpy apply walker can actually run;
-* where numpy runs at all — large apply batches only: a fit never imports
-  it, and a micro-batch takes the Python walker;
+* what :func:`repro.kernels.active_tier` reports — always ``"python"``;
+* where numpy runs — nowhere: no fit and no apply of any size imports it,
+  and no module of ``src/`` imports it except the version probe;
 * the bitset helpers of :mod:`repro.core.coverage` (the randomized sweep
   lives in ``tests/property/test_property_kernels.py``);
 * the plumbing that keeps benchmarks honest about the tier — the worker
@@ -13,8 +12,7 @@ Five surfaces live here:
   comparison rejection;
 * the absence of any tier override: neither CLI takes ``--kernels``.
 
-Every test passes with and without numpy installed: cases that need the
-numpy apply walker skip themselves when it is not available.
+Every test passes with and without numpy installed.
 """
 
 from __future__ import annotations
@@ -25,15 +23,13 @@ import re
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
 from repro import kernels
-from repro.core.coverage import _build_unit_trie, mask_from_rows, rows_from_mask
+from repro.core.coverage import mask_from_rows, rows_from_mask
 from repro.core.transformation import Transformation
-from repro.core.units import Literal, Split, Substr
-from repro.kernels.apply import _APPLY_MIN_ROWS, available
+from repro.core.units import Literal
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -73,48 +69,7 @@ def _run_python(code: str, *path_prefix: str, **env_overrides: str) -> str:
 
 class TestTierResolution:
     def test_active_tier_is_a_known_tier(self):
-        assert kernels.active_tier() == ("numpy" if available() else "python")
-
-    def test_numpy_without_strings_slice_is_python_tier(self, tmp_path):
-        # A numpy whose np.strings lacks slice cannot run the apply walker,
-        # so the recorded tier must say python; its version is still known.
-        stub = tmp_path / "numpy"
-        stub.mkdir()
-        (stub / "__init__.py").write_text(
-            '__version__ = "0.0-stub"\n'
-            "class strings:\n"
-            "    partition = staticmethod(str.partition)\n",
-            encoding="utf-8",
-        )
-        out = _run_python(
-            "from repro import kernels\n"
-            "print(kernels.active_tier(), kernels.numpy_version())\n",
-            str(tmp_path),
-        )
-        assert out == "python 0.0-stub"
-
-    @pytest.mark.parametrize(
-        "strings_body",
-        [
-            pytest.param(
-                "    slice = staticmethod(str.__getitem__)\n", id="no-partition"
-            ),
-            pytest.param(None, id="no-strings"),
-        ],
-    )
-    def test_incomplete_numpy_is_python_tier(self, tmp_path, strings_body):
-        stub = tmp_path / "numpy"
-        stub.mkdir()
-        source = '__version__ = "0.0-stub"\n'
-        if strings_body is not None:
-            source += "class strings:\n" + strings_body
-        (stub / "__init__.py").write_text(source, encoding="utf-8")
-        out = _run_python(
-            "from repro import kernels\n"
-            "print(kernels.active_tier(), kernels.numpy_version())\n",
-            str(tmp_path),
-        )
-        assert out == "python 0.0-stub"
+        assert kernels.active_tier() == "python"
 
     def test_numpy_missing_is_python_tier(self, tmp_path):
         _block_numpy(tmp_path)
@@ -135,15 +90,6 @@ class TestTierResolution:
             REPRO_KERNELS=setting,
         )
         assert out == kernels.active_tier()
-
-    def test_probe_runs_once_per_process(self):
-        from repro.kernels import apply as kernels_apply
-
-        kernels_apply._numpy.cache_clear()
-        for _ in range(3):
-            kernels.active_tier()
-            available()
-        assert kernels_apply._numpy.cache_info().misses == 1
 
     def test_numpy_version_reported_regardless_of_tier(self):
         try:
@@ -171,74 +117,33 @@ class TestNumpyScope:
         )
         assert out == "False"
 
-    @pytest.mark.skipif(not available(), reason="numpy apply walker not available")
-    @pytest.mark.parametrize(("rows", "numpy_walks"), [(200, True), (32, False)])
-    def test_apply_walker_selected_by_batch_size(self, rows, numpy_walks):
-        from repro.datasets.synthetic import SyntheticConfig, generate_table_pair
-        from repro.join.pipeline import JoinPipeline
-        from repro.model import apply as model_apply
-
-        pair, _ = generate_table_pair(SyntheticConfig(num_rows=rows, seed=3))
-        pipeline = JoinPipeline(num_workers=1)
-        columns = dict(
-            source_column=pair.source_column, target_column=pair.target_column
-        )
-        model = pipeline.fit(pair.source, pair.target, **columns)
-        with mock.patch.object(
-            model_apply,
-            "transform_trie_rows_numpy",
-            wraps=model_apply.transform_trie_rows_numpy,
-        ) as walker:
-            result = pipeline.apply(model, pair.source, pair.target, **columns)
-        assert walker.called is numpy_walks
-        assert result.joined_pairs
-
-    @pytest.mark.skipif(not available(), reason="numpy apply walker not available")
-    @pytest.mark.parametrize(
-        ("rows", "numpy_walks"),
-        [(_APPLY_MIN_ROWS - 1, False), (_APPLY_MIN_ROWS, True)],
-    )
-    def test_walker_cutoff(self, rows, numpy_walks):
-        from repro.model import apply as model_apply
-
-        transformations = [
-            Transformation([Split(" ", 1)]),
-            Transformation([Substr(0, 3), Literal("-"), Split(" ", 2)]),
-        ]
-        trie = _build_unit_trie(transformations)
-        values = [f"row{index} name{index % 7} x" for index in range(rows)]
-        with mock.patch.object(
-            model_apply,
-            "transform_trie_rows_numpy",
-            wraps=model_apply.transform_trie_rows_numpy,
-        ) as walker:
-            outputs = model_apply.transform_trie_rows(values, 0, trie)
-        assert walker.called is numpy_walks
-        assert outputs == model_apply._transform_trie_rows_python(values, 0, trie)
-
-    def test_small_apply_imports_no_numpy(self):
-        # A serve-style micro-batch is below the walker cutoff, so the
-        # size test must keep numpy from being imported at all.
+    def test_no_apply_imports_numpy(self):
+        # A serve-style micro-batch and batches across the old 64-row
+        # cutoff and the 1,024-row block all take the one Python walker.
         out = _run_python(
             "import sys\n"
             "from repro.datasets.synthetic import SyntheticConfig, "
             "generate_table_pair\n"
             "from repro.join.pipeline import JoinPipeline\n"
-            "pair, _ = generate_table_pair(SyntheticConfig(num_rows=32, seed=3))\n"
+            "pair, _ = generate_table_pair(SyntheticConfig(num_rows=400, seed=3))\n"
             "columns = dict(source_column=pair.source_column, "
             "target_column=pair.target_column)\n"
             "pipeline = JoinPipeline(num_workers=1)\n"
             "model = pipeline.fit(pair.source, pair.target, **columns)\n"
-            "result = pipeline.apply(model, pair.source, pair.target, **columns)\n"
-            "assert result.joined_pairs\n"
+            "from repro.table.table import Table\n"
+            "values = pair.source[pair.source_column]\n"
+            "for rows in (32, 64, 400, 1100):\n"
+            "    batch = Table({pair.source_column: "
+            "[values[row % 400] for row in range(rows)]})\n"
+            "    result = pipeline.apply(model, batch, pair.target, **columns)\n"
+            "    assert result.joined_pairs, rows\n"
             "print('numpy' in sys.modules)\n"
         )
         assert out == "False"
 
     def test_join_without_numpy_is_identical(self, tmp_path):
-        # A numpy-less install runs the Python walker on every batch; its
-        # joined pairs must equal this process's, which takes the numpy
-        # walker on a 300-row batch when it is available.
+        # The joined pairs of an interpreter that cannot import numpy equal
+        # this process's, whatever this process has installed.
         code = (
             "import json\n"
             "from repro.datasets.synthetic import SyntheticConfig, "
@@ -257,20 +162,28 @@ class TestNumpyScope:
         with_numpy = json.loads(_run_python(code))
         _block_numpy(tmp_path)
         without_numpy = json.loads(_run_python(code, str(tmp_path)))
-        assert without_numpy[0] == "python"
-        assert with_numpy[0] == kernels.active_tier()
+        assert without_numpy[0] == with_numpy[0] == "python"
         assert with_numpy[1]
         assert without_numpy[1] == with_numpy[1]
 
-    def test_only_the_apply_walker_imports_numpy(self):
+    def test_only_the_version_probe_imports_numpy(self):
         package = Path(SRC) / "repro"
         importers = sorted(
             path.relative_to(package).as_posix()
             for path in package.rglob("*.py")
             if NUMPY_IMPORT.search(path.read_text(encoding="utf-8"))
         )
-        # kernels/__init__ imports numpy only to report its version.
-        assert importers == ["kernels/__init__.py", "kernels/apply.py"]
+        assert importers == ["kernels/__init__.py"]
+        # ... and there only inside numpy_version(), after its def line.
+        source = (package / "kernels" / "__init__.py").read_text(encoding="utf-8")
+        imports = [match.start() for match in NUMPY_IMPORT.finditer(source)]
+        probe = source.index("def numpy_version(")
+        next_def = source.find("\ndef ", probe + 1)
+        assert imports
+        assert all(
+            probe < start and (next_def == -1 or start < next_def)
+            for start in imports
+        )
 
 
 class TestBitsetOps:

@@ -26,6 +26,8 @@ from repro.model import (
     unit_from_dict,
     unit_to_dict,
 )
+from repro.matching.index import ValueIndex
+from repro.model import apply as model_apply
 from repro.parallel import ShardError
 from repro.parallel.errors import DeadlineExceededError
 
@@ -364,3 +366,107 @@ class TestTransformationApplier:
             values, deadline=monotonic() + 60.0, **sharded
         )
         assert generous == applier.transform_rows(values)
+
+
+#: Every opcode of the walker, with prefixes that some rows do not reach.
+WALKER_TRANSFORMATIONS = [
+    Transformation([Split(",", 2), Literal(" "), SplitSubstr(" ", 1, 0, 2)]),
+    Transformation([Split(",", 2), Literal("!")]),
+    Transformation([Substr(0, 3), Literal("-"), Split(" ", 2)]),
+    Transformation([Literal("id:"), Substr(2, 6)]),
+    Transformation([TwoCharSplitSubstr("-", "/", 2, 0, 2)]),
+    Transformation([TwoCharSplitSubstr("--", "/", 1, 0, 1), Split(" ", 1)]),
+]
+
+
+def _walker_values(rows: int) -> list[str]:
+    shapes = ["last{0}, first{0}", "x{0}", "a-b/{0} c", "{0} y,z w", "--{0}/q"]
+    return [shapes[row % 5].format(row) for row in range(rows)]
+
+
+def _oracle(transformations, values, row_offset=0, within=None):
+    expected = {}
+    for index, transformation in enumerate(transformations):
+        pairs = [
+            (row_offset + slot, output)
+            for slot, value in enumerate(values)
+            if (output := transformation.apply(value)) is not None
+            and (within is None or output in within)
+        ]
+        if pairs:
+            expected[index] = pairs
+    return expected
+
+
+class TestColumnWalker:
+    @pytest.mark.parametrize("rows", [1023, 1024, 1025, 2049])
+    def test_block_boundaries(self, rows):
+        # 1,024 rows per block: a partial block, one exact block, one row
+        # over, and two full blocks plus one row.
+        values = _walker_values(rows)
+        trie = TransformationApplier(WALKER_TRANSFORMATIONS).trie
+        expected = _oracle(WALKER_TRANSFORMATIONS, values, 7)
+        assert model_apply.transform_trie_rows(values, 7, trie) == expected
+        # Each transformation's first and last outputs: the first and the
+        # last block both keep some pairs and drop the rest.
+        within = {pairs[0][1] for pairs in expected.values()}
+        within |= {pairs[-1][1] for pairs in expected.values()} | {"nowhere"}
+        assert model_apply.transform_trie_rows(
+            values, 7, trie, within=within
+        ) == _oracle(WALKER_TRANSFORMATIONS, values, 7, within)
+
+    def test_deadline_expiring_after_the_first_block_raises(self, monkeypatch):
+        # The clock reads before the deadline at the first block boundary
+        # and after it at the second: one block is walked, then the walk
+        # raises instead of returning a prefix.
+        clock = iter([0.0, 100.0])
+        monkeypatch.setattr(model_apply, "monotonic", lambda: next(clock))
+        walked = []
+        walk_block = model_apply._walk_block
+        monkeypatch.setattr(
+            model_apply,
+            "_walk_block",
+            lambda block, *args: walked.append(len(block)) or walk_block(block, *args),
+        )
+        trie = TransformationApplier(WALKER_TRANSFORMATIONS).trie
+        with pytest.raises(DeadlineExceededError, match="after 1024 of 2049 rows"):
+            model_apply.transform_trie_rows(
+                _walker_values(2049), 0, trie, deadline=50.0
+            )
+        assert walked == [1024]
+
+
+class TestLowercaseTargetIndex:
+    def test_lowercase_caller_index_joins_like_the_reference(self):
+        # A caller-built lowercasing index: the walker must keep every
+        # output rows_for matches after lower-casing, not only exact ones.
+        transformations = [
+            Transformation([Split(" ", 1)]),
+            Transformation([Substr(0, 1), Literal("."), Split(" ", 2)]),
+        ]
+        joiner = TransformationJoiner(transformations)
+        sources = ["Ann Lee", "bob KAY", "Carl Moe", "dee"] * 20
+        targets = ["ann", "B.KAY", "carl", "C.Moe", "Dee", "x"]
+        index = ValueIndex.build(targets, lowercase=True)
+        result = joiner.join_values(sources, targets, target_index=index)
+        expected, seen = [], set()
+        for transformation in joiner.transformations:
+            for row, value in enumerate(sources):
+                output = transformation.apply(value)
+                if output is None:
+                    continue
+                for target_row in index.rows_for(output):
+                    if (row, target_row) not in seen:
+                        seen.add((row, target_row))
+                        expected.append((row, target_row))
+        assert expected and result.pairs == expected
+        assert (1, 1) in result.pairs and (0, 0) in result.pairs
+        # The case-sensitive reference joins fewer rows on the same input,
+        # and a case-insensitive joiner's reference joins exactly these.
+        reference = joiner.join_values_reference(sources, targets)
+        assert set(reference.pairs) < set(result.pairs)
+        folded = TransformationJoiner(transformations, case_insensitive=True)
+        result = folded.join_values(sources, targets, target_index=index)
+        reference = folded.join_values_reference(sources, targets)
+        assert result.pairs == reference.pairs
+        assert result.matched_by == reference.matched_by
