@@ -3,25 +3,21 @@
 The paper fixes the row length at 28 characters and sweeps the number of rows,
 reporting the wall-clock time of each pipeline module (unit extraction,
 placeholder generation, duplicate removal, applying the transformations).
-This reproduction sweeps the perf harness's synthetic size ladder and also
-times row matching, so the numbers line up with the checked-in
-``BENCH_discovery.json`` trajectory.
+This reproduction also times row matching.
 
 Expected shape: applying transformations dominates and grows the fastest with
 the number of rows; the pruning (and the batched coverage engine) keeps the
 total curve closer to linear than the quadratic worst case.
 
-Results are emitted through :class:`repro.perf.BenchmarkRunner`'s JSON writer
-to ``benchmarks/results/BENCH_fig4a_runtime_vs_rows.json``.
+Each point comes from :func:`conftest.fig4_point`; the sweep is written to
+``benchmarks/results/BENCH_fig4a_runtime_vs_rows.json``.
 """
 
 from __future__ import annotations
 
-from conftest import RESULTS_DIR, bench_scale
+from conftest import FIG4_SAMPLE_SIZE, bench_scale, fig4_point, write_json
 
-from repro.perf import BenchmarkRunner, validate_payload
-
-#: Row counts swept at full scale (the perf harness ladder, trimmed by scale).
+#: Row counts swept at full scale (trimmed by scale).
 FULL_ROW_COUNTS = [250, 500, 1000, 5000, 10000]
 
 #: Fixed row length for this sweep, as in the paper.
@@ -34,57 +30,38 @@ def sweep_rows(scale: float) -> list[int]:
     return FULL_ROW_COUNTS[:count]
 
 
-def run_row_point(runner: BenchmarkRunner, num_rows: int) -> dict:
-    """One point of the Figure 4a sweep (packed engine, matching + discovery).
-
-    The paper's Figure 4 reports matching + discovery runtime only, so the
-    artifact layer's ``apply_only`` serving stage (which ``discovery_rung``
-    also times) is stripped from the point — fig4 curves stay comparable
-    across PRs.
-    """
-    record, _, _, _ = runner.discovery_rung(num_rows, "packed")
-    record = dict(record)
-    record["stages"] = {
-        stage: seconds
-        for stage, seconds in record["stages"].items()
-        if stage != "apply_only"
-    }
-    # Drop the serving-path keys entirely so the record stays
-    # self-consistent (total_s == matching_s + discovery_s, no orphan
-    # apply_s for consumers to misattribute).
-    record.pop("apply_s", None)
-    record.pop("joined_pairs", None)
-    record["total_s"] = record["matching_s"] + record["discovery_s"]
-    return record
+def run_row_point(num_rows: int) -> dict:
+    """One point of the Figure 4a sweep; the seed is the row count."""
+    return fig4_point(num_rows, ROW_LENGTH, seed=num_rows)
 
 
 def test_fig4a_runtime_vs_rows(benchmark):
     """Regenerate Figure 4a (runtime breakdown vs number of rows)."""
     scale = bench_scale()
     row_counts = sweep_rows(scale)
-    # The sweep drives discovery_rung() per row count below; the runner's
-    # ladder is not consumed, so only the parameters that are get passed.
-    runner = BenchmarkRunner(row_length=ROW_LENGTH, output_dir=RESULTS_DIR)
-    rungs = []
-    for count in row_counts:
-        record = run_row_point(runner, count)
-        rungs.append({"rows": count, "engines": {"packed": record}})
+    points = [run_row_point(count) for count in row_counts]
 
-    benchmark(run_row_point, runner, row_counts[0])
+    benchmark(run_row_point, row_counts[0])
 
-    payload = {
-        "benchmark": "fig4a_runtime_vs_rows",
-        "harness": "repro.perf.BenchmarkRunner",
-        "config": {"row_length": ROW_LENGTH, "ladder": row_counts, "scale": scale},
-        "rungs": rungs,
-    }
-    path = runner.write("fig4a_runtime_vs_rows", payload)
-    assert validate_payload(payload) == []
+    path = write_json(
+        "fig4a_runtime_vs_rows",
+        {
+            "benchmark": "fig4a_runtime_vs_rows",
+            "harness": "benchmarks/conftest.py:fig4_point",
+            "config": {
+                "row_length": ROW_LENGTH,
+                "ladder": row_counts,
+                "sample_size": FIG4_SAMPLE_SIZE,
+                "scale": scale,
+            },
+            "points": points,
+        },
+    )
     assert path.exists()
 
     # Shape: total time increases with the number of rows, and applying the
     # transformations is the dominant discovery module at the largest size.
-    totals = [rung["engines"]["packed"]["total_s"] for rung in rungs]
+    totals = [point["total_s"] for point in points]
     assert totals[-1] > totals[0]
-    largest = rungs[-1]["engines"]["packed"]["stages"]
+    largest = points[-1]["stages"]
     assert largest["applying_transformations"] >= largest["placeholder_generation"]

@@ -6,15 +6,13 @@ the length (l^p with p=3); the pruning strategies keep it far below that, and
 beyond a certain length the duplicate-removal / placeholder-generation stages
 take longer than applying the surviving transformations.
 
-Results are emitted through :class:`repro.perf.BenchmarkRunner`'s JSON writer
-to ``benchmarks/results/BENCH_fig4b_runtime_vs_length.json``.
+Each point comes from :func:`conftest.fig4_point`; the sweep is written to
+``benchmarks/results/BENCH_fig4b_runtime_vs_length.json``.
 """
 
 from __future__ import annotations
 
-from conftest import RESULTS_DIR, bench_scale
-
-from repro.perf import BenchmarkRunner, validate_payload
+from conftest import FIG4_SAMPLE_SIZE, bench_scale, fig4_point, write_json
 
 FULL_LENGTHS = [20, 60, 100, 140, 180, 220, 260]
 
@@ -25,26 +23,9 @@ def sweep_lengths(scale: float) -> list[int]:
     return FULL_LENGTHS[:count]
 
 
-def run_length_point(runner: BenchmarkRunner, row_length: int, num_rows: int) -> dict:
-    """One point of the Figure 4b sweep (packed engine, matching + discovery).
-
-    As in fig4a, the ``apply_only`` serving stage is stripped: the paper's
-    figure reports matching + discovery runtime only.
-    """
-    record, _, _, _ = runner.discovery_rung(
-        num_rows, "packed", row_length=row_length
-    )
-    record = dict(record)
-    record["stages"] = {
-        stage: seconds
-        for stage, seconds in record["stages"].items()
-        if stage != "apply_only"
-    }
-    # As in fig4a: no orphan serving-path keys in the stripped record.
-    record.pop("apply_s", None)
-    record.pop("joined_pairs", None)
-    record["total_s"] = record["matching_s"] + record["discovery_s"]
-    return record
+def run_length_point(row_length: int, num_rows: int) -> dict:
+    """One point of the Figure 4b sweep; every length uses the same seed."""
+    return fig4_point(num_rows, row_length, seed=1000 + num_rows)
 
 
 def test_fig4b_runtime_vs_length(benchmark):
@@ -52,32 +33,30 @@ def test_fig4b_runtime_vs_length(benchmark):
     scale = bench_scale()
     num_rows = max(20, int(round(100 * scale)))
     lengths = sweep_lengths(scale)
-    # The sweep drives discovery_rung() per length below; the runner's ladder
-    # is not consumed, so only the parameters that are get passed.
-    runner = BenchmarkRunner(seed=1000, output_dir=RESULTS_DIR)
-    rungs = []
-    for length in lengths:
-        record = run_length_point(runner, length, num_rows)
-        rungs.append(
-            {"rows": num_rows, "row_length": length, "engines": {"packed": record}}
-        )
+    points = [run_length_point(length, num_rows) for length in lengths]
 
-    benchmark(run_length_point, runner, lengths[0], num_rows)
+    benchmark(run_length_point, lengths[0], num_rows)
 
-    payload = {
-        "benchmark": "fig4b_runtime_vs_length",
-        "harness": "repro.perf.BenchmarkRunner",
-        "config": {"num_rows": num_rows, "lengths": lengths, "scale": scale},
-        "rungs": rungs,
-    }
-    path = runner.write("fig4b_runtime_vs_length", payload)
-    assert validate_payload(payload) == []
+    path = write_json(
+        "fig4b_runtime_vs_length",
+        {
+            "benchmark": "fig4b_runtime_vs_length",
+            "harness": "benchmarks/conftest.py:fig4_point",
+            "config": {
+                "num_rows": num_rows,
+                "lengths": lengths,
+                "sample_size": FIG4_SAMPLE_SIZE,
+                "scale": scale,
+            },
+            "points": points,
+        },
+    )
     assert path.exists()
 
     # Shape: total time grows with the input length but far slower than the
     # un-pruned cubic bound (doubling the length should not increase the total
     # time by the 8x a cubic growth would imply — allow generous slack).
-    totals = [rung["engines"]["packed"]["total_s"] for rung in rungs]
+    totals = [point["total_s"] for point in points]
     assert totals[-1] > totals[0]
     length_ratio = lengths[-1] / lengths[0]
     time_ratio = totals[-1] / max(totals[0], 1e-9)

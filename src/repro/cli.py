@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 from repro.core.config import DiscoveryConfig
@@ -380,6 +382,25 @@ def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _UsageError(Exception):
+    """An out-of-range flag value, reported as argparse's usage error."""
+
+
+@contextmanager
+def _flag_values() -> Iterator[None]:
+    """Turn a ``ValueError`` from building config objects into a usage error.
+
+    Every handler builds its config objects from the flags inside this
+    block, before it reads any input, so an out-of-range value ends the way
+    ``--num-workers abc`` does: one usage line and exit code 2.  A
+    ``ValueError`` raised later, while running, keeps its traceback.
+    """
+    try:
+        yield
+    except ValueError as error:
+        raise _UsageError(str(error)) from error
+
+
 def _discovery_config(args: argparse.Namespace) -> DiscoveryConfig:
     config = DiscoveryConfig(
         max_placeholders=args.max_placeholders,
@@ -443,16 +464,19 @@ def _warn_if_budget_exhausted(stats) -> None:
 
 def run_discover(args: argparse.Namespace) -> int:
     """The ``discover`` sub-command."""
+    with _flag_values():
+        matcher = _matcher(args)
+        engine = TransformationDiscovery(
+            _discovery_config(args).replace(top_k=args.top_k)
+        )
     source = read_csv(args.source_csv)
     target = read_csv(args.target_csv)
-    matcher = _matcher(args)
     candidates = matcher.match(
         source,
         target,
         source_column=args.source_column,
         target_column=args.target_column,
     )
-    engine = TransformationDiscovery(_discovery_config(args).replace(top_k=args.top_k))
     result = engine.discover(candidates)
     _warn_if_budget_exhausted(result.stats)
 
@@ -472,18 +496,19 @@ def run_discover(args: argparse.Namespace) -> int:
 
 def run_join(args: argparse.Namespace) -> int:
     """The ``join`` sub-command."""
+    with _flag_values():
+        pipeline = JoinPipeline(
+            matcher=_matcher(args),
+            discovery_config=_discovery_config(args),
+            min_support=args.min_support,
+            materialize=True,
+            num_workers=args.num_workers,
+            task_timeout_s=args.task_timeout,
+            shard_retries=args.shard_retries,
+            serial_fallback=not args.no_serial_fallback,
+        )
     source = read_csv(args.source_csv)
     target = read_csv(args.target_csv)
-    pipeline = JoinPipeline(
-        matcher=_matcher(args),
-        discovery_config=_discovery_config(args),
-        min_support=args.min_support,
-        materialize=True,
-        num_workers=args.num_workers,
-        task_timeout_s=args.task_timeout,
-        shard_retries=args.shard_retries,
-        serial_fallback=not args.no_serial_fallback,
-    )
     outcome = pipeline.run(
         source,
         target,
@@ -505,16 +530,17 @@ def run_join(args: argparse.Namespace) -> int:
 
 def run_fit(args: argparse.Namespace) -> int:
     """The ``fit`` sub-command: train once, save the model artifact."""
+    with _flag_values():
+        pipeline = JoinPipeline(
+            matcher=_matcher(args),
+            discovery_config=_discovery_config(args),
+            min_support=args.min_support,
+            task_timeout_s=args.task_timeout,
+            shard_retries=args.shard_retries,
+            serial_fallback=not args.no_serial_fallback,
+        )
     source = read_csv(args.source_csv)
     target = read_csv(args.target_csv)
-    pipeline = JoinPipeline(
-        matcher=_matcher(args),
-        discovery_config=_discovery_config(args),
-        min_support=args.min_support,
-        task_timeout_s=args.task_timeout,
-        shard_retries=args.shard_retries,
-        serial_fallback=not args.no_serial_fallback,
-    )
     model = pipeline.fit(
         source,
         target,
@@ -537,6 +563,16 @@ def run_fit(args: argparse.Namespace) -> int:
 
 def run_apply(args: argparse.Namespace) -> int:
     """The ``apply`` sub-command: join with a saved model, no re-discovery."""
+    # One code path for "apply a model to a table pair": the pipeline's
+    # serving method (which joins once and materializes from the pairs).
+    with _flag_values():
+        pipeline = JoinPipeline(
+            materialize=True,
+            num_workers=args.num_workers,
+            task_timeout_s=args.task_timeout,
+            shard_retries=args.shard_retries,
+            serial_fallback=not args.no_serial_fallback,
+        )
     try:
         model = TransformationModel.load(args.model)
     except (ModelFormatError, OSError) as error:
@@ -546,15 +582,6 @@ def run_apply(args: argparse.Namespace) -> int:
         return 1
     source = read_csv(args.source_csv)
     target = read_csv(args.target_csv)
-    # One code path for "apply a model to a table pair": the pipeline's
-    # serving method (which joins once and materializes from the pairs).
-    pipeline = JoinPipeline(
-        materialize=True,
-        num_workers=args.num_workers,
-        task_timeout_s=args.task_timeout,
-        shard_retries=args.shard_retries,
-        serial_fallback=not args.no_serial_fallback,
-    )
     applied = pipeline.apply(
         model,
         source,
@@ -603,24 +630,27 @@ def run_serve(args: argparse.Namespace) -> int:
     if not args.model_dir.is_dir():
         print(f"error: model directory {args.model_dir} not found", file=sys.stderr)
         return 1
-    with JoinServer(
-        args.model_dir,
-        host=args.host,
-        port=args.port,
-        num_workers=args.num_workers,
-        joiner_cache_capacity=args.joiner_cache,
-        index_cache_capacity=args.index_cache,
-        micro_batch=not args.no_micro_batch,
-        task_timeout_s=args.task_timeout,
-        shard_retries=args.shard_retries,
-        serial_fallback=not args.no_serial_fallback,
-        request_timeout_s=args.request_timeout_s,
-        max_inflight=args.max_inflight,
-        max_queue=args.max_queue,
-        max_body_bytes=int(args.max_body_mb * 1024 * 1024),
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown_s=args.breaker_cooldown_s,
-    ) as server:
+    # The server checks its settings before it binds the port.
+    with _flag_values():
+        server = JoinServer(
+            args.model_dir,
+            host=args.host,
+            port=args.port,
+            num_workers=args.num_workers,
+            joiner_cache_capacity=args.joiner_cache,
+            index_cache_capacity=args.index_cache,
+            micro_batch=not args.no_micro_batch,
+            task_timeout_s=args.task_timeout,
+            shard_retries=args.shard_retries,
+            serial_fallback=not args.no_serial_fallback,
+            request_timeout_s=args.request_timeout_s,
+            max_inflight=args.max_inflight,
+            max_queue=args.max_queue,
+            max_body_bytes=int(args.max_body_mb * 1024 * 1024),
+            breaker_threshold=args.breaker_threshold,
+            breaker_cooldown_s=args.breaker_cooldown_s,
+        )
+    with server:
         server.install_signal_handlers()
         models = server.engine.registry.list_models()
         print(f"serving {len(models)} model(s) from {args.model_dir}")
@@ -649,6 +679,8 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except _UsageError as error:
+        parser.error(str(error))
     except (TableReadError, ShardError) as error:
         # Unreadable input and unrecoverable shard failures (crash/timeout
         # with serial fallback disabled, or the fallback itself failing)

@@ -91,7 +91,6 @@ class TransformationJoiner:
         case_insensitive: bool = False,
         num_workers: int | None = None,
         min_rows_per_worker: int | None = None,
-        use_batched_apply: bool = True,
         task_timeout_s: float = 0.0,
         shard_retries: int = 2,
         serial_fallback: bool = True,
@@ -136,10 +135,6 @@ class TransformationJoiner:
         min_rows_per_worker:
             Small-input threshold of the apply fast path (``None`` reads
             ``REPRO_MIN_ROWS_PER_WORKER``; 0 disables the tuning).
-        use_batched_apply:
-            When True (default) the transformations are compiled into the
-            packed unit-prefix trie and applied in batch; disable to run the
-            reference one-at-a-time loop (the ablation/equivalence path).
         task_timeout_s / shard_retries / serial_fallback:
             Fault tolerance of the sharded apply stage: wall-clock bound per
             sharded map (0 = unbounded), pool retries per failed shard, and
@@ -148,8 +143,13 @@ class TransformationJoiner:
             :class:`~repro.parallel.errors.ShardError`; see
             :class:`~repro.parallel.executor.ShardedExecutor`.
         """
-        if min_support < 0.0 or min_support > 1.0:
-            raise ValueError(f"min_support must be in [0, 1], got {min_support}")
+        self.check_settings(
+            min_support=min_support,
+            num_workers=num_workers,
+            min_rows_per_worker=min_rows_per_worker,
+            task_timeout_s=task_timeout_s,
+            shard_retries=shard_retries,
+        )
         if min_support > 0.0 and coverage_results is None and coverage_counts is None:
             raise ValueError(
                 "min_support filtering requires the discovery coverage_results "
@@ -189,18 +189,7 @@ class TransformationJoiner:
         self._num_workers = (
             env_default_workers() if num_workers is None else num_workers
         )
-        if self._num_workers < 0:
-            raise ValueError(
-                f"num_workers must be >= 0, got {self._num_workers}"
-            )
         self._min_rows_per_worker = min_rows_per_worker
-        self._use_batched_apply = use_batched_apply
-        if task_timeout_s < 0:
-            raise ValueError(
-                f"task_timeout_s must be >= 0, got {task_timeout_s}"
-            )
-        if shard_retries < 0:
-            raise ValueError(f"shard_retries must be >= 0, got {shard_retries}")
         self._task_timeout_s = task_timeout_s
         self._shard_retries = shard_retries
         self._serial_fallback = serial_fallback
@@ -213,6 +202,35 @@ class TransformationJoiner:
         # lazy applier build — joiners are shared across server threads.
         self._target_index_cache: tuple[tuple[str, ...], ValueIndex] | None = None
         self._lock = threading.Lock()
+
+    @staticmethod
+    def check_settings(
+        *,
+        min_support: float = 0.0,
+        num_workers: int | None = None,
+        min_rows_per_worker: int | None = None,
+        task_timeout_s: float = 0.0,
+        shard_retries: int = 2,
+    ) -> None:
+        """Raise ``ValueError`` when a joiner setting is out of range.
+
+        The constructor runs these checks.  Objects that hold the settings
+        and build joiners later (the pipeline, the serving registry) call it
+        when they are built, so a bad value fails there and not at their
+        first join.
+        """
+        if min_support < 0.0 or min_support > 1.0:
+            raise ValueError(f"min_support must be in [0, 1], got {min_support}")
+        if num_workers is not None and num_workers < 0:
+            raise ValueError(f"num_workers must be >= 0, got {num_workers}")
+        if min_rows_per_worker is not None and min_rows_per_worker < 0:
+            raise ValueError(
+                f"min_rows_per_worker must be >= 0, got {min_rows_per_worker}"
+            )
+        if task_timeout_s < 0:
+            raise ValueError(f"task_timeout_s must be >= 0, got {task_timeout_s}")
+        if shard_retries < 0:
+            raise ValueError(f"shard_retries must be >= 0, got {shard_retries}")
 
     @staticmethod
     def _supported_transformations(
@@ -304,7 +322,7 @@ class TransformationJoiner:
         of returning a partial result — responses are complete or typed
         errors, never a prefix.
 
-        The batched path compiles the transformation set once (the compiled
+        The join compiles the transformation set once (the compiled
         trie is cached on the joiner, so repeated calls — the apply-many
         scenario — pay the build exactly once), transforms every source row
         through it (sharded over rows when ``num_workers`` resolves above 1
@@ -336,8 +354,6 @@ class TransformationJoiner:
             task_timeout = (
                 remaining if task_timeout is None else min(task_timeout, remaining)
             )
-        if not self._use_batched_apply:
-            return self.join_values_reference(source_values, target_values)
         key: tuple[str, ...] | None = None
         if target_index is None:
             # Keyed by the *raw* values: normalization happens after the

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 from repro.core.config import DiscoveryConfig
 from repro.core.discovery import DiscoveryResult, TransformationDiscovery
-from repro.join.joiner import JoinResult
+from repro.join.joiner import JoinResult, TransformationJoiner
 from repro.matching.row_matcher import RowMatcher, create_row_matcher
 from repro.model.artifact import TransformationModel
 from repro.table.table import Table
@@ -138,17 +138,17 @@ class JoinPipeline:
             :class:`~repro.parallel.executor.ShardedExecutor`.  Matching and
             discovery carry the equivalent knobs on their own configs.
         """
+        TransformationJoiner.check_settings(
+            min_support=min_support,
+            num_workers=num_workers,
+            task_timeout_s=task_timeout_s,
+            shard_retries=shard_retries,
+        )
         self._matcher = matcher or create_row_matcher()
         self._discovery = TransformationDiscovery(discovery_config)
         self._min_support = min_support
         self._materialize = materialize
         self._num_workers = num_workers
-        if task_timeout_s < 0:
-            raise ValueError(
-                f"task_timeout_s must be >= 0, got {task_timeout_s}"
-            )
-        if shard_retries < 0:
-            raise ValueError(f"shard_retries must be >= 0, got {shard_retries}")
         self._task_timeout_s = task_timeout_s
         self._shard_retries = shard_retries
         self._serial_fallback = serial_fallback

@@ -1,9 +1,9 @@
-"""Walker-tier facts for the benchmark host blocks.
+"""Walker-tier facts for the benchmark's host block.
 
 Every loop of the package is pure Python and no module imports numpy: the
 pure-Python apply walker beat the numpy one at every batch size measured
 (the README's "Apply walker" section has the A/B numbers).  Two functions
-stay because the BENCH host block and the repository benchmark record them.
+stay because the repository benchmark (``perfbench/``) records them.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ the ``REPRO_MATCHER`` environment variable):
 * :mod:`repro.matching.tokenize` — the whitespace/q-gram tokenizers of the
   setsim engine,
 * :mod:`repro.matching.reference` — the seed's nested-loop matcher, kept as
-  the executable specification for equivalence tests and perf baselines.
+  the executable specification for the equivalence tests.
 """
 
 from repro.matching.index import InvertedIndex, ValueIndex

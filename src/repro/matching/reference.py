@@ -7,14 +7,9 @@ row, sorts its n-grams, and scores each one with two per-gram hash lookups —
 exactly the behaviour the packed fast path in
 :mod:`repro.matching.row_matcher` must reproduce bit-for-bit.
 
-It exists for two reasons:
-
-* the equivalence property tests assert that
-  :class:`~repro.matching.row_matcher.NGramRowMatcher` returns *exactly* the
-  pairs this matcher returns (same pairs, same order, including Rscore ties),
-* the perf harness (:mod:`repro.perf`) uses it as the "seed" engine so the
-  checked-in ``BENCH_*.json`` trajectories always contain a
-  before/after comparison.
+The equivalence property tests assert that
+:class:`~repro.matching.row_matcher.NGramRowMatcher` returns *exactly* the
+pairs this matcher returns (same pairs, same order, including Rscore ties).
 
 Do not optimise this module; its slowness is the point.
 """

@@ -74,8 +74,8 @@ class SetSimStats:
     ``all_pairs`` is the brute-force pair space ``|source| * |target|``;
     ``candidates`` the pairs that survived the prefix/size/position filters
     and were exactly verified; ``matches`` the pairs that cleared the
-    threshold.  ``candidates / all_pairs`` — the pruning ratio — is the
-    headline number of the BENCH comparison: it is *why* the engine is fast.
+    threshold.  ``candidates / all_pairs`` — the pruning ratio — is *why*
+    the engine is fast.
     """
 
     num_source_rows: int
@@ -426,9 +426,9 @@ class SetSimRowMatcher(RowMatcher):
     ) -> tuple[list[RowPair], SetSimStats]:
         """Match and report the candidate-pruning statistics.
 
-        The perf harness uses this entry point: the pruning ratio
-        (``stats.candidates / stats.all_pairs``) is the headline number of
-        the engine comparison.
+        The pruning ratio (``stats.candidates / stats.all_pairs``) is the
+        fraction of the brute-force pair space that paid for exact
+        verification.
         """
         config = self._config
         source_values = list(source_values)

@@ -24,9 +24,9 @@ results).  The knobs are ``DiscoveryConfig.num_workers``,
 ``MatchingConfig.num_workers`` and ``TransformationJoiner``'s
 ``num_workers`` (1 = serial, 0 = all cores; defaults honour the
 ``REPRO_NUM_WORKERS`` environment variable), surfaced on the CLI as
-``--num-workers`` and on the perf harness as ``--workers``.  Every one of
-them resolves through :func:`~repro.parallel.executor.tuned_num_workers`,
-so "all cores" consistently honours the small-input fast path.
+``--num-workers``.  Every one of them resolves through
+:func:`~repro.parallel.executor.tuned_num_workers`, so "all cores"
+consistently honours the small-input fast path.
 
 Failures inside the sharded paths surface as the typed taxonomy of
 :mod:`repro.parallel.errors` (:class:`ShardError`,

@@ -62,12 +62,9 @@ class CircuitBreaker:
         cooldown_s: float = DEFAULT_COOLDOWN_S,
         file_key_fn: Callable[[], Hashable | None] | None = None,
     ) -> None:
-        if failure_threshold < 1:
-            raise ValueError(
-                f"failure_threshold must be >= 1, got {failure_threshold}"
-            )
-        if cooldown_s < 0:
-            raise ValueError(f"cooldown_s must be >= 0, got {cooldown_s}")
+        self.check_settings(
+            failure_threshold=failure_threshold, cooldown_s=cooldown_s
+        )
         self._name = name
         self._threshold = failure_threshold
         self._cooldown_s = cooldown_s
@@ -81,6 +78,25 @@ class CircuitBreaker:
         # Counters for /stats.
         self._opened_count = 0
         self._rejected_count = 0
+
+    @staticmethod
+    def check_settings(
+        *,
+        failure_threshold: int = DEFAULT_FAILURE_THRESHOLD,
+        cooldown_s: float = DEFAULT_COOLDOWN_S,
+    ) -> None:
+        """Raise ``ValueError`` when a breaker setting is out of range.
+
+        The constructor runs these checks.  The engine builds its breakers
+        lazily, on a model's first failure, so it calls this when it is
+        built: a bad value fails there and not on the first failing join.
+        """
+        if failure_threshold < 1:
+            raise ValueError(
+                f"failure_threshold must be >= 1, got {failure_threshold}"
+            )
+        if cooldown_s < 0:
+            raise ValueError(f"cooldown_s must be >= 0, got {cooldown_s}")
 
     @property
     def state(self) -> str:

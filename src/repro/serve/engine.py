@@ -317,6 +317,9 @@ class ServeEngine:
         breaker_threshold: int = DEFAULT_FAILURE_THRESHOLD,
         breaker_cooldown_s: float = DEFAULT_COOLDOWN_S,
     ) -> None:
+        CircuitBreaker.check_settings(
+            failure_threshold=breaker_threshold, cooldown_s=breaker_cooldown_s
+        )
         self._registry = registry
         self._micro_batch = micro_batch
         self._batcher = MicroBatcher(

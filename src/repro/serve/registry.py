@@ -89,7 +89,9 @@ class ModelRegistry:
     num_workers / min_rows_per_worker / task_timeout_s / shard_retries /
     serial_fallback:
         Apply-stage knobs threaded into every joiner the registry builds
-        (see :class:`~repro.join.joiner.TransformationJoiner`).
+        (see :class:`~repro.join.joiner.TransformationJoiner`).  They are
+        checked here, so an out-of-range value fails when the registry is
+        built, not on its first join.
     """
 
     def __init__(
@@ -104,6 +106,12 @@ class ModelRegistry:
         shard_retries: int = 2,
         serial_fallback: bool = True,
     ) -> None:
+        TransformationJoiner.check_settings(
+            num_workers=num_workers,
+            min_rows_per_worker=min_rows_per_worker,
+            task_timeout_s=task_timeout_s,
+            shard_retries=shard_retries,
+        )
         self._dir = Path(model_dir)
         if not self._dir.is_dir():
             raise ValueError(f"model directory {self._dir} does not exist")

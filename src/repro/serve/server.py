@@ -417,8 +417,9 @@ class JoinServer:
     """The long-lived join-serving process, wrapped for library and CLI use.
 
     Composes registry → engine → threaded HTTP server.  ``port=0`` binds an
-    ephemeral port (tests and the in-process load benchmark use this);
-    ``address`` reports the bound one.
+    ephemeral port (the tests use this); ``address`` reports the bound one.
+    Every setting is checked here, before the port is bound, so a bad value
+    fails at startup and not on the first request.
     """
 
     def __init__(
@@ -443,10 +444,14 @@ class JoinServer:
         breaker_threshold: int = DEFAULT_FAILURE_THRESHOLD,
         breaker_cooldown_s: float = DEFAULT_COOLDOWN_S,
     ) -> None:
+        if not 0 <= port <= 65535:
+            raise ValueError(f"port must be in [0, 65535], got {port}")
         if request_timeout_s < 0:
             raise ValueError(
                 f"request_timeout_s must be >= 0, got {request_timeout_s}"
             )
+        if max_body_bytes < 0:
+            raise ValueError(f"max_body_bytes must be >= 0, got {max_body_bytes}")
         self.registry = ModelRegistry(
             model_dir,
             joiner_cache_capacity=joiner_cache_capacity,

@@ -20,13 +20,18 @@ from repro.core.config import DiscoveryConfig
 from repro.core.discovery import TransformationDiscovery
 from repro.datasets.open_data import generate_open_data
 from repro.datasets.spreadsheet import generate_spreadsheet_dataset
-from repro.datasets.synthetic import generate_synthetic_dataset
+from repro.datasets.synthetic import (
+    SyntheticConfig,
+    generate_synthetic_dataset,
+    generate_table_pair,
+)
 from repro.datasets.web_tables import generate_web_tables_dataset
 from repro.evaluation.join_metrics import evaluate_join
 from repro.evaluation.matching_metrics import evaluate_matching
 from repro.join.joiner import TransformationJoiner
 from repro.join.pipeline import JoinPipeline
 from repro.matching.row_matcher import GoldenRowMatcher, MatchingConfig, NGramRowMatcher
+from repro.matching.setsim import SetSimRowMatcher
 from repro.model import TransformationModel
 
 
@@ -355,3 +360,68 @@ class TestSamplingScalesDiscovery:
             sampled.stats.generated_transformations
             < full.stats.generated_transformations
         )
+
+
+class TestPinnedSyntheticRung:
+    """Every stage's output on one 1,000-row synthetic pair, count for count.
+
+    The pair is Figure 4a's 1,000-row point (rows of 28 characters, seed
+    1,000).  Each test runs serially and sharded over two workers (no
+    small-input threshold), and the counts change with neither the worker
+    count nor the hash seed.  An empty stage output, a time-budget cut, a
+    sharded merge that loses rows or a coverage prefilter that stops
+    pruning (the cache and application counts move) each fail here.
+    """
+
+    @pytest.fixture(scope="class")
+    def columns(self):
+        pair, _ = generate_table_pair(
+            SyntheticConfig(num_rows=1000, min_length=28, max_length=28, seed=1000)
+        )
+        return list(pair.source["value"]), list(pair.target["value"])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_matching_discovery_and_join(self, columns, workers):
+        source, target = columns
+        pairs = NGramRowMatcher(MatchingConfig()).match_values(source, target)
+        result = TransformationDiscovery(
+            DiscoveryConfig(
+                sample_size=200, num_workers=workers, min_rows_per_worker=0
+            )
+        ).discover(pairs)
+        stats = result.stats
+        joined = TransformationJoiner(
+            result.transformations, num_workers=workers, min_rows_per_worker=0
+        ).join_values(source, target)
+        assert len(pairs) == 1007
+        assert stats.unique_transformations == 11_881
+        assert stats.cache_hits == 10_283_281
+        assert stats.cache_misses == 1_680_886
+        assert stats.applications == 22_404
+        assert [entry.coverage for entry in result.cover] == [
+            335, 330, 330, 2, 2, 2, 2, 2
+        ]
+        assert stats.budget_exhausted is False
+        assert joined.num_pairs == 1000
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_setsim_matching(self, columns, workers):
+        source, target = columns
+        matcher = SetSimRowMatcher(
+            MatchingConfig(
+                engine="setsim",
+                setsim_similarity="jaccard",
+                setsim_threshold=0.2,
+                setsim_tokenizer="qgram",
+                setsim_qgram=4,
+                num_workers=workers,
+                min_rows_per_worker=0,
+            )
+        )
+        pairs, stats = matcher.match_values_with_stats(source, target)
+        # Source-row order, as the serial engine emits the pairs.
+        rows = [(pair.source_row, pair.target_row) for pair in pairs]
+        assert rows == sorted(rows)
+        assert len(pairs) == 665
+        assert stats.candidates == 667
+        assert stats.all_pairs == 1_000_000

@@ -9,6 +9,7 @@ worker processes.
 from __future__ import annotations
 
 import json
+import threading
 from http.client import HTTPConnection
 
 import pytest
@@ -102,6 +103,52 @@ def test_served_join_is_byte_identical_to_offline_apply(
         assert status == 200
         assert payload["pairs"] == expected_pairs
         assert payload["warm"] is True
+
+
+@pytest.mark.parametrize("clients", [1, 4])
+def test_concurrent_clients_get_the_offline_pairs(fitted, model_dir, clients):
+    """Client threads post to one model at once, several requests each.
+
+    Each client sends its own slice of the source rows, so answers mixed up
+    between concurrent requests (as the micro-batcher could, when it
+    coalesces them) fail here, as do a dropped pair and a non-200 answer.
+    One client is the closed loop with nothing to coalesce.
+    """
+    pair, model = fitted
+    source = list(pair.source["value"])
+    target = list(pair.target["value"])
+    requests_per_client = 5
+    batches = [source[start::clients] for start in range(clients)]
+    joiner = model.joiner()
+    expected = [
+        [list(join_pair) for join_pair in joiner.join_values(batch, target).pairs]
+        for batch in batches
+    ]
+    answers: list[list[tuple[int, dict]]] = [[] for _ in range(clients)]
+    start = threading.Barrier(clients)
+
+    def client(index: int) -> None:
+        start.wait(timeout=30)
+        body = {"source": batches[index], "target": target}
+        for _ in range(requests_per_client):
+            answers[index].append(post_join(server, "synth", body))
+
+    with JoinServer(model_dir, port=0) as server:
+        server.start_background()
+        threads = [
+            threading.Thread(target=client, args=(index,))
+            for index in range(clients)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    for index in range(clients):
+        assert len(answers[index]) == requests_per_client
+        for status, payload in answers[index]:
+            assert status == 200
+            assert payload["pairs"] == expected[index]
 
 
 def test_lone_surrogate_in_target_is_served(tmp_path, name_initial_pairs):

@@ -473,3 +473,242 @@ class TestServeCommand:
         exit_code = main(["serve", str(tmp_path / "nowhere"), "--port", "0"])
         assert exit_code == 1
         assert "not found" in capsys.readouterr().err
+
+
+class TestOutOfRangeFlags:
+    """An out-of-range number is a one-line usage error (exit 2), raised
+    before any input is read: the CSV and model paths here do not exist."""
+
+    COLUMNS = ["--source-column", "v", "--target-column", "v"]
+    PAIR = ["missing_a.csv", "missing_b.csv", *COLUMNS]
+    APPLY = ["apply", *PAIR, "--model", "missing.json", "--output", "o.csv"]
+
+    @pytest.fixture
+    def served(self, monkeypatch):
+        """The servers ``repro serve`` starts, recorded instead of served.
+
+        Nor do they install their SIGTERM/SIGINT handlers: those would
+        outlive the test, and pool workers forked later in this process
+        would inherit them and no longer stop when terminated.
+        """
+        from repro.serve import JoinServer
+
+        started = []
+        monkeypatch.setattr(
+            JoinServer, "serve_forever", lambda self: started.append(self)
+        )
+        monkeypatch.setattr(JoinServer, "install_signal_handlers", lambda self: None)
+        return started
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            pytest.param(
+                ["join", *PAIR, "--output", "o.csv", "--min-support", "1.5"],
+                "min_support must be in [0, 1], got 1.5",
+                id="join-min-support",
+            ),
+            pytest.param(
+                ["discover", *PAIR, "--min-ngram", "0"],
+                "min_ngram must be positive",
+                id="discover-min-ngram",
+            ),
+            pytest.param(
+                ["discover", *PAIR, "--time-budget", "-1"],
+                "time_budget_s must be >= 0",
+                id="discover-time-budget",
+            ),
+            pytest.param(
+                ["discover", *PAIR, "--top-k", "-1"],
+                "top_k must be >= 1",
+                id="discover-top-k",
+            ),
+            pytest.param(
+                [*APPLY, "--num-workers", "-3"],
+                "num_workers must be >= 0, got -3",
+                id="apply-num-workers",
+            ),
+            pytest.param(
+                [*APPLY, "--task-timeout", "-1"],
+                "task_timeout_s must be >= 0",
+                id="apply-task-timeout",
+            ),
+            pytest.param(
+                ["serve", ".", "--max-inflight", "0"],
+                "max_inflight must be >= 1",
+                id="serve-max-inflight",
+            ),
+            pytest.param(
+                ["serve", ".", "--port", "99999"],
+                "port must be in [0, 65535]",
+                id="serve-port",
+            ),
+            pytest.param(
+                ["serve", ".", "--num-workers", "-1"],
+                "num_workers must be >= 0, got -1",
+                id="serve-num-workers",
+            ),
+            pytest.param(
+                ["discover", *PAIR, "--max-placeholders", "0"],
+                "max_placeholders must be >= 1, got 0",
+                id="discover-max-placeholders",
+            ),
+            pytest.param(
+                ["discover", *PAIR, "--sample-size", "-1"],
+                "sample_size must be >= 0, got -1",
+                id="discover-sample-size",
+            ),
+            pytest.param(
+                ["discover", *PAIR, "--max-ngram", "2"],
+                "max_ngram (2) must be >= min_ngram (4)",
+                id="discover-max-ngram",
+            ),
+            pytest.param(
+                ["discover", *PAIR, "--matcher", "setsim", "--setsim-threshold", "0"],
+                "setsim_threshold must be in (0, 1] for jaccard, got 0.0",
+                id="discover-setsim-threshold",
+            ),
+            pytest.param(
+                ["discover", *PAIR, "--setsim-qgram", "0"],
+                "setsim_qgram must be positive, got 0",
+                id="discover-setsim-qgram",
+            ),
+            pytest.param(
+                ["discover", *PAIR, "--shard-retries", "-1"],
+                "shard_retries must be >= 0, got -1",
+                id="discover-shard-retries",
+            ),
+            pytest.param(
+                ["join", *PAIR, "--output", "o.csv", "--min-support", "-0.1"],
+                "min_support must be in [0, 1], got -0.1",
+                id="join-min-support-negative",
+            ),
+            pytest.param(
+                ["fit", *PAIR, "--save", "m.json", "--min-support", "1.5"],
+                "min_support must be in [0, 1], got 1.5",
+                id="fit-min-support",
+            ),
+            pytest.param(
+                [*APPLY, "--shard-retries", "-1"],
+                "shard_retries must be >= 0, got -1",
+                id="apply-shard-retries",
+            ),
+            pytest.param(
+                ["serve", ".", "--port", "-1"],
+                "port must be in [0, 65535], got -1",
+                id="serve-port-negative",
+            ),
+            pytest.param(
+                ["serve", ".", "--joiner-cache", "0"],
+                "capacity must be positive, got 0",
+                id="serve-joiner-cache",
+            ),
+            pytest.param(
+                ["serve", ".", "--index-cache", "0"],
+                "capacity must be positive, got 0",
+                id="serve-index-cache",
+            ),
+            pytest.param(
+                ["serve", ".", "--request-timeout-s", "-1"],
+                "request_timeout_s must be >= 0, got -1.0",
+                id="serve-request-timeout",
+            ),
+            pytest.param(
+                ["serve", ".", "--max-queue", "-1"],
+                "max_queue must be >= 0, got -1",
+                id="serve-max-queue",
+            ),
+            pytest.param(
+                ["serve", ".", "--max-body-mb", "-1"],
+                "max_body_bytes must be >= 0, got -1048576",
+                id="serve-max-body",
+            ),
+            pytest.param(
+                ["serve", ".", "--breaker-threshold", "0"],
+                "failure_threshold must be >= 1, got 0",
+                id="serve-breaker-threshold",
+            ),
+            pytest.param(
+                ["serve", ".", "--breaker-cooldown-s", "-1"],
+                "cooldown_s must be >= 0, got -1.0",
+                id="serve-breaker-cooldown",
+            ),
+            pytest.param(
+                ["serve", ".", "--task-timeout", "-1"],
+                "task_timeout_s must be >= 0, got -1.0",
+                id="serve-task-timeout",
+            ),
+            pytest.param(
+                ["serve", ".", "--shard-retries", "-1"],
+                "shard_retries must be >= 0, got -1",
+                id="serve-shard-retries",
+            ),
+        ],
+    )
+    def test_is_a_usage_error(
+        self, argv, message, served, tmp_path, monkeypatch, capsys
+    ):
+        # Were a bad value let through, the server would start: `served`
+        # records that.
+        monkeypatch.chdir(tmp_path)  # serve's model directory is "."
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert served == []
+
+    @pytest.mark.parametrize(
+        ("command", "flags"),
+        [
+            pytest.param("join", ["--min-support", "0"], id="join-min-support-0"),
+            pytest.param("join", ["--min-support", "1"], id="join-min-support-1"),
+            pytest.param(
+                "discover",
+                ["--min-ngram", "1", "--max-ngram", "1"],
+                id="discover-one-ngram-size",
+            ),
+            pytest.param(
+                "discover",
+                ["--matcher", "setsim", "--setsim-threshold", "1"],
+                id="discover-setsim-threshold-1",
+            ),
+            pytest.param("discover", ["--top-k", "1"], id="discover-top-k-1"),
+            pytest.param("apply", ["--num-workers", "0"], id="apply-all-cores"),
+        ],
+    )
+    def test_edge_of_the_range_runs(
+        self, command, flags, staff_csvs, tmp_path, capsys
+    ):
+        # The range checks are not off by one: each edge value is accepted
+        # and the command runs to the end.
+        source_path, target_path = staff_csvs
+        pair = [str(source_path), str(target_path), "--source-column", "Name"]
+        pair += ["--target-column", "Name"]
+        model = str(tmp_path / "model.json")
+        output = ["--output", str(tmp_path / "joined.csv")]
+        extra = {"discover": [], "join": output, "apply": ["--model", model, *output]}
+        if command == "apply":
+            assert main(["fit", *pair, "--save", model]) == 0
+        assert main([command, *pair, *extra[command], *flags]) == 0
+        assert "error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            pytest.param(["--max-queue", "0"], id="no-queue"),
+            pytest.param(["--request-timeout-s", "0"], id="no-request-deadline"),
+            pytest.param(["--max-body-mb", "0"], id="no-body-cap"),
+            pytest.param(
+                ["--breaker-threshold", "1", "--breaker-cooldown-s", "0"],
+                id="breaker-edges",
+            ),
+        ],
+    )
+    def test_serve_starts_at_the_edge_of_the_range(
+        self, flags, served, tmp_path, capsys
+    ):
+        assert main(["serve", str(tmp_path), "--port", "0", *flags]) == 0
+        assert len(served) == 1
+        assert "listening on" in capsys.readouterr().out

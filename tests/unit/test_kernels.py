@@ -7,10 +7,8 @@ Five surfaces live here:
   and no module of ``src/`` imports it except the version probe;
 * the bitset helpers of :mod:`repro.core.coverage` (the randomized sweep
   lives in ``tests/property/test_property_kernels.py``);
-* the plumbing that keeps benchmarks honest about the tier — the worker
-  tuning that ignores it, the BENCH host block and the mixed-tier
-  comparison rejection;
-* the absence of any tier override: neither CLI takes ``--kernels``.
+* the worker tuning, which ignores the tier;
+* the absence of any tier override: the CLI takes no ``--kernels``.
 
 Every test passes with and without numpy installed.
 """
@@ -268,59 +266,6 @@ class TestWorkerTuning:
         assert tuned_num_workers(2, 512) == 2
 
 
-class TestBenchTierGuards:
-    def test_host_metadata_records_tier_and_numpy(self):
-        from repro.perf.runner import host_metadata
-
-        host = host_metadata()
-        assert host["kernels"] == kernels.active_tier()
-        # numpy's availability is reported regardless of the tier, so a
-        # numpy without np.strings stays distinguishable from a numpy-less
-        # host in the payload alone.
-        assert host["numpy"] == kernels.numpy_version()
-
-    def test_validate_payload_flags_missing_tier(self):
-        from repro.perf.runner import validate_payload
-
-        payload = {
-            "host": {"cpu_count": 1},
-            "rungs": [],
-        }
-        problems = validate_payload(payload)
-        assert any("kernel tier" in problem for problem in problems)
-
-    def test_validate_serve_payload_flags_missing_tier(self):
-        from repro.perf.serve_bench import validate_serve_payload
-
-        problems = validate_serve_payload({"host": {"cpu_count": 1}})
-        assert any("kernel tier" in problem for problem in problems)
-
-    def test_compare_to_baseline_rejects_mixed_tiers(self):
-        from repro.perf.runner import compare_to_baseline
-
-        payload = {"host": {"kernels": "numpy"}, "rungs": []}
-        baseline = {"host": {"kernels": "python"}, "rungs": []}
-        problems = compare_to_baseline(payload, baseline)
-        assert len(problems) == 1
-        assert "not comparable" in problems[0]
-
-    def test_compare_to_baseline_accepts_matching_tiers(self):
-        from repro.perf.runner import compare_to_baseline
-
-        payload = {"host": {"kernels": "python"}, "rungs": []}
-        baseline = {"host": {"kernels": "python"}, "rungs": []}
-        assert compare_to_baseline(payload, baseline) == []
-
-    def test_compare_to_baseline_tolerates_untagged_baseline(self):
-        # Baselines produced before the kernel tier existed carry no tag;
-        # the comparison must not reject them (validate_payload flags the
-        # missing tag separately).
-        from repro.perf.runner import compare_to_baseline
-
-        payload = {"host": {"kernels": "numpy"}, "rungs": []}
-        assert compare_to_baseline(payload, {"host": {}, "rungs": []}) == []
-
-
 class TestNoTierSelection:
     def test_cli_has_no_kernels_flag(self, capsys):
         from repro.cli import build_parser
@@ -339,13 +284,6 @@ class TestNoTierSelection:
                 ]
             )
         assert "unrecognized arguments: --kernels=python" in capsys.readouterr().err
-
-    def test_perf_has_no_kernels_flag(self, capsys):
-        from repro.perf.__main__ import build_parser
-
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["--kernels=numpy", "--smoke"])
-        assert "unrecognized arguments: --kernels=numpy" in capsys.readouterr().err
 
     def test_cli_run_leaves_the_environment_alone(self, tmp_path, monkeypatch):
         from repro.cli import main

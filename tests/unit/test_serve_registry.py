@@ -362,3 +362,31 @@ class TestModelRegistry:
     def test_missing_directory_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="does not exist"):
             ModelRegistry(tmp_path / "nope")
+
+    @pytest.mark.parametrize(
+        "setting",
+        ["num_workers", "min_rows_per_worker", "task_timeout_s", "shard_retries"],
+    )
+    def test_apply_settings_checked_when_built(self, tmp_path, setting):
+        # Unchecked, the registry would build and then fail every join with
+        # the first joiner's ValueError.
+        with pytest.raises(ValueError, match=f"{setting} must be >= 0"):
+            ModelRegistry(tmp_path, **{setting: -1})
+
+    @pytest.mark.parametrize(
+        "setting",
+        ["num_workers", "min_rows_per_worker", "task_timeout_s", "shard_retries"],
+    )
+    def test_apply_setting_zero_is_accepted(
+        self, tmp_path, model, name_initial_pairs, setting
+    ):
+        # 0 is in range for each (all cores, no small-input threshold, no
+        # deadline, no retries): the registry builds, and its joiner joins
+        # like the model's own.
+        model.save(tmp_path / "names.json")
+        joiner, _, _ = ModelRegistry(tmp_path, **{setting: 0}).joiner_for("names")
+        sources = [source for source, _ in name_initial_pairs]
+        targets = [target for _, target in name_initial_pairs]
+        expected = model.joiner().join_values(sources, targets).pairs
+        assert expected
+        assert joiner.join_values(sources, targets).pairs == expected

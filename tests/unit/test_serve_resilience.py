@@ -14,6 +14,7 @@ transitions over HTTP) live in ``tests/integration/test_serve_chaos.py``.
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
 from http.client import HTTPConnection
@@ -28,6 +29,7 @@ from repro.serve import JoinServer, LatencyStats
 from repro.serve.admission import AdmissionController
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.engine import MicroBatcher, ServeEngine
+from repro.serve.registry import ModelRegistry
 from repro.serve.errors import (
     CircuitOpenError,
     DeadlineExceededError,
@@ -60,6 +62,30 @@ class TestCircuitBreaker:
             CircuitBreaker("m", failure_threshold=0)
         with pytest.raises(ValueError):
             CircuitBreaker("m", cooldown_s=-1.0)
+
+    @pytest.mark.parametrize(
+        ("settings", "message"),
+        [
+            pytest.param(
+                {"breaker_threshold": 0},
+                "failure_threshold must be >= 1, got 0",
+                id="threshold",
+            ),
+            pytest.param(
+                {"breaker_cooldown_s": -1.0},
+                "cooldown_s must be >= 0, got -1.0",
+                id="cooldown",
+            ),
+        ],
+    )
+    def test_engine_checks_breaker_settings_when_built(
+        self, tmp_path, settings, message
+    ):
+        # The engine builds a model's breaker on its first countable
+        # failure; unchecked, a bad setting would surface only there, as a
+        # 500 ValueError in place of that failure's own typed answer.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ServeEngine(ModelRegistry(tmp_path), **settings)
 
     def test_opens_after_threshold_consecutive_failures(self):
         breaker = CircuitBreaker("m", failure_threshold=3, cooldown_s=60.0)
@@ -474,6 +500,40 @@ def small_server(fitted_model, tmp_path):
     with JoinServer(tmp_path, port=0, max_body_bytes=2048) as server:
         server.start_background()
         yield server
+
+
+@pytest.mark.parametrize(
+    ("settings", "message"),
+    [
+        pytest.param(
+            {"port": -1}, "port must be in [0, 65535], got -1", id="port-negative"
+        ),
+        pytest.param(
+            {"port": 65536}, "port must be in [0, 65535], got 65536", id="port-high"
+        ),
+        pytest.param(
+            {"request_timeout_s": -1.0},
+            "request_timeout_s must be >= 0, got -1.0",
+            id="request-timeout",
+        ),
+        pytest.param(
+            {"max_body_bytes": -1},
+            "max_body_bytes must be >= 0, got -1",
+            id="max-body-bytes",
+        ),
+    ],
+)
+def test_server_checks_settings_before_binding(
+    tmp_path, monkeypatch, settings, message
+):
+    import repro.serve.server as server_module
+
+    def bind(*args, **kwargs):
+        raise AssertionError("the port was bound before the settings were checked")
+
+    monkeypatch.setattr(server_module, "_JoinHTTPServer", bind)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        JoinServer(tmp_path, **{"port": 0, **settings})
 
 
 class TestRequestParsing:

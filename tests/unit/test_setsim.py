@@ -316,56 +316,6 @@ class TestSetSimJoinBaselines:
         assert result.as_set() == expected
 
 
-class TestPerfHarnessSetsim:
-    def test_matcher_for_setsim(self):
-        from repro.perf.runner import BenchmarkRunner
-
-        runner = BenchmarkRunner(ladder=(10,))
-        matcher = runner.matcher_for("setsim", num_workers=2)
-        assert isinstance(matcher, SetSimRowMatcher)
-        assert matcher.config.num_workers == 2
-
-    def test_discovery_for_setsim_rejected(self):
-        from repro.perf.runner import BenchmarkRunner
-
-        runner = BenchmarkRunner(ladder=(10,))
-        with pytest.raises(ValueError, match="matching only"):
-            runner.discovery_for("setsim")
-
-    def test_matching_rung_records_pruning(self):
-        from repro.perf.runner import BenchmarkRunner, validate_payload
-
-        runner = BenchmarkRunner(ladder=(60,), seed=0)
-        payload = runner.run_matching(engines=("packed", "setsim"))
-        assert validate_payload(payload) == []
-        record = payload["rungs"][0]["engines"]["setsim"]
-        assert record["all_pairs"] == 60 * 60
-        assert 0 < record["candidates_post_filter"] <= record["all_pairs"]
-        assert 0.0 < record["pruning_ratio"] <= 1.0
-        assert payload["rungs"][0]["identical"] is True
-        assert payload["config"]["setsim"]["tokenizer"] == "qgram"
-
-    def test_validate_payload_flags_broken_setsim_record(self):
-        from repro.perf.runner import BenchmarkRunner, validate_payload
-
-        runner = BenchmarkRunner(ladder=(60,), seed=0)
-        payload = runner.run_matching(engines=("setsim",))
-        record = payload["rungs"][0]["engines"]["setsim"]
-        record["candidates_post_filter"] = record["all_pairs"] + 1
-        del record["pruning_ratio"]
-        problems = validate_payload(payload)
-        assert any("candidate count" in p for p in problems)
-        assert any("pruning_ratio" in p for p in problems)
-
-    def test_families_not_compared_across_regimes(self):
-        from repro.perf.runner import _engine_family
-
-        assert _engine_family("seed") == "ngram"
-        assert _engine_family("packed-w4") == "ngram"
-        assert _engine_family("setsim") == "setsim"
-        assert _engine_family("setsim-w8") == "setsim"
-
-
 class TestCliIntegration:
     def test_matcher_flag_parses(self):
         from repro.cli import build_parser
