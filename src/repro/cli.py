@@ -39,7 +39,7 @@ from pathlib import Path
 
 from repro.core.config import DiscoveryConfig
 from repro.core.discovery import TransformationDiscovery
-from repro.datasets.registry import available_datasets, load_dataset
+from repro.datasets.registry import available_datasets, check_scale, load_dataset
 from repro.evaluation.report import format_table
 from repro.join.pipeline import JoinPipeline
 from repro.matching.row_matcher import (
@@ -390,10 +390,11 @@ class _UsageError(Exception):
 def _flag_values() -> Iterator[None]:
     """Turn a ``ValueError`` from building config objects into a usage error.
 
-    Every handler builds its config objects from the flags inside this
-    block, before it reads any input, so an out-of-range value ends the way
-    ``--num-workers abc`` does: one usage line and exit code 2.  A
-    ``ValueError`` raised later, while running, keeps its traceback.
+    Every handler builds its config objects from the flags (or checks the
+    flags) inside this block, before it reads any input, so an
+    out-of-range value ends the way ``--num-workers abc`` does: one usage
+    line and exit code 2.  A ``ValueError`` raised later, while running,
+    keeps its traceback.
     """
     try:
         yield
@@ -603,6 +604,8 @@ def run_apply(args: argparse.Namespace) -> int:
 
 def run_benchmark(args: argparse.Namespace) -> int:
     """The ``benchmark`` sub-command."""
+    with _flag_values():
+        check_scale(args.scale)
     dataset = load_dataset(args.name, scale=args.scale, seed=args.seed)
     output_dir = args.output_dir
     rows = []

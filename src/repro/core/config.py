@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.units import UNIT_NAMES
-from repro.parallel.executor import env_default_workers
+from repro.parallel.executor import check_execution_settings, env_default_workers
 
 
 @dataclass(frozen=True)
@@ -153,24 +153,15 @@ class DiscoveryConfig:
             raise ValueError(f"min_support must be >= 1, got {self.min_support}")
         if self.sample_size < 0:
             raise ValueError(f"sample_size must be >= 0, got {self.sample_size}")
-        if self.num_workers < 0:
-            raise ValueError(f"num_workers must be >= 0, got {self.num_workers}")
-        if self.min_rows_per_worker is not None and self.min_rows_per_worker < 0:
-            raise ValueError(
-                "min_rows_per_worker must be >= 0, got "
-                f"{self.min_rows_per_worker}"
-            )
+        check_execution_settings(
+            num_workers=self.num_workers,
+            min_rows_per_worker=self.min_rows_per_worker,
+            task_timeout_s=self.task_timeout_s,
+            shard_retries=self.shard_retries,
+        )
         if self.time_budget_s < 0:
             raise ValueError(
                 f"time_budget_s must be >= 0, got {self.time_budget_s}"
-            )
-        if self.task_timeout_s < 0:
-            raise ValueError(
-                f"task_timeout_s must be >= 0, got {self.task_timeout_s}"
-            )
-        if self.shard_retries < 0:
-            raise ValueError(
-                f"shard_retries must be >= 0, got {self.shard_retries}"
             )
         if self.top_k < 1:
             raise ValueError(f"top_k must be >= 1, got {self.top_k}")

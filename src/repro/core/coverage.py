@@ -56,16 +56,11 @@ Rows are mutually independent (every structure above is per-row), which makes
 the batch engine embarrassingly parallel: with ``num_workers > 1`` the rows
 are sharded across a process pool that shares the frozen trie — including the
 anchor posting table, so the prefilter shards exactly
-(:func:`_walk_shard`).  Covered rows are byte-identical to the
-serial walk always; the cache statistics are byte-identical too when both
-walks start from the same cache state — workers always start cold, so on a
-warm computer (a prior ``coverage_of`` call populated the persistent per-row
-sets) the serial walk counts warm hits the sharded walk cannot see.  The
-batch walk *consults* the persistent per-row sets when they are warm but no
-longer writes newly-found non-covering units back into them: on the dominant
-cold path those writes were pure overhead (one hash-and-insert per failing
-(unit, row) that no later batch step ever read), and dropping them keeps the
-batch and sharded paths trivially identical.
+(:func:`_walk_shard`), and covered rows and cache statistics are
+byte-identical to the serial walk.  Every batch walk starts from empty
+per-row caches: it neither reads nor writes the persistent non-covering
+sets that the one-at-a-time :meth:`CoverageComputer.coverage_of` fills,
+since no caller runs that before a batched walk on the same computer.
 
 The walk is pure Python, like every loop of the package.  A numpy block
 walker was measured against it on a 2-core host with numpy 2.4 and lost:
@@ -353,7 +348,6 @@ class PackedTrie:
     __slots__ = (
         "root_edges",
         "root_terminals",
-        "num_transformations",
         "anchor_texts",
         "req_sets",
         "num_units",
@@ -369,7 +363,6 @@ class PackedTrie:
         self,
         root_edges: list,
         root_terminals: list[int],
-        num_transformations: int,
         anchor_texts: list[str],
         req_sets: list[tuple[int, ...]],
         num_units: int,
@@ -377,7 +370,6 @@ class PackedTrie:
     ) -> None:
         self.root_edges = root_edges
         self.root_terminals = root_terminals
-        self.num_transformations = num_transformations
         self.anchor_texts = anchor_texts
         self.req_sets = req_sets
         self.num_units = num_units
@@ -447,7 +439,6 @@ class PackedTrie:
         return (
             self.root_edges,
             self.root_terminals,
-            self.num_transformations,
             self.anchor_texts,
             self.req_sets,
             self.num_units,
@@ -462,7 +453,7 @@ def _build_unit_trie(transformations: Sequence[Transformation]) -> PackedTrie:
     """Pack *transformations* into a :class:`PackedTrie`.
 
     Each edge is a flat tuple ``(unit_id, op, args, child_edges,
-    child_terminals, subtree_size, req_id, unit)``.  ``unit_id`` is the
+    child_terminals, subtree_size, req_id)``.  ``unit_id`` is the
     ordinal of the canonical unit object (equal units are collapsed during
     construction), indexing the per-row unit-output memo array directly;
     ``subtree_size`` counts the transformations below the edge, letting the
@@ -529,7 +520,6 @@ def _build_unit_trie(transformations: Sequence[Transformation]) -> PackedTrie:
                     child_terminals,
                     child_size,
                     intern_req(required),
-                    unit,
                 )
             )
             edge_requirements.append(required)
@@ -541,11 +531,10 @@ def _build_unit_trie(transformations: Sequence[Transformation]) -> PackedTrie:
             node_required = frozenset.intersection(*edge_requirements)
         return edges, node.terminals, subtree, node_required
 
-    root_edges, root_terminals, size, _ = freeze(root)
+    root_edges, root_terminals, _, _ = freeze(root)
     return PackedTrie(
         root_edges,
         root_terminals,
-        size,
         anchor_texts,
         req_sets,
         len(unit_ordinals),
@@ -563,8 +552,6 @@ def _walk_trie_rows(
     pairs: Sequence[RowPair],
     row_offset: int,
     trie: PackedTrie,
-    non_covering_units: Sequence[set[TransformationUnit]],
-    use_cache: bool,
     deadline: float | None = None,
 ) -> tuple[dict[int, list[int]], int, int, int, int]:
     """Walk the frozen unit trie over the rows of *pairs*.
@@ -573,9 +560,7 @@ def _walk_trie_rows(
     passes every pair with ``row_offset=0``) and the process-sharded engine
     (where each worker passes its contiguous row shard and the shard's start
     index, so reported row ids are global).  It is the only coverage walker
-    (see the module docstring).  ``non_covering_units`` holds one per-row
-    cache set per element of *pairs*; warm (non-empty) sets are consulted,
-    never written.
+    (see the module docstring), and it starts every row from empty caches.
 
     The traversal is *edge-major over row blocks*: each trie edge is visited
     once per block with the list of rows that survived the path to it, so
@@ -649,7 +634,6 @@ def _walk_trie_rows(
         sources = [pair.source for pair in block]
         targets = [pair.target for pair in block]
         target_lengths = [len(target) for target in targets]
-        block_cache = non_covering_units[block_start : block_start + block_n]
         if first_block:
             first_block = False
             memos = [list(memo_template) for _ in range(block_n)]
@@ -674,8 +658,6 @@ def _walk_trie_rows(
                 presence[:] = zero_texts
             for states in req_states:
                 states[:] = zero_reqs
-        warms = [use_cache and bool(cache) for cache in block_cache]
-        warm_any = True in warms
 
         all_slots = list(range(block_n))
         stack = [(root_other_edges, root_terminals, all_slots, [0] * block_n)]
@@ -736,10 +718,7 @@ def _walk_trie_rows(
                     else:
                         failed_root += edge[5]
                 skipped_root += root_literal_total - viable_subtree
-            if use_cache:
-                hits += skipped_root
-            else:
-                misses += skipped_root
+            hits += skipped_root
             misses += failed_root
             for text_id, (slots, prefix_length) in descents.items():
                 edge = root_literal_by_text[text_id]
@@ -832,10 +811,7 @@ def _walk_trie_rows(
                             if slots is None:
                                 slots = group_descents[position] = []
                             slots.append(slot)
-            if use_cache:
-                hits += skipped_units
-            else:
-                misses += skipped_units
+            hits += skipped_units
             misses += failed_units
             for position, slots in enumerate(group_descents):
                 if slots:
@@ -874,10 +850,8 @@ def _walk_trie_rows(
                     # A non-empty literal always carries its own anchor in
                     # the required set, so the prefilter consult below has
                     # already proved the text present for surviving rows —
-                    # neither application nor the memo/warm-cache consult
-                    # can change the outcome (a present literal can never
-                    # sit in a warm non-covering set), and only the
-                    # positional check remains.
+                    # neither application nor the memo consult can change
+                    # the outcome, and only the positional check remains.
                     text = args[0]
                     text_length = len(text)
                     for slot, prefix in zip(slots, prefixes):
@@ -932,7 +906,6 @@ def _walk_trie_rows(
                     # (0 <= start < end <= len(piece)), so the emptiness
                     # branch disappears too.
                     unit_id = edge[0]
-                    unit = edge[7]
                     delimiter, piece_index, start, end, delimiter_id = args
                     for slot, prefix in zip(slots, prefixes):
                         if req_set is not None:
@@ -952,26 +925,23 @@ def _walk_trie_rows(
                         memo = memos[slot]
                         output = memo[unit_id]
                         if output is False:
-                            if warm_any and warms[slot] and unit in block_cache[slot]:
+                            cache = split_caches[slot]
+                            pieces = cache[delimiter_id]
+                            if pieces is None:
+                                pieces = cache[delimiter_id] = sources[slot].split(
+                                    delimiter
+                                )
+                            num_pieces = len(pieces)
+                            if num_pieces < 2 or piece_index >= num_pieces:
                                 output = None
                             else:
-                                cache = split_caches[slot]
-                                pieces = cache[delimiter_id]
-                                if pieces is None:
-                                    pieces = cache[delimiter_id] = sources[
-                                        slot
-                                    ].split(delimiter)
-                                num_pieces = len(pieces)
-                                if num_pieces < 2 or piece_index >= num_pieces:
+                                piece = pieces[piece_index]
+                                if end > len(piece):
                                     output = None
                                 else:
-                                    piece = pieces[piece_index]
-                                    if end > len(piece):
+                                    output = piece[start:end]
+                                    if output not in targets[slot]:
                                         output = None
-                                    else:
-                                        output = piece[start:end]
-                                        if output not in targets[slot]:
-                                            output = None
                             memo[unit_id] = output
                         if output is None:
                             skipped += 1
@@ -982,7 +952,6 @@ def _walk_trie_rows(
                             failed += 1
                 else:
                     unit_id = edge[0]
-                    unit = edge[7]
                     for slot, prefix in zip(slots, prefixes):
                         if req_set is not None:
                             states = req_states[slot]
@@ -1001,65 +970,60 @@ def _walk_trie_rows(
                         memo = memos[slot]
                         output = memo[unit_id]
                         if output is False:
-                            if warm_any and warms[slot] and unit in block_cache[slot]:
-                                output = None
-                            else:
-                                source = sources[slot]
-                                if op == _OP_SPLIT:
-                                    cache = split_caches[slot]
-                                    pieces = cache[args[2]]
-                                    if pieces is None:
-                                        pieces = cache[args[2]] = source.split(
-                                            args[0]
-                                        )
-                                    num_pieces = len(pieces)
-                                    if num_pieces < 2 or args[1] >= num_pieces:
-                                        output = None
+                            source = sources[slot]
+                            if op == _OP_SPLIT:
+                                cache = split_caches[slot]
+                                pieces = cache[args[2]]
+                                if pieces is None:
+                                    pieces = cache[args[2]] = source.split(args[0])
+                                num_pieces = len(pieces)
+                                if num_pieces < 2 or args[1] >= num_pieces:
+                                    output = None
+                                else:
+                                    output = pieces[args[1]]
+                            elif op == _OP_SUBSTR:
+                                output = (
+                                    source[args[0] : args[1]]
+                                    if args[1] <= len(source)
+                                    else None
+                                )
+                            elif op == _OP_TWOCHAR:
+                                key = (args[0], args[1])
+                                cache = tsplit_caches[slot]
+                                pieces = cache.get(key, False)
+                                if pieces is False:
+                                    if args[0] in source or args[1] in source:
+                                        mode = args[5]
+                                        if mode == 2:
+                                            pieces = source.replace(
+                                                args[1], args[0]
+                                            ).split(args[0])
+                                        elif mode == 1:
+                                            pieces = source.split(args[0])
+                                        elif mode == -1:
+                                            pieces = source.split(args[1])
+                                        else:
+                                            pieces = [source]
                                     else:
-                                        output = pieces[args[1]]
-                                elif op == _OP_SUBSTR:
+                                        pieces = None
+                                    cache[key] = pieces
+                                if pieces is None or args[2] >= len(pieces):
+                                    output = None
+                                else:
+                                    piece = pieces[args[2]]
                                     output = (
-                                        source[args[0] : args[1]]
-                                        if args[1] <= len(source)
+                                        piece[args[3] : args[4]]
+                                        if args[4] <= len(piece)
                                         else None
                                     )
-                                elif op == _OP_TWOCHAR:
-                                    key = (args[0], args[1])
-                                    cache = tsplit_caches[slot]
-                                    pieces = cache.get(key, False)
-                                    if pieces is False:
-                                        if args[0] in source or args[1] in source:
-                                            mode = args[5]
-                                            if mode == 2:
-                                                pieces = source.replace(
-                                                    args[1], args[0]
-                                                ).split(args[0])
-                                            elif mode == 1:
-                                                pieces = source.split(args[0])
-                                            elif mode == -1:
-                                                pieces = source.split(args[1])
-                                            else:
-                                                pieces = [source]
-                                        else:
-                                            pieces = None
-                                        cache[key] = pieces
-                                    if pieces is None or args[2] >= len(pieces):
-                                        output = None
-                                    else:
-                                        piece = pieces[args[2]]
-                                        output = (
-                                            piece[args[3] : args[4]]
-                                            if args[4] <= len(piece)
-                                            else None
-                                        )
-                                else:
-                                    output = args[0](source)
-                                if (
-                                    output is not None
-                                    and output
-                                    and output not in targets[slot]
-                                ):
-                                    output = None
+                            else:
+                                output = args[0](source)
+                            if (
+                                output is not None
+                                and output
+                                and output not in targets[slot]
+                            ):
+                                output = None
                             memo[unit_id] = output
                         if output is None:
                             # Known non-covering for this row: the subtree
@@ -1075,14 +1039,9 @@ def _walk_trie_rows(
                             descend_slot(slot)
                             descend_prefix(prefix)
                 if skipped:
-                    # Subtrees skipped through a non-covering unit (cached,
-                    # memoized, or prefilter-proven) count as cache hits;
-                    # with the cache disabled the skip must not be reported
-                    # as a hit.
-                    if use_cache:
-                        hits += skipped * subtree
-                    else:
-                        misses += skipped * subtree
+                    # Subtrees skipped through a non-covering unit (memoized
+                    # or prefilter-proven) count as cache hits.
+                    hits += skipped * subtree
                 if failed:
                     # Positionally impossible: the reference path would
                     # have evaluated these; count them as misses so hits
@@ -1098,16 +1057,13 @@ def _walk_trie_rows(
 def _walk_shard(
     start: int, stop: int
 ) -> tuple[dict[int, list[int]], int, int, int, int]:
-    """Shard worker of :meth:`CoverageComputer._coverage_sharded`.
+    """Shard worker of :meth:`CoverageComputer._coverage_batched`.
 
-    Walks rows ``[start, stop)`` of the shared ``(pairs, trie, use_cache,
-    deadline)`` state with fresh per-row caches, reporting global row ids.
+    Walks rows ``[start, stop)`` of the shared ``(pairs, trie, deadline)``
+    state, reporting global row ids.
     """
-    pairs, trie, use_cache, deadline = worker_state()
-    shard = pairs[start:stop]
-    return _walk_trie_rows(
-        shard, start, trie, [set() for _ in shard], use_cache, deadline
-    )
+    pairs, trie, deadline = worker_state()
+    return _walk_trie_rows(pairs[start:stop], start, trie, deadline)
 
 
 @dataclass
@@ -1120,7 +1076,8 @@ class CoverageComputer:
         The row pairs coverage is computed over.
     use_unit_cache:
         Enables the non-covering-unit cache (on by default; the ablation
-        benchmarks switch it off to measure its effect).
+        benchmarks switch it off to measure its effect).  The batched walk
+        needs it, so a computer without it always takes :meth:`coverage_of`.
     stats:
         Optional shared statistics object; cache hits/misses and application
         counts are accumulated into it.
@@ -1130,12 +1087,8 @@ class CoverageComputer:
         ``REPRO_NUM_WORKERS`` environment variable).  Rows are sharded across
         a :class:`~repro.parallel.executor.ShardedExecutor` that shares the
         frozen unit trie with the workers; because every cache in the walk is
-        per-row, covered rows are identical to the serial engine, and so are
-        the cache statistics on a cold computer.  The sharded path uses
-        fresh per-row caches in the workers — it neither reads nor updates
-        this computer's persistent cache, so after a warming call (e.g.
-        :meth:`coverage_of`) the serial walk would count warm-cache hits the
-        sharded walk cannot see.
+        per-row, covered rows and cache statistics are identical to the
+        serial walk.
     min_rows_per_worker:
         Small-input fast path: when the rows per worker would fall below
         this threshold (or the host has a single core), the pool is not
@@ -1219,22 +1172,22 @@ class CoverageComputer:
         self,
         transformations: Iterable[Transformation],
         *,
-        batched: bool | None = None,
+        batched: bool = True,
         deadline: float | None = None,
     ) -> list[CoverageResult]:
         """Coverage of every transformation, in input order.
 
         ``batched`` selects the trie-walking batch engine (see the module
-        docstring); the default (``None``) batches whenever the unit cache is
-        enabled.  Covered rows are identical either way — only the order in
-        which unit applications are attempted (and therefore the exact cache
-        hit/miss tallies) differs.
+        docstring).  The batch engine runs only with the unit cache:
+        without it, every call takes :meth:`coverage_of`.  Covered rows are
+        identical either way — only the order in which unit applications
+        are attempted (and therefore the exact cache hit/miss tallies)
+        differs.
 
         When ``num_workers`` resolves above 1 (after the small-input fast
         path — see ``min_rows_per_worker``), the batched engine shards the
-        rows across worker processes — covered rows are always identical to
-        the serial walk, and cache statistics are identical from a cold
-        cache (see the class docstring for the warm-cache caveat).
+        rows across worker processes, with covered rows and cache
+        statistics identical to the serial walk.
 
         ``deadline`` (a ``time.monotonic()`` timestamp) bounds the batched
         walk cooperatively: rows past the deadline are left unwalked and
@@ -1245,11 +1198,9 @@ class CoverageComputer:
         already-expired deadline still walks the first block.
         """
         transformations = list(transformations)
-        if batched is None:
-            batched = self.use_unit_cache
         self.budget_exhausted = False
         self.rows_processed = len(self.pairs)
-        if not batched or not transformations or not self.pairs:
+        if not (batched and self.use_unit_cache and transformations and self.pairs):
             return [self.coverage_of(t) for t in transformations]
         num_workers = tuned_num_workers(
             self.num_workers,
@@ -1261,57 +1212,28 @@ class CoverageComputer:
             # seconds producing rows the deadline will discard — run the
             # minimal serial walk instead.
             num_workers = 1
-        if num_workers > 1:
-            return self._coverage_sharded(transformations, num_workers, deadline)
-        return self._coverage_batched(transformations, deadline)
-
-    def _note_rows(self, rows_processed: int) -> None:
-        self.rows_processed = rows_processed
-        if rows_processed < len(self.pairs):
-            self.budget_exhausted = True
+        return self._coverage_batched(transformations, num_workers, deadline)
 
     def _coverage_batched(
-        self, transformations: list[Transformation], deadline: float | None
-    ) -> list[CoverageResult]:
-        trie = _build_unit_trie(transformations)
-        covered, hits, misses, applications, rows_processed = _walk_trie_rows(
-            self.pairs,
-            0,
-            trie,
-            self._non_covering_units,
-            self.use_unit_cache,
-            deadline,
-        )
-        self.stats.cache_hits += hits
-        self.stats.cache_misses += misses
-        self.stats.applications += applications
-        self._note_rows(rows_processed)
-        empty: list[int] = []
-        return [
-            CoverageResult(
-                transformation,
-                covered_mask=mask_from_rows(covered.get(index, empty)),
-            )
-            for index, transformation in enumerate(transformations)
-        ]
-
-    def _coverage_sharded(
         self,
         transformations: list[Transformation],
         num_workers: int,
         deadline: float | None,
     ) -> list[CoverageResult]:
-        pairs = list(self.pairs)
         trie = _build_unit_trie(transformations)
-        shards = map_sharded(
-            (pairs, trie, self.use_unit_cache, deadline),
-            _walk_shard,
-            len(pairs),
-            num_workers=num_workers,
-            task_timeout=self.task_timeout,
-            max_shard_retries=self.shard_retries,
-            serial_fallback=self.serial_fallback,
-        )
+        if num_workers > 1:
+            pairs = list(self.pairs)
+            shards = map_sharded(
+                (pairs, trie, deadline),
+                _walk_shard,
+                len(pairs),
+                num_workers=num_workers,
+                task_timeout=self.task_timeout,
+                max_shard_retries=self.shard_retries,
+                serial_fallback=self.serial_fallback,
+            )
+        else:
+            shards = [_walk_trie_rows(self.pairs, 0, trie, deadline)]
         covered: list[list[int]] = [[] for _ in transformations]
         rows_processed = 0
         for shard_covered, hits, misses, applications, shard_rows in shards:
@@ -1322,7 +1244,9 @@ class CoverageComputer:
             # Shards arrive in row order, so every row list stays ascending.
             for index, rows in shard_covered.items():
                 covered[index].extend(rows)
-        self._note_rows(rows_processed)
+        self.rows_processed = rows_processed
+        if rows_processed < len(self.pairs):
+            self.budget_exhausted = True
         return [
             CoverageResult(transformation, covered_mask=mask_from_rows(rows))
             for transformation, rows in zip(transformations, covered)

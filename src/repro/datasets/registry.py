@@ -68,10 +68,15 @@ def available_datasets() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def load_dataset(name: str, *, scale: float = 1.0, seed: int = 0) -> BenchmarkDataset:
-    """Build the dataset *name* at the given *scale* (1.0 = paper-scale)."""
+def check_scale(scale: float) -> None:
+    """Raise ``ValueError`` unless *scale* is a valid :func:`load_dataset` scale."""
     if scale <= 0.0:
         raise ValueError(f"scale must be positive, got {scale}")
+
+
+def load_dataset(name: str, *, scale: float = 1.0, seed: int = 0) -> BenchmarkDataset:
+    """Build the dataset *name* at the given *scale* (1.0 = paper-scale)."""
+    check_scale(scale)
     try:
         builder = _REGISTRY[name]
     except KeyError:

@@ -30,7 +30,7 @@ from repro.core.transformation import Transformation
 from repro.matching.index import ValueIndex
 from repro.model.apply import TransformationApplier
 from repro.parallel.errors import DeadlineExceededError
-from repro.parallel.executor import env_default_workers
+from repro.parallel.executor import check_execution_settings, env_default_workers
 from repro.table.table import Table
 
 
@@ -221,16 +221,12 @@ class TransformationJoiner:
         """
         if min_support < 0.0 or min_support > 1.0:
             raise ValueError(f"min_support must be in [0, 1], got {min_support}")
-        if num_workers is not None and num_workers < 0:
-            raise ValueError(f"num_workers must be >= 0, got {num_workers}")
-        if min_rows_per_worker is not None and min_rows_per_worker < 0:
-            raise ValueError(
-                f"min_rows_per_worker must be >= 0, got {min_rows_per_worker}"
-            )
-        if task_timeout_s < 0:
-            raise ValueError(f"task_timeout_s must be >= 0, got {task_timeout_s}")
-        if shard_retries < 0:
-            raise ValueError(f"shard_retries must be >= 0, got {shard_retries}")
+        check_execution_settings(
+            num_workers=num_workers,
+            min_rows_per_worker=min_rows_per_worker,
+            task_timeout_s=task_timeout_s,
+            shard_retries=shard_retries,
+        )
 
     @staticmethod
     def _supported_transformations(

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from repro.core.pairs import RowPair
 from repro.matching.index import InvertedIndex
 from repro.matching.tokenize import TOKENIZERS
-from repro.parallel.executor import env_default_workers
+from repro.parallel.executor import check_execution_settings, env_default_workers
 from repro.table.table import Table
 
 #: Matching engines :func:`create_row_matcher` can build: "ngram" is
@@ -155,23 +155,12 @@ class MatchingConfig:
             raise ValueError(
                 f"setsim_qgram must be positive, got {self.setsim_qgram}"
             )
-        if self.num_workers < 0:
-            raise ValueError(
-                f"num_workers must be >= 0, got {self.num_workers}"
-            )
-        if self.min_rows_per_worker is not None and self.min_rows_per_worker < 0:
-            raise ValueError(
-                "min_rows_per_worker must be >= 0, got "
-                f"{self.min_rows_per_worker}"
-            )
-        if self.task_timeout_s < 0:
-            raise ValueError(
-                f"task_timeout_s must be >= 0, got {self.task_timeout_s}"
-            )
-        if self.shard_retries < 0:
-            raise ValueError(
-                f"shard_retries must be >= 0, got {self.shard_retries}"
-            )
+        check_execution_settings(
+            num_workers=self.num_workers,
+            min_rows_per_worker=self.min_rows_per_worker,
+            task_timeout_s=self.task_timeout_s,
+            shard_retries=self.shard_retries,
+        )
 
 
 def emit_candidate_pairs(

@@ -8,8 +8,7 @@ a plain tuple of read-only state and a module-level worker that sits beside
 its serial kernel, and merges the in-order shard results itself:
 
 * :meth:`repro.core.coverage.CoverageComputer.coverage_of_all` — identical
-  covered rows always, identical cache statistics from a cold cache
-  (workers never see a computer's warmed persistent cache);
+  covered rows and cache statistics;
 * :meth:`repro.matching.setsim.SetSimRowMatcher.match_values_with_stats` —
   identical pairs, order and candidate count;
 * :meth:`repro.model.apply.TransformationApplier.transform_rows` —
@@ -17,10 +16,10 @@ its serial kernel, and merges the in-order shard results itself:
 
 The n-gram matcher is serial: sharding it lost to serial on two cores.
 
-:mod:`repro.parallel.executor` holds the :class:`ShardedExecutor` (one pool
-per run, state shared copy-on-write under fork or pickled once per worker
-under spawn, guided shard sizing with a work-stealing task queue, in-order
-results).  The knobs are ``DiscoveryConfig.num_workers``,
+:mod:`repro.parallel.executor` holds the :class:`ShardedExecutor` (a
+``concurrent.futures.ProcessPoolExecutor`` per run, state shared
+copy-on-write under fork or pickled once per worker under spawn, guided
+shard sizing with a work-stealing task queue, in-order results).  The knobs are ``DiscoveryConfig.num_workers``,
 ``MatchingConfig.num_workers`` and ``TransformationJoiner``'s
 ``num_workers`` (1 = serial, 0 = all cores; defaults honour the
 ``REPRO_NUM_WORKERS`` environment variable), surfaced on the CLI as
@@ -31,9 +30,9 @@ consistently honours the small-input fast path.
 Failures inside the sharded paths surface as the typed taxonomy of
 :mod:`repro.parallel.errors` (:class:`ShardError`,
 :class:`WorkerCrashError`, :class:`ShardTimeoutError`); by default the
-executor recovers from them transparently — bounded in-pool retries, then
-a serial inline fallback that recomputes only the failed shards — so the
-merged result stays byte-identical even on a flaky pool.
+executor recovers from them transparently — bounded pool retries, then a
+serial inline fallback that recomputes only the shards the pool did not
+deliver — so the merged result stays byte-identical even on a flaky pool.
 """
 
 from repro.parallel.errors import (

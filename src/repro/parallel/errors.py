@@ -11,10 +11,10 @@ many pool attempts were made, and the underlying cause:
 * :class:`ShardError` — the base type: a shard's worker function raised, and
   retries plus (when enabled) the serial inline fallback could not produce a
   result.  ``cause`` holds the original exception.
-* :class:`WorkerCrashError` — a pool worker process died while the shard was
-  pending (an ``os._exit``, a segfault, an OOM kill: the
-  ``BrokenProcessPool`` class of failure).  The task is lost, not failed —
-  there is no worker traceback to attach.
+* :class:`WorkerCrashError` — a pool worker process died before the shard
+  was delivered (an ``os._exit``, a segfault, an OOM kill, reported by the
+  pool as ``BrokenProcessPool``).  The task is lost, not failed — there is
+  no worker traceback to attach.
 * :class:`ShardTimeoutError` — the submission-time deadline derived from
   ``task_timeout`` expired before the shard's result arrived.  Replaces the
   bare ``multiprocessing.TimeoutError`` the executor used to leak.
@@ -77,11 +77,13 @@ class ShardError(RuntimeError):
 
 
 class WorkerCrashError(ShardError):
-    """A pool worker process died while a shard was pending.
+    """A pool worker process died before the shard was delivered.
 
-    The ``BrokenProcessPool`` class of failure: the worker was killed (or
-    killed itself) without reporting a result, so the shard's task is lost
-    rather than failed — there is no worker traceback to chain.
+    ``concurrent.futures`` reports a worker death as ``BrokenProcessPool``
+    for every shard the pool had not delivered, not only the one the dead
+    worker held, so each of them gets this error and the executor retries
+    them all on a fresh pool.  The task is lost rather than failed — there
+    is no worker traceback to chain.
     """
 
 

@@ -2,54 +2,34 @@
 
 Batched coverage, setsim matching and the apply walk are embarrassingly
 parallel over rows, but the read-only structures they walk (the frozen
-unit-prefix trie, the setsim prefix index) are large, and shipping them
-with every task would drown the win in serialization.  The
-:class:`ShardedExecutor` therefore shares that state with the pool exactly
-once per run:
+unit-prefix trie, the setsim prefix index) are large.  The
+:class:`ShardedExecutor` therefore hands that state to the initializer of a
+:class:`concurrent.futures.ProcessPoolExecutor`, so it reaches each worker
+once: inherited copy-on-write under **fork** (the default wherever
+available), pickled once per worker under **spawn / forkserver**.  Tasks
+are tiny ``(start, stop)`` row ranges on a guided, decreasing schedule,
+pulled from the pool's shared queue by whichever worker goes idle first;
+results come back in shard order, so every engine's merge is deterministic.
 
-* **fork** (the default wherever available): the state is handed to the pool
-  initializer *before* the children are forked, so every worker inherits the
-  parent's objects through copy-on-write memory — nothing is pickled at all;
-* **spawn / forkserver** (the fallback for platforms without fork): the same
-  initializer arguments are pickled once per worker process at pool start-up,
-  never per task.
+The executor is run-scoped and single-use, so workers (and any cache built
+inside one) never outlive the ``with ShardedExecutor(state, ...)`` block.
 
-Tasks themselves are tiny ``(start, stop)`` row ranges.  The shard plan is a
-guided, decreasing schedule (early shards large, tail shards small) and the
-pool's shared task queue hands shards to whichever worker goes idle first, so
-a slow shard steals less total wall-clock than static splitting would.
-Results are collected in submission order, which keeps every sharded engine's
-merge deterministic.
-
-The executor is deliberately run-scoped: ``with ShardedExecutor(state, ...)``
-forks the pool, runs the shards, and tears the pool down.  Workers never
-outlive the run, so mutable caches built inside a worker can never leak into
-a later computation.  An executor is also single-use: once exited it is
-closed, and both re-entering and mapping raise instead of silently running
-inline.
-
-**Fault tolerance.**  ``map_shards`` no longer assumes a healthy pool.  A
-shard that fails — its worker function raised, its worker process died
-(detected by checking each shard's announced worker pid against the pool's
-live workers while the result is pending), or the submission-time deadline
-expired — is retried in the pool
-up to ``max_shard_retries`` times with exponential backoff, and when the
-pool cannot produce it the shard is re-run *serially inline* in the parent
-process against the same shared state.  Because every sharded engine is
-deterministic per row range, the inline re-run yields exactly the bytes the
-pool would have, so a flaky pool still produces the byte-identical merged
-result.  When the fallback is disabled (``serial_fallback=False``) the
-failure surfaces as the typed taxonomy of :mod:`repro.parallel.errors`
-(:class:`ShardError` / :class:`WorkerCrashError` /
-:class:`ShardTimeoutError`) instead of a bare pool exception.
-``task_timeout`` is a *deadline for the whole map*: it is converted to a
-monotonic deadline once at submission, and every wait consumes the
-remaining time.
-
-Shard dispatch runs through :func:`_run_shard`, which consults the
-deterministic fault-injection hook of :mod:`repro.testing.faults` when
-``REPRO_FAULT_INJECT`` is set — the chaos tests use it to kill, hang, or
-raise inside real workers and assert the recovery paths above end-to-end.
+**Fault tolerance.**  ``map_shards`` runs in rounds.  A round submits every
+shard not yet delivered and collects them in shard order, each wait taking
+what is left of one map deadline (``task_timeout``, fixed at submission).
+An undelivered shard becomes :class:`ShardError` when its worker raised
+(the next round reuses the pool), :class:`WorkerCrashError` when a worker
+process died — the pool then reports ``BrokenProcessPool`` for every shard
+it had not delivered, and the next round starts a fresh pool — or
+:class:`ShardTimeoutError` when the deadline expired, which terminates the
+round's workers.  Failed shards get up to ``max_shard_retries`` further
+rounds with exponential backoff, except after a timeout or a worker's own
+:class:`DeadlineExceededError` (a deadline cannot un-expire).  Whatever the
+pool still could not produce is re-run *serially inline* against the same
+state; every sharded engine is deterministic per row range, so the merged
+result stays byte-identical.  With ``serial_fallback=False`` the first
+missing shard's typed error is raised instead.  The chaos tests inject
+these faults through :func:`_run_shard` (see :mod:`repro.testing.faults`).
 """
 
 from __future__ import annotations
@@ -58,6 +38,8 @@ import multiprocessing
 import os
 import time
 from collections.abc import Callable, Sequence
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any
 
 from repro.parallel.errors import (
@@ -79,45 +61,32 @@ _WORKER_STATE: Any = _STATE_NOT_INSTALLED
 #: so the serial fallback provably recovers.
 _IN_POOL_WORKER = False
 
-#: In pool workers: the queue on which :func:`_run_shard` announces
-#: ``(shard_index, pid)`` before executing a shard.  The parent uses these
-#: start events to attribute a dead worker's pid to exactly the shard it
-#: held — the one task a ``multiprocessing.Pool`` silently loses on a worker
-#: death.  ``None`` in the parent and in inline runs.
-_START_EVENTS: Any = None
-
 #: Environment variable of :mod:`repro.testing.faults`, duplicated here so
 #: the zero-cost guard in :func:`_run_shard` needs no import when unset.
 _FAULT_ENV = "REPRO_FAULT_INJECT"
 
 
-def _install_worker_state(state: Any) -> None:
-    """Stash the shared read-only state (worker process or inline run)."""
-    global _WORKER_STATE
-    _WORKER_STATE = state
+def _pool_initializer(state: Any, fault_spec: str) -> None:
+    """Pool initializer: install the state and mark this process a worker.
 
-
-def _pool_initializer(state: Any, start_events: Any) -> None:
-    """Pool initializer: install the state and mark this process a worker."""
-    global _IN_POOL_WORKER, _START_EVENTS
+    *fault_spec* is the parent's ``REPRO_FAULT_INJECT`` (empty when unset,
+    which the hook reads as unset).  The worker sets it itself because a
+    forkserver worker inherits the environment of the fork server, which
+    starts once per process and keeps whatever spec was set at that moment.
+    """
+    global _IN_POOL_WORKER, _WORKER_STATE
     _IN_POOL_WORKER = True
-    _START_EVENTS = start_events
-    _install_worker_state(state)
+    _WORKER_STATE = state
+    os.environ[_FAULT_ENV] = fault_spec
 
 
 def _run_shard(worker: Callable[[int, int], Any], shard_index: int, start: int, stop: int) -> Any:
     """Dispatch one shard to *worker*, consulting the fault-injection hook.
 
-    This is the single entry point every shard execution goes through — pool
-    tasks, inline single-worker runs, and serial fallback re-runs alike — so
-    an injected fault fires at exactly the same point a real failure would.
-    In a pool worker the shard is announced on the start-event queue first:
-    a crash after this point (injected or real) leaves the parent a record
-    of which shard died with the worker.  The fault hook costs one
-    environment lookup when unset.
+    Every shard execution — pool task, inline run or fallback re-run — goes
+    through here, so an injected fault fires where a real failure would.
+    The hook costs one environment lookup when unset.
     """
-    if _START_EVENTS is not None:
-        _START_EVENTS.put((shard_index, os.getpid()))
     if os.environ.get(_FAULT_ENV):
         from repro.testing.faults import maybe_inject
 
@@ -152,6 +121,44 @@ def resolve_num_workers(num_workers: int) -> int:
     return num_workers
 
 
+def check_execution_settings(
+    *,
+    num_workers: int | None,
+    min_rows_per_worker: int | None,
+    task_timeout_s: float,
+    shard_retries: int,
+) -> None:
+    """Raise ``ValueError`` when an execution setting is negative.
+
+    Shared by ``DiscoveryConfig``, ``MatchingConfig`` and
+    ``TransformationJoiner.check_settings``; ``None`` means the default.
+    """
+    if num_workers is not None and num_workers < 0:
+        raise ValueError(f"num_workers must be >= 0, got {num_workers}")
+    if min_rows_per_worker is not None and min_rows_per_worker < 0:
+        raise ValueError(
+            f"min_rows_per_worker must be >= 0, got {min_rows_per_worker}"
+        )
+    if task_timeout_s < 0:
+        raise ValueError(f"task_timeout_s must be >= 0, got {task_timeout_s}")
+    if shard_retries < 0:
+        raise ValueError(f"shard_retries must be >= 0, got {shard_retries}")
+
+
+def _env_count(name: str, default: int) -> int:
+    """The integer >= 0 in environment variable *name* (unset: *default*)."""
+    value = os.environ.get(name, "").strip()
+    if not value:
+        return default
+    try:
+        count = int(value)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < 0:
+        raise ValueError(f"{name} must be >= 0, got {count}")
+    return count
+
+
 def env_default_workers(default: int = 1) -> int:
     """The default worker count, overridable via ``REPRO_NUM_WORKERS``.
 
@@ -161,18 +168,7 @@ def env_default_workers(default: int = 1) -> int:
     tier-1 suite with two workers.  Unset or empty means *default* (serial);
     the value follows :func:`resolve_num_workers` semantics (0 = all cores).
     """
-    value = os.environ.get("REPRO_NUM_WORKERS", "").strip()
-    if not value:
-        return default
-    try:
-        workers = int(value)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_NUM_WORKERS must be an integer, got {value!r}"
-        ) from None
-    if workers < 0:
-        raise ValueError(f"REPRO_NUM_WORKERS must be >= 0, got {workers}")
-    return workers
+    return _env_count("REPRO_NUM_WORKERS", default)
 
 
 #: Default small-input threshold: a worker must have at least this many items
@@ -188,20 +184,7 @@ def env_min_items_per_worker(default: int = DEFAULT_MIN_ITEMS_PER_WORKER) -> int
     ``0`` disables the small-input fast path entirely (the equivalence tests
     and the sharded CI job use it so tiny inputs still exercise real pools).
     """
-    value = os.environ.get("REPRO_MIN_ROWS_PER_WORKER", "").strip()
-    if not value:
-        return default
-    try:
-        threshold = int(value)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_MIN_ROWS_PER_WORKER must be an integer, got {value!r}"
-        ) from None
-    if threshold < 0:
-        raise ValueError(
-            f"REPRO_MIN_ROWS_PER_WORKER must be >= 0, got {threshold}"
-        )
-    return threshold
+    return _env_count("REPRO_MIN_ROWS_PER_WORKER", default)
 
 
 def tuned_num_workers(
@@ -291,16 +274,29 @@ def shard_plan(num_items: int, num_workers: int) -> list[tuple[int, int]]:
     return shards
 
 
-#: Default number of *additional* pool attempts for a failed shard.
+#: Default number of *additional* pool rounds for a failed shard.
 DEFAULT_MAX_SHARD_RETRIES = 2
 
 #: Default base of the exponential retry backoff, in seconds.
 DEFAULT_RETRY_BACKOFF_S = 0.05
 
-#: How often the parent wakes to check the deadline and worker health while a
-#: shard result is pending.  Coarse on purpose: one wake per interval per
-#: *pending* shard is the entire polling cost of crash detection.
-_POLL_INTERVAL_S = 0.05
+_SINGLE_USE = "ShardedExecutor is single-use: construct a new one"
+
+
+def _terminate_workers(pool: ProcessPoolExecutor) -> None:
+    """Shut *pool* down now, killing its workers, hung ones included.
+
+    ``shutdown()`` waits for running tasks, and a hung task never ends.
+    Python 3.14 adds ``ProcessPoolExecutor.terminate_workers()``; until then
+    the private ``_processes`` map is the one handle on the workers.  Called
+    only after a deadline expired, after a worker died (the pool's own
+    clean-up can fail in the race noted in ``ShardedExecutor._run_round``
+    and leave workers behind), or when the ``with`` block exits on an
+    exception — never on the healthy path.
+    """
+    for process in list((pool._processes or {}).values()):
+        process.terminate()
+    pool.shutdown(cancel_futures=True)
 
 
 class ShardedExecutor:
@@ -309,37 +305,27 @@ class ShardedExecutor:
     Parameters
     ----------
     state:
-        Arbitrary read-only object made available to worker functions via
-        :func:`worker_state`.  Shared copy-on-write under fork; pickled once
-        per worker under spawn/forkserver.
+        Read-only object worker functions reach via :func:`worker_state`.
     num_workers:
         Pool size (already resolved; must be >= 1).  With exactly one
-        worker no pool is spawned at all — the shards run inline in the
-        current process (the small-input fast path; see
-        :func:`tuned_num_workers`).
+        worker no pool is started — the shards run inline in this process
+        (the small-input fast path; see :func:`tuned_num_workers`).
     start_method:
-        Multiprocessing start method; defaults to
-        :func:`default_start_method`.
+        Defaults to :func:`default_start_method`.
     task_timeout:
         Optional wall-clock budget in seconds for one whole ``map_shards``
-        call.  Converted to a monotonic deadline at submission; every wait
-        consumes the remaining time, and expiry surfaces as
-        :class:`~repro.parallel.errors.ShardTimeoutError` (or, with the
-        serial fallback enabled, triggers an inline re-run of the shards the
-        pool did not deliver in time).
+        call, fixed as a monotonic deadline at submission; expiry fails
+        every shard not delivered with ``ShardTimeoutError``.
     max_shard_retries:
-        How many *additional* pool attempts a failed shard gets before the
-        executor falls back (or raises).  Retries back off exponentially
-        from ``retry_backoff_s``.  Timeouts are never retried — the deadline
-        that expired for attempt one has expired for attempt two as well.
+        How many *additional* pool rounds failed shards get before the
+        executor falls back (or raises).  Timeouts are never retried.
     retry_backoff_s:
         Base sleep before pool retry *n* (``retry_backoff_s * 2**(n-1)``),
         clamped to the remaining deadline.
     serial_fallback:
-        When True (the default), a shard the pool cannot produce — retries
-        exhausted, worker crashed, or deadline expired — is recomputed
-        serially inline in the parent process, preserving the byte-identical
-        merged result.  When False the typed error is raised instead.
+        When True (the default), a shard the pool cannot produce is
+        recomputed serially inline, preserving the byte-identical merged
+        result.  When False the typed error is raised instead.
     """
 
     def __init__(
@@ -358,13 +344,9 @@ class ShardedExecutor:
         if task_timeout is not None and task_timeout <= 0:
             raise ValueError(f"task_timeout must be > 0, got {task_timeout}")
         if max_shard_retries < 0:
-            raise ValueError(
-                f"max_shard_retries must be >= 0, got {max_shard_retries}"
-            )
+            raise ValueError(f"max_shard_retries must be >= 0, got {max_shard_retries}")
         if retry_backoff_s < 0:
-            raise ValueError(
-                f"retry_backoff_s must be >= 0, got {retry_backoff_s}"
-            )
+            raise ValueError(f"retry_backoff_s must be >= 0, got {retry_backoff_s}")
         self._state = state
         self._num_workers = num_workers
         self._start_method = start_method or default_start_method()
@@ -372,16 +354,10 @@ class ShardedExecutor:
         self._max_shard_retries = max_shard_retries
         self._retry_backoff_s = retry_backoff_s
         self._serial_fallback = serial_fallback
-        self._pool: multiprocessing.pool.Pool | None = None
+        self._pool: ProcessPoolExecutor | None = None
         self._entered = False
         self._closed = False
         self._degraded = False
-        # Crash-attribution bookkeeping (pool path only): which worker pid
-        # last started each shard, and which shards are known lost because
-        # their worker vanished mid-task.
-        self._start_events: Any = None
-        self._started: dict[int, int] = {}
-        self._lost_shards: set[int] = set()
 
     @property
     def num_workers(self) -> int:
@@ -400,275 +376,168 @@ class ShardedExecutor:
 
     def __enter__(self) -> "ShardedExecutor":
         if self._closed:
-            raise RuntimeError(
-                "ShardedExecutor is single-use: this executor was already "
-                "exited; construct a new one"
-            )
+            raise RuntimeError(_SINGLE_USE)
         if self._entered:
             raise RuntimeError("ShardedExecutor is already entered")
-        if self._num_workers == 1:
-            # Small-input fast path: one worker needs no pool at all — the
-            # shards run inline in this process, against the same shared
-            # state, with identical results and none of the fork cost.
-            self._entered = True
-            return self
-        context = multiprocessing.get_context(self._start_method)
-        self._start_events = context.SimpleQueue()
-        self._pool = context.Pool(
-            processes=self._num_workers,
-            initializer=_pool_initializer,
-            initargs=(self._state, self._start_events),
-        )
         self._entered = True
         return self
 
     def __exit__(self, exc_type, exc_value, traceback) -> None:
         self._entered = False
         self._closed = True
-        pool = self._pool
-        self._pool = None
-        events = self._start_events
-        self._start_events = None
-        if pool is None:
-            return
-        if exc_type is None and not self._degraded:
-            pool.close()
-        else:
-            # A failed run must not leave workers grinding through the
-            # remaining shards — and after a degraded run a worker may still
-            # be hung on an abandoned task, which close()+join() would wait
-            # on forever.
-            pool.terminate()
-        pool.join()
-        if events is not None:
-            events.close()
+        pool, self._pool = self._pool, None
+        if pool is not None and exc_type is None:
+            pool.shutdown()
+        elif pool is not None:
+            # A failed run must not leave workers grinding through shards
+            # nobody will collect.
+            _terminate_workers(pool)
 
     def map_shards(self, worker: Callable[[int, int], Any], num_items: int) -> list[Any]:
         """Run ``worker(start, stop)`` over every shard of ``range(num_items)``.
 
-        All shards are submitted up front; idle workers pull the next shard
-        from the shared queue (the work-stealing behaviour).  Results are
-        returned in shard order regardless of completion order, so callers
-        can merge deterministically.  With one worker the shards run inline
-        (no pool was spawned); the shared state is installed for the
-        duration so worker functions behave identically.
-
-        ``task_timeout`` bounds this whole call via a single submission-time
-        deadline.  Failed shards are retried and, with ``serial_fallback``
-        enabled, recomputed inline — see the class docstring for the full
-        recovery contract.
+        Results are returned in shard order regardless of completion order,
+        so callers can merge deterministically.  With one worker the shards
+        run inline against the same shared state.  Failed shards are
+        retried and recovered as the module docstring describes.
         """
         if self._closed:
-            raise RuntimeError(
-                "ShardedExecutor is single-use: this executor was already "
-                "exited; construct a new one"
-            )
-        if not getattr(self, "_entered", False):
+            raise RuntimeError(_SINGLE_USE)
+        if not self._entered:
             raise RuntimeError("ShardedExecutor must be entered before use")
         shards = shard_plan(num_items, self._num_workers)
-        deadline = (
-            time.monotonic() + self._task_timeout
-            if self._task_timeout is not None
-            else None
-        )
-        if self._pool is None:
+        if self._num_workers == 1:
+            # Small-input fast path: one worker needs no pool at all.
             return [
                 self._run_inline(worker, index, shard)
                 for index, shard in enumerate(shards)
             ]
-        pending = [
-            self._pool.apply_async(_run_shard, (worker, index, start, stop))
-            for index, (start, stop) in enumerate(shards)
-        ]
-        return [
-            self._collect_shard(worker, index, shard, result, deadline)
-            for index, (shard, result) in enumerate(zip(shards, pending))
-        ]
-
-    # ------------------------------------------------------------------
-    # Recovery machinery
-    # ------------------------------------------------------------------
-
-    def _worker_pids(self) -> tuple[int, ...]:
-        """A stable snapshot of the pool's current worker pids.
-
-        Reads the pool's private ``_pool`` process list — there is no public
-        API for worker identity, and pid churn is the only signal a
-        ``multiprocessing.Pool`` gives for a worker death: a killed worker is
-        silently replaced by ``Pool._maintain_pool`` while its in-flight task
-        is lost forever.  The getattr guard keeps this degrading to "no crash
-        detection" rather than an AttributeError if the internals shift.
-        """
-        pool = self._pool
-        processes = getattr(pool, "_pool", None) if pool is not None else None
-        if not processes:
-            return ()
-        return tuple(sorted(p.pid for p in processes if p.pid is not None))
-
-    def _note_worker_deaths(self) -> None:
-        """Fold fresh start events into the lost-shard set.
-
-        Drains the start-event queue (``shard index -> last starting pid``),
-        then checks every announced pid against the pool's *live* workers.
-        An announced pid that is no longer alive means its shard died with
-        its worker — the lost-task condition a ``multiprocessing.Pool``
-        never reports (``_maintain_pool`` quietly replaces the dead worker
-        and the task simply never completes).  The check deliberately avoids
-        diffing live-pid snapshots: workers that crash and are replaced
-        *between* two polls would appear in neither snapshot and their
-        shards would hang undetected.  A dead pid can also mark shards the
-        worker already finished; the ``result.ready()`` guard at the
-        consumer keeps those from being treated as lost.  Attribution is
-        per-shard, so a crash on one shard cannot be charged to a different
-        shard that is merely slow.
-        """
-        events = self._start_events
-        if events is not None:
-            while not events.empty():
-                shard_index, pid = events.get()
-                self._started[shard_index] = pid
-        alive = set(self._worker_pids())
-        if not alive:
-            # Either the pool internals became unreadable (degrade to "no
-            # crash detection") or every worker is momentarily dead awaiting
-            # replacement — the next poll tick sees the replacements.
-            return
-        for shard_index, pid in self._started.items():
-            if pid not in alive:
-                self._lost_shards.add(shard_index)
-
-    def _await_result(
-        self,
-        result: multiprocessing.pool.AsyncResult,
-        index: int,
-        shard: tuple[int, int],
-        attempts: int,
-        deadline: float | None,
-    ) -> Any:
-        """Wait for one pool result, policing the deadline and worker health.
-
-        Wakes every ``_POLL_INTERVAL_S`` to (a) fail fast with
-        :class:`ShardTimeoutError` once the submission-time deadline passes
-        and (b) update the death bookkeeping — a shard attributed to a dead
-        worker and still unready raises :class:`WorkerCrashError` instead of
-        waiting forever on a task the pool has silently lost.
-        """
-        while True:
-            wait = _POLL_INTERVAL_S
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise ShardTimeoutError(
-                        f"shard {shard[0]}:{shard[1]} missed the "
-                        f"{self._task_timeout}s map deadline",
-                        shard=shard,
-                        attempts=attempts,
-                    )
-                wait = min(wait, remaining)
-            try:
-                return result.get(wait)
-            except multiprocessing.TimeoutError:
-                self._note_worker_deaths()
-                if index in self._lost_shards and not result.ready():
-                    # Consume the flag: the retry will re-announce itself.
-                    self._lost_shards.discard(index)
-                    raise WorkerCrashError(
-                        f"a pool worker died holding shard "
-                        f"{shard[0]}:{shard[1]}",
-                        shard=shard,
-                        attempts=attempts,
-                    ) from None
-                self._lost_shards.discard(index)
-
-    def _collect_shard(
-        self,
-        worker: Callable[[int, int], Any],
-        index: int,
-        shard: tuple[int, int],
-        result: multiprocessing.pool.AsyncResult,
-        deadline: float | None,
-    ) -> Any:
-        """Produce one shard's result, whatever it takes.
-
-        Attempt order: the original submission, then up to
-        ``max_shard_retries`` fresh pool submissions with exponential
-        backoff (crashes and worker exceptions only — an expired deadline is
-        not retried), then the serial inline fallback.  With the fallback
-        disabled, the last typed error is raised instead.
-        """
+        timeout = self._task_timeout
+        deadline = None if timeout is None else time.monotonic() + timeout
+        results: dict[int, Any] = {}
+        errors: dict[int, ShardError] = {}  # latest, per undelivered shard
+        pending = list(range(len(shards)))
         attempts = 0
-        error: ShardError | None = None
-        while True:
+        while pending:
             attempts += 1
-            try:
-                return self._await_result(result, index, shard, attempts, deadline)
-            except ShardTimeoutError as exc:
+            self._run_round(
+                worker, shards, pending, attempts, deadline, results, errors
+            )
+            if errors:
                 self._degraded = True
-                error = exc
+            # Only crashes and worker exceptions get another round: the map
+            # deadline, or one the worker itself hit, cannot un-expire.
+            pending = [
+                index
+                for index in pending
+                if index in errors
+                and not isinstance(errors[index], ShardTimeoutError)
+                and not isinstance(errors[index].cause, DeadlineExceededError)
+            ]
+            if not pending or attempts > self._max_shard_retries:
                 break
-            except WorkerCrashError as exc:
-                self._degraded = True
-                error = exc
-            except Exception as exc:  # noqa: BLE001 — worker exception, re-raised by get()
-                self._degraded = True
-                error = ShardError(
-                    f"shard {shard[0]}:{shard[1]} worker raised "
-                    f"{type(exc).__name__}: {exc}",
-                    shard=shard,
-                    attempts=attempts,
-                    cause=exc,
-                )
-                error.__cause__ = exc
-                if isinstance(exc, DeadlineExceededError):
-                    # Deterministic, like a map timeout: the cooperative
-                    # deadline the worker hit cannot un-expire, so retries
-                    # (and backoff sleeps) would only delay the failure.
-                    break
-            if attempts > self._max_shard_retries:
-                break
-            backoff = self._retry_backoff_s * (2 ** (attempts - 1))
+            backoff = self._retry_backoff_s * 2 ** (attempts - 1)
             if deadline is not None:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     break
                 backoff = min(backoff, remaining)
-            if backoff > 0:
-                time.sleep(backoff)
-            # Drop the dead attempt's attribution before resubmitting, or
-            # the stale pid would mark the retry lost before its own start
-            # event arrives.
-            self._started.pop(index, None)
-            result = self._pool.apply_async(
-                _run_shard, (worker, index, shard[0], shard[1])
+            time.sleep(backoff)
+        for index in sorted(errors):
+            if not self._serial_fallback:
+                raise errors[index]
+            results[index] = self._run_inline(
+                worker, index, shards[index], errors[index].attempts
             )
-        if self._serial_fallback:
-            return self._run_inline(worker, index, shard, pool_error=error)
-        assert error is not None
-        raise error
+        return [results[index] for index in range(len(shards))]
+
+    def _run_round(
+        self,
+        worker: Callable[[int, int], Any],
+        shards: list[tuple[int, int]],
+        indices: list[int],
+        attempts: int,
+        deadline: float | None,
+        results: dict[int, Any],
+        errors: dict[int, ShardError],
+    ) -> None:
+        """One round: submit the shards *indices*, collect them in order.
+
+        Fills *results*, or *errors* with each undelivered shard's typed
+        error.  A broken or timed-out pool is dropped for a fresh one.
+        """
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(
+                self._num_workers,
+                mp_context=multiprocessing.get_context(self._start_method),
+                initializer=_pool_initializer,
+                initargs=(self._state, os.environ.get(_FAULT_ENV, "")),
+            )
+        pool = self._pool
+        futures: dict[int, Future] = {}
+        broken = timed_out = False
+        for index in indices:
+            start, stop = shards[index]
+            try:
+                futures[index] = pool.submit(_run_shard, worker, index, start, stop)
+            except BrokenProcessPool:
+                broken = True  # a worker already died
+                break
+        for index in indices:
+            shard = shards[index]
+            label = f"shard {shard[0]}:{shard[1]}"
+            future = futures.get(index)
+            try:
+                if future is None or (broken and not future.done()):
+                    # A broken pool delivers nothing more, and a shard submitted
+                    # while it broke can stay pending forever (Python 3.11 marks
+                    # a pool broken without submit()'s lock): it is lost now.
+                    raise BrokenProcessPool(label)
+                results[index] = future.result(
+                    None if deadline is None else max(deadline - time.monotonic(), 0)
+                )
+                errors.pop(index, None)
+                continue
+            except BrokenProcessPool:
+                broken = True
+                error = WorkerCrashError(
+                    f"a pool worker died before {label} was delivered"
+                )
+            except TimeoutError:
+                timed_out = True
+                error = ShardTimeoutError(
+                    f"{label} missed the {self._task_timeout}s map deadline"
+                )
+            except Exception as exc:  # noqa: BLE001 — the worker's own exception
+                error = ShardError(
+                    f"{label} worker raised {type(exc).__name__}: {exc}", cause=exc
+                )
+                error.__cause__ = exc
+            error.shard, error.attempts = shard, attempts
+            errors[index] = error
+        if broken or timed_out:
+            self._pool = None
+            _terminate_workers(pool)
 
     def _run_inline(
         self,
         worker: Callable[[int, int], Any],
         index: int,
         shard: tuple[int, int],
-        pool_error: ShardError | None = None,
+        attempts: int = 0,
     ) -> Any:
-        """Run one shard serially in this process against the shared state.
+        """Run one shard in this process, after *attempts* failed pool rounds.
 
-        Serves both the single-worker fast path and the fallback of last
-        resort after pool recovery fails.  The previous ``_WORKER_STATE`` is
-        always restored, so nested executors and outer inline runs are
-        unaffected even when the worker raises.  An inline failure is
-        terminal and surfaces as :class:`ShardError` carrying the pool
-        attempt count and the inline exception as its cause.
+        The previous ``_WORKER_STATE`` is always restored, so nested
+        executors are unaffected even when the worker raises; an inline
+        failure is terminal and surfaces as :class:`ShardError`.
         """
         global _WORKER_STATE
         previous = _WORKER_STATE
-        _install_worker_state(self._state)
+        _WORKER_STATE = self._state
         try:
             return _run_shard(worker, index, shard[0], shard[1])
         except Exception as exc:
-            attempts = pool_error.attempts if pool_error is not None else 0
             raise ShardError(
                 f"shard {shard[0]}:{shard[1]} failed inline after "
                 f"{attempts} pool attempt(s): {type(exc).__name__}: {exc}",
@@ -719,6 +588,7 @@ __all__: Sequence[str] = (
     "ShardTimeoutError",
     "ShardedExecutor",
     "WorkerCrashError",
+    "check_execution_settings",
     "default_start_method",
     "env_default_workers",
     "env_min_items_per_worker",

@@ -27,9 +27,10 @@ class TableReadError(ValueError):
     """A CSV file could not be read as a table.
 
     Raised with file (and, where applicable, line) context for every defect
-    class :func:`read_csv` detects: empty files, undecodable bytes, ragged
-    rows and CSV structure errors.  Subclasses ``ValueError`` so callers of
-    the pre-typed API keep catching it.
+    class :func:`read_csv` detects: files it cannot open or read, empty
+    files, undecodable bytes, ragged rows and CSV structure errors.
+    Subclasses ``ValueError`` so callers of the pre-typed API keep catching
+    it.
     """
 
 
@@ -51,6 +52,9 @@ def read_csv(
     * ``"replace"``: decode invalid bytes to U+FFFD replacement characters
       and coerce ragged rows to the header arity (short rows padded with
       empty cells, long rows truncated) — for dirty-but-usable data.
+
+    A file that cannot be opened or read (missing, a directory, no
+    permission) raises :class:`TableReadError` under either setting.
     """
     if errors not in ("strict", "replace"):
         raise ValueError(
@@ -92,6 +96,8 @@ def read_csv(
         ) from error
     except csv.Error as error:
         raise TableReadError(f"{path}: malformed CSV: {error}") from error
+    except OSError as error:
+        raise TableReadError(f"{path}: cannot read: {error.strerror or error}") from error
     return Table(columns, name=name or path.stem)
 
 

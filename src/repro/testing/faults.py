@@ -4,9 +4,10 @@ Recovery code that is never executed is recovery code that does not work, so
 the executor's crash/hang/exception handling is proven by *injecting* those
 faults inside real worker processes and asserting the documented outcome —
 either full recovery with byte-identical results, or the typed error of
-:mod:`repro.parallel.errors`.  The hook is environment-triggered so it works
-identically under ``fork`` and ``spawn`` (child processes inherit the
-environment either way, and spawn workers re-import this module cleanly):
+:mod:`repro.parallel.errors`.  The hook is environment-triggered and works
+identically under ``fork``, ``spawn`` and ``forkserver`` (the pool
+initializer hands each worker the parent's spec, and spawned workers
+re-import this module cleanly):
 
 .. code-block:: shell
 
@@ -182,8 +183,10 @@ def active_fault() -> FaultSpec | None:
     """The currently configured fault, or ``None`` when injection is off.
 
     Read from the environment on every call (not cached): tests flip the
-    variable between runs, and worker processes inherit whatever was set at
-    pool start-up under both fork and spawn.
+    variable between runs.  Pool workers do not rely on inheriting it — a
+    forkserver worker would inherit the fork server's copy from whenever
+    that server started — so the executor's pool initializer sets each
+    worker's variable to the parent's spec at pool start-up.
     """
     text = os.environ.get(FAULT_ENV, "").strip()
     if not text:

@@ -191,20 +191,15 @@ STRING_PAIRS = st.lists(st.tuples(CELL, CELL), min_size=0, max_size=10)
     string_pairs=STRING_PAIRS,
     transformations=TRANSFORMATIONS,
     row_offset=st.sampled_from([0, 7]),
-    use_cache=st.booleans(),
 )
-def test_coverage_walker_pinned_to_covers(
-    string_pairs, transformations, row_offset, use_cache
-):
+def test_coverage_walker_pinned_to_covers(string_pairs, transformations, row_offset):
     """The walker reports, as global row ids, exactly the rows for which
     ``Transformation.covers`` holds — every row, none skipped."""
     from repro.core.coverage import _walk_trie_rows
 
     pairs = pairs_from_strings(string_pairs)
     trie = _build_unit_trie(transformations)
-    covered, _, _, _, rows_processed = _walk_trie_rows(
-        pairs, row_offset, trie, [set() for _ in pairs], use_cache
-    )
+    covered, _, _, _, rows_processed = _walk_trie_rows(pairs, row_offset, trie)
     assert rows_processed == len(pairs)
     for index, transformation in enumerate(transformations):
         expected = [
@@ -220,10 +215,9 @@ def test_coverage_walker_pinned_to_covers(
     string_pairs=STRING_PAIRS,
     transformations=TRANSFORMATIONS,
     block_rows=st.sampled_from([1, 2, 3]),
-    use_cache=st.booleans(),
 )
 def test_coverage_walker_block_size_invariant(
-    string_pairs, transformations, block_rows, use_cache
+    string_pairs, transformations, block_rows
 ):
     """Every cache of the walk is per-row, so the row-block size changes
     neither the covered rows nor a single statistic."""
@@ -233,34 +227,7 @@ def test_coverage_walker_block_size_invariant(
 
     pairs = pairs_from_strings(string_pairs)
     trie = _build_unit_trie(transformations)
-    whole = coverage._walk_trie_rows(
-        pairs, 0, trie, [set() for _ in pairs], use_cache
-    )
+    whole = coverage._walk_trie_rows(pairs, 0, trie)
     with mock.patch.object(coverage, "_WALK_BLOCK_ROWS", block_rows):
-        blocked = coverage._walk_trie_rows(
-            pairs, 0, trie, [set() for _ in pairs], use_cache
-        )
+        blocked = coverage._walk_trie_rows(pairs, 0, trie)
     assert blocked == whole
-
-
-@settings(deadline=None, max_examples=40)
-@given(string_pairs=STRING_PAIRS, transformations=TRANSFORMATIONS)
-def test_coverage_walker_cache_flag_only_relabels_skips(
-    string_pairs, transformations
-):
-    """From cold caches the flag changes no classification: the same rows
-    are covered after the same applications, and the skips counted as hits
-    with the cache on are counted as misses with it off."""
-    from repro.core.coverage import _walk_trie_rows
-
-    pairs = pairs_from_strings(string_pairs)
-    trie = _build_unit_trie(transformations)
-    on = _walk_trie_rows(pairs, 0, trie, [set() for _ in pairs], True)
-    off = _walk_trie_rows(pairs, 0, trie, [set() for _ in pairs], False)
-    covered_on, hits_on, misses_on, applications_on, rows_on = on
-    covered_off, hits_off, misses_off, applications_off, rows_off = off
-    assert covered_on == covered_off
-    assert applications_on == applications_off
-    assert rows_on == rows_off == len(pairs)
-    assert hits_off == 0
-    assert hits_on + misses_on == misses_off

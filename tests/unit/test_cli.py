@@ -317,6 +317,35 @@ class TestErrorContract:
         assert captured.err.startswith("error: ")
         assert "expected 2 cells" in captured.err
 
+    @pytest.mark.parametrize("command", ["discover", "join", "fit", "apply"])
+    def test_missing_csv_maps_to_one_error_line(
+        self, command, staff_csvs, tmp_path, capsys
+    ):
+        # A CSV that does not exist is unreadable input like any other: exit
+        # 1 and one "error:" line, not a FileNotFoundError traceback.
+        source_path, target_path = staff_csvs
+        columns = ["--source-column", "Name", "--target-column", "Name"]
+        model = str(tmp_path / "model.json")
+        output = ["--output", str(tmp_path / "joined.csv")]
+        extra = {
+            "discover": [],
+            "join": output,
+            "fit": ["--save", model],
+            "apply": ["--model", model, *output],
+        }
+        if command == "apply":
+            fit = ["fit", str(source_path), str(target_path), *columns]
+            assert main([*fit, "--save", model]) == 0
+            capsys.readouterr()
+        missing = tmp_path / "missing.csv"
+        exit_code = main(
+            [command, str(missing), str(target_path), *columns, *extra[command]]
+        )
+        captured = capsys.readouterr()
+        assert exit_code == 1
+        assert captured.err.startswith(f"error: {missing}: cannot read: ")
+        assert len(captured.err.strip().splitlines()) == 1
+
 
 class TestTimeBudgetFlag:
     def test_exhausted_budget_warns_but_succeeds(self, staff_csvs, capsys):
@@ -642,6 +671,16 @@ class TestOutOfRangeFlags:
                 ["serve", ".", "--shard-retries", "-1"],
                 "shard_retries must be >= 0, got -1",
                 id="serve-shard-retries",
+            ),
+            pytest.param(
+                ["benchmark", "synth-50", "--output-dir", "out", "--scale", "0"],
+                "scale must be positive, got 0.0",
+                id="benchmark-scale-0",
+            ),
+            pytest.param(
+                ["benchmark", "synth-50", "--output-dir", "out", "--scale", "-1"],
+                "scale must be positive, got -1.0",
+                id="benchmark-scale-negative",
             ),
         ],
     )

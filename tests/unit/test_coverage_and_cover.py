@@ -122,6 +122,31 @@ class TestCoverageComputer:
         assert computer.stats.cache_hits == 0
         assert computer.stats.cache_misses == len(transformations) * 3
 
+    def test_batched_without_cache_counts_like_unbatched(
+        self, name_pairs, paper_transformation
+    ):
+        # The batch walk needs the unit cache; without it, asking for a
+        # batched walk takes the one-at-a-time path, counters included.
+        transformations = [
+            paper_transformation,
+            Transformation([Literal("zzz"), Split(",", 1)]),
+            Transformation([Split(",", 2), Literal(" "), Split(",", 1)]),
+        ]
+        runs = []
+        for batched in (True, False):
+            computer = CoverageComputer(name_pairs, use_unit_cache=False)
+            results = computer.coverage_of_all(transformations, batched=batched)
+            stats = computer.stats
+            runs.append(
+                (
+                    [result.covered_rows for result in results],
+                    stats.cache_hits,
+                    stats.cache_misses,
+                    stats.applications,
+                )
+            )
+        assert runs[0] == runs[1]
+
     def test_batched_empty_inputs(self):
         assert CoverageComputer([]).coverage_of_all([], batched=True) == []
 

@@ -4,13 +4,18 @@ These tests set ``REPRO_FAULT_INJECT`` and run real process pools, proving
 the executor's documented recovery contract end-to-end: a faulty pool still
 produces the byte-identical merged result (serial fallback), and with the
 fallback disabled the failure surfaces as the typed taxonomy of
-``repro.parallel.errors``.  CI runs this module under both ``fork`` and
-``spawn`` start methods (the ``chaos`` job).
+``repro.parallel.errors``.  CI runs this module under the ``fork``,
+``spawn`` and ``forkserver`` start methods (the ``chaos`` job).
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
 import time
+from concurrent.futures import Future, ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +35,24 @@ def _shard_sum(start: int, stop: int) -> int:
     """Sum the shared value list over one shard (module-level to pickle)."""
     values = worker_state()
     return sum(values[start:stop])
+
+
+def _record_pid_then_hang(start: int, stop: int) -> int:
+    """In a pool worker: leave this process's pid in the shared directory,
+    then hang; in the parent (the inline fallback): sum the shard."""
+    parent_pid, pid_dir = worker_state()
+    if os.getpid() != parent_pid:
+        (Path(pid_dir) / str(os.getpid())).touch()
+        time.sleep(30)
+    return sum(VALUES[start:stop])
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 def _expected_sums(num_workers: int) -> list[int]:
@@ -126,6 +149,33 @@ class TestCrashRecovery:
         assert error.shard == shard_plan(len(VALUES), 2)[0]
         assert error.attempts >= 1
 
+    def test_shard_lost_while_the_pool_broke_does_not_hang(self, monkeypatch):
+        # A shard submitted while the pool breaks can stay pending forever.
+        # Once an earlier shard reported the crash, the executor must count
+        # it lost and recover it inline instead of waiting on it.
+        real_submit = ProcessPoolExecutor.submit
+
+        def submit(pool, fn, *args):
+            if args[1] == 2:  # (worker, shard_index, start, stop)
+                return Future()  # never resolves
+            return real_submit(pool, fn, *args)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+        monkeypatch.setenv(FAULT_ENV, "crash:shard=0")
+        outcome = []
+
+        def run():
+            with ShardedExecutor(
+                VALUES, num_workers=2, max_shard_retries=0
+            ) as executor:
+                outcome.append(executor.map_shards(_shard_sum, len(VALUES)))
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert outcome == [_expected_sums(2)]
+
 
 class TestHangRecovery:
     def test_hung_shards_fall_back_within_the_map_deadline(self, monkeypatch):
@@ -144,6 +194,24 @@ class TestHangRecovery:
         num_shards = len(shard_plan(len(VALUES), 2))
         assert elapsed < 0.5 * num_shards / 2
         assert elapsed < 5.0
+
+    def test_no_worker_outlives_a_map_whose_shards_hung(self, tmp_path):
+        # Hung workers never finish their shard, so the executor must kill
+        # them rather than wait: once the map returns, none is left.  The
+        # deadline leaves spawned workers time to start and hang.
+        started = time.monotonic()
+        with ShardedExecutor(
+            (os.getpid(), str(tmp_path)), num_workers=2, task_timeout=2.0
+        ) as executor:
+            sums = executor.map_shards(_record_pid_then_hang, len(VALUES))
+            assert executor.degraded
+        assert time.monotonic() - started < 10.0
+        assert sums == _expected_sums(2)
+        pids = {int(path.name) for path in tmp_path.iterdir()}
+        assert pids
+        assert not [pid for pid in pids if _alive(pid)]
+        live = {child.pid for child in multiprocessing.active_children()}
+        assert not pids & live
 
     def test_hang_without_fallback_raises_timeout(self, monkeypatch):
         monkeypatch.setenv(FAULT_ENV, "hang:seconds=30")

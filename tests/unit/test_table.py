@@ -261,6 +261,14 @@ class TestTableReadErrors:
             read_csv(path)
         assert issubclass(TableReadError, ValueError)
 
+    def test_missing_file_error_is_typed(self, tmp_path):
+        from repro.table.io import TableReadError, read_csv
+
+        path = tmp_path / "missing.csv"
+        for errors in ("strict", "replace"):
+            with pytest.raises(TableReadError, match=r"missing\.csv: cannot read"):
+                read_csv(path, errors=errors)
+
     def test_lenient_mode_substitutes_replacement_characters(self, tmp_path):
         from repro.table.io import read_csv
 
