@@ -157,7 +157,8 @@ def test_table3_join_performance(benchmark):
     mean_afj = sum(row["afj_F"] for row in rows) / len(rows)
     mean_autojoin = sum(row["autojoin_F"] for row in rows) / len(rows)
     # At reduced scale the tables are tiny and clean, which flatters the
-    # similarity baseline (see EXPERIMENTS.md); at larger scales the gap turns
-    # in our favour as in the paper.
+    # similarity baseline (see benchmarks/results/table3_join.txt).  At
+    # scale 0.5 (seed 0) the gap turns in our favour on web (F1 0.774
+    # against AFJ's 0.748) but not on spreadsheet (0.877 against 0.940).
     assert mean_ours >= mean_afj - 0.10
     assert mean_ours > mean_autojoin

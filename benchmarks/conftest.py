@@ -8,8 +8,8 @@ smoke run) to change it.
 
 Each benchmark prints the rows of the table/figure it reproduces (the same
 columns the paper reports) and also appends them to
-``benchmarks/results/<name>.txt`` so EXPERIMENTS.md can reference concrete
-numbers.
+``benchmarks/results/<name>.txt``, so claims about a table can cite concrete
+numbers (Table 3's are in ``benchmarks/results/table3_join.txt``).
 """
 
 from __future__ import annotations

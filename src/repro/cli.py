@@ -53,6 +53,7 @@ from repro.matching.tokenize import TOKENIZERS
 from repro.model import ModelFormatError, TransformationModel
 from repro.parallel import ShardError
 from repro.table.io import TableReadError, read_csv, write_csv
+from repro.table.table import Table
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -436,6 +437,27 @@ def _matcher(args: argparse.Namespace) -> RowMatcher:
     return create_row_matcher(MatchingConfig(**kwargs))
 
 
+def _read_tables(args: argparse.Namespace) -> tuple[Table, Table]:
+    """Read the source and target CSVs, and check that each has its join
+    column.
+
+    A missing column is a :class:`TableReadError` naming the file and the
+    columns it has, so it ends as one ``error:`` line before any matching.
+    """
+    source = read_csv(args.source_csv)
+    target = read_csv(args.target_csv)
+    for path, table, column in (
+        (args.source_csv, source, args.source_column),
+        (args.target_csv, target, args.target_column),
+    ):
+        if column not in table:
+            raise TableReadError(
+                f"{path}: no column named {column!r}; "
+                f"available: {list(table.column_names)}"
+            )
+    return source, target
+
+
 def _warn_if_budget_exhausted(stats) -> None:
     """One stderr line when discovery degraded to a best-so-far result.
 
@@ -470,8 +492,7 @@ def run_discover(args: argparse.Namespace) -> int:
         engine = TransformationDiscovery(
             _discovery_config(args).replace(top_k=args.top_k)
         )
-    source = read_csv(args.source_csv)
-    target = read_csv(args.target_csv)
+    source, target = _read_tables(args)
     candidates = matcher.match(
         source,
         target,
@@ -508,8 +529,7 @@ def run_join(args: argparse.Namespace) -> int:
             shard_retries=args.shard_retries,
             serial_fallback=not args.no_serial_fallback,
         )
-    source = read_csv(args.source_csv)
-    target = read_csv(args.target_csv)
+    source, target = _read_tables(args)
     outcome = pipeline.run(
         source,
         target,
@@ -540,8 +560,7 @@ def run_fit(args: argparse.Namespace) -> int:
             shard_retries=args.shard_retries,
             serial_fallback=not args.no_serial_fallback,
         )
-    source = read_csv(args.source_csv)
-    target = read_csv(args.target_csv)
+    source, target = _read_tables(args)
     model = pipeline.fit(
         source,
         target,
@@ -581,8 +600,7 @@ def run_apply(args: argparse.Namespace) -> int:
         # all get the same clean one-line error contract.
         print(f"error: {error}", file=sys.stderr)
         return 1
-    source = read_csv(args.source_csv)
-    target = read_csv(args.target_csv)
+    source, target = _read_tables(args)
     applied = pipeline.apply(
         model,
         source,

@@ -29,9 +29,10 @@ the key — placeholders, length and the ``repr`` of the transformation, by
 far the costliest part — only for candidates whose coverage reaches the top.
 On a wide input most candidates cover a single row and never get there.
 
-The plain set-based scan survives as
-:func:`greedy_minimal_cover_reference` — the executable spec the property
-tests compare the CELF engine against, tie for tie.
+The plain set-based scan survives as the test oracle
+``greedy_minimal_cover_reference`` in ``tests/oracles/cover.py`` — the
+executable spec the property tests compare the CELF engine against, tie
+for tie.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ __all__ = [
     "covered_mask",
     "covered_rows",
     "greedy_minimal_cover",
-    "greedy_minimal_cover_reference",
     "top_k_by_coverage",
 ]
 
@@ -105,9 +105,9 @@ def greedy_minimal_cover(
 
     This is the CELF lazy-greedy engine: a max-heap of stale gain upper
     bounds, re-evaluating only the candidates whose bound still tops the
-    heap.  Selection order — including every tie — is identical to
-    :func:`greedy_minimal_cover_reference`, which remains the executable
-    spec.  Two facts make the laziness sound:
+    heap.  Selection order — including every tie — is identical to the
+    plain greedy scan (``tests/oracles/cover.py``), which remains the
+    executable spec.  Two facts make the laziness sound:
 
     * marginal gain is submodular, so a recomputed gain can only shrink —
       a stale bound is always an upper bound, and a candidate whose *fresh*
@@ -182,54 +182,6 @@ def greedy_minimal_cover(
         covered |= masks[entry[4]]
         selected.append(results[entry[4]])
         selection_round += 1
-    return selected
-
-
-def greedy_minimal_cover_reference(
-    results: Sequence[CoverageResult],
-    *,
-    min_support: int = 1,
-    max_transformations: int | None = None,
-) -> list[CoverageResult]:
-    """The plain set-based greedy scan — the executable spec of
-    :func:`greedy_minimal_cover`.
-
-    Rescores every remaining candidate each round with Python-set
-    arithmetic.  Kept verbatim from the pre-CELF engine so the equivalence
-    property tests can assert the lazy engine reproduces it tie for tie.
-    """
-    if min_support < 1:
-        raise ValueError(f"min_support must be >= 1, got {min_support}")
-
-    remaining = list(results)
-    covered: set[int] = set()
-    selected: list[CoverageResult] = []
-
-    while remaining:
-        if max_transformations is not None and len(selected) >= max_transformations:
-            break
-        best_index = -1
-        best_gain = 0
-        best_key: tuple = ()
-        for index, result in enumerate(remaining):
-            gain = len(result.covered_rows - covered)
-            if gain < min_support:
-                continue
-            key = (
-                -gain,
-                result.transformation.num_placeholders,
-                len(result.transformation),
-                repr(result.transformation),
-            )
-            if best_index == -1 or key < best_key:
-                best_index = index
-                best_gain = gain
-                best_key = key
-        if best_index == -1 or best_gain == 0:
-            break
-        choice = remaining.pop(best_index)
-        covered |= choice.covered_rows
-        selected.append(choice)
     return selected
 
 

@@ -96,6 +96,7 @@ from repro.core.units import (
     TwoCharSplitSubstr,
 )
 from repro.parallel.executor import (
+    check_execution_settings,
     env_default_workers,
     map_sharded,
     tuned_num_workers,
@@ -1127,8 +1128,12 @@ class CoverageComputer:
     _non_covering_units: list[set[TransformationUnit]] = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.num_workers < 0:
-            raise ValueError(f"num_workers must be >= 0, got {self.num_workers}")
+        check_execution_settings(
+            num_workers=self.num_workers,
+            min_rows_per_worker=self.min_rows_per_worker,
+            shard_retries=self.shard_retries,
+            task_timeout=self.task_timeout,
+        )
         self._non_covering_units = [set() for _ in self.pairs]
 
     # ------------------------------------------------------------------ #

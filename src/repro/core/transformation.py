@@ -7,7 +7,7 @@ a (source, target) row pair when that concatenation equals the target.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 
 from repro.core.units import Literal, TransformationUnit
 
@@ -109,11 +109,3 @@ class Transformation:
         if len(merged) == len(self._units):
             return self
         return Transformation(merged)
-
-
-def apply_all(
-    transformations: Sequence[Transformation],
-    source: str,
-) -> list[str | None]:
-    """Apply every transformation in *transformations* to *source*."""
-    return [transformation.apply(source) for transformation in transformations]

@@ -13,9 +13,9 @@ process pool (``num_workers``), and the transformed values are equi-joined
 through the packed :class:`~repro.matching.index.ValueIndex`.  The walk
 probes the target as it goes — it keeps only the outputs the index
 contains — so the join loop sees only outputs that join.  The
-one-transformation-at-a-time loop survives as
-:meth:`TransformationJoiner.join_values_reference` — the executable spec the
-equivalence tests compare the batched path against.
+one-transformation-at-a-time loop survives as the test oracle
+``join_values_reference`` in ``tests/oracles/join.py`` — the executable spec
+the differential tests compare the batched path against.
 """
 
 from __future__ import annotations
@@ -326,9 +326,9 @@ class TransformationJoiner:
         only the outputs the target index contains (its ``in`` test agrees
         with ``rows_for``, lower-casing included), and probes the packed
         target :class:`ValueIndex` in the same transformation-major order
-        as the reference loop, so pairs, order and first-match attribution
-        are identical to :meth:`join_values_reference`.  An output the walk
-        drops has no target row, so dropping it changes no pair.
+        as the one-at-a-time loop (``tests/oracles/join.py``), so pairs,
+        order and first-match attribution are identical to it.  An output
+        the walk drops has no target row, so dropping it changes no pair.
 
         The target index is likewise built at most once per target column:
         pass a prebuilt *target_index* (see :meth:`build_target_index` — the
@@ -400,39 +400,6 @@ class TransformationJoiner:
                     seen.add(pair)
                     result.pairs.append(pair)
                     result.matched_by[pair] = transformation
-        return result
-
-    def join_values_reference(
-        self,
-        source_values: Sequence[str],
-        target_values: Sequence[str],
-    ) -> JoinResult:
-        """The one-transformation-at-a-time join loop (executable spec).
-
-        Applies each transformation to every source value in turn — no
-        shared-prefix reuse, no sharding.  Kept verbatim from the pre-model
-        joiner so the equivalence tests can assert the batched path
-        reproduces it pair for pair.
-        """
-        if self._case_insensitive:
-            source_values = [value.lower() for value in source_values]
-            target_values = [value.lower() for value in target_values]
-        target_index = ValueIndex.build(target_values)
-
-        result = JoinResult()
-        seen: set[tuple[int, int]] = set()
-        for transformation in self._transformations:
-            for source_row, source_value in enumerate(source_values):
-                transformed = transformation.apply(source_value)
-                if transformed is None:
-                    continue
-                for target_row in target_index.rows_for(transformed):
-                    key = (source_row, target_row)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    result.pairs.append(key)
-                    result.matched_by[key] = transformation
         return result
 
     def join(

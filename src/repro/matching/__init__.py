@@ -19,9 +19,11 @@ the ``REPRO_MATCHER`` environment variable):
   (global token-frequency ordering, prefix/position filters, exact
   verification; PPJoin-style),
 * :mod:`repro.matching.tokenize` — the whitespace/q-gram tokenizers of the
-  setsim engine,
-* :mod:`repro.matching.reference` — the seed's nested-loop matcher, kept as
-  the executable specification for the equivalence tests.
+  setsim engine.
+
+The seed's nested-loop matcher, the executable specification of
+:class:`~repro.matching.row_matcher.NGramRowMatcher`, lives with the tests
+as ``tests/oracles/matching.py``.
 """
 
 from repro.matching.index import InvertedIndex, ValueIndex
@@ -30,7 +32,6 @@ from repro.matching.ngrams import (
     ngrams_in_range,
     unique_ngrams_by_size,
 )
-from repro.matching.reference import ReferenceRowMatcher
 from repro.matching.row_matcher import (
     MATCHER_ENGINES,
     SETSIM_SIMILARITIES,
@@ -56,7 +57,6 @@ __all__ = [
     "MATCHER_ENGINES",
     "MatchingConfig",
     "NGramRowMatcher",
-    "ReferenceRowMatcher",
     "RowMatcher",
     "SETSIM_SIMILARITIES",
     "SetSimRowMatcher",

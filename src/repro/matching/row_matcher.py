@@ -13,8 +13,8 @@ n-grams computed per source row at build time via
 enumeration by scanning the representatives' posting arrays in order — no
 per-row re-tokenisation, no sorting, no posting-set copies.  With the
 default configuration it returns bit-identical pairs (same pairs, same
-order) to the seed implementation preserved in
-:class:`repro.matching.reference.ReferenceRowMatcher`; enabling the
+order) to the seed implementation preserved as the test oracle
+``tests/oracles/matching.py``; enabling the
 opt-in ``stop_gram_cap`` trades some candidate recall (pairs reachable only
 through a stop-gram representative) for bounded posting scans.
 

@@ -54,6 +54,7 @@ from repro.core.coverage import (
 from repro.core.transformation import Transformation
 from repro.parallel.errors import DeadlineExceededError
 from repro.parallel.executor import (
+    check_execution_settings,
     map_sharded,
     tuned_num_workers,
     worker_state,
@@ -379,8 +380,15 @@ class TransformationApplier:
         :class:`~repro.parallel.executor.ShardedExecutor`); ``deadline`` is
         the cooperative monotonic cut honoured at block boundaries in the
         walk, serial and sharded alike (see
-        :func:`transform_trie_rows`).
+        :func:`transform_trie_rows`).  Out-of-range settings raise
+        ``ValueError`` whatever the worker count.
         """
+        check_execution_settings(
+            num_workers=num_workers,
+            min_rows_per_worker=min_rows_per_worker,
+            shard_retries=shard_retries,
+            task_timeout=task_timeout,
+        )
         if self._trie is None or not values:
             return {}
         workers = tuned_num_workers(
@@ -408,33 +416,6 @@ class TransformationApplier:
         return transform_trie_rows(
             values, 0, self._trie, deadline=deadline, within=within
         )
-
-    def apply_all(
-        self,
-        values: Sequence[str],
-        *,
-        num_workers: int = 1,
-        min_rows_per_worker: int | None = None,
-    ) -> list[list[str | None]]:
-        """Dense output table: ``result[t][row]`` is the transformed value.
-
-        The dense convenience view of :meth:`transform_rows` —
-        ``None`` marks non-applicable combinations, matching
-        ``Transformation.apply``.
-        """
-        table: list[list[str | None]] = [
-            [None] * len(values) for _ in self._transformations
-        ]
-        outputs = self.transform_rows(
-            values,
-            num_workers=num_workers,
-            min_rows_per_worker=min_rows_per_worker,
-        )
-        for index, pairs in outputs.items():
-            row_outputs = table[index]
-            for row, output in pairs:
-                row_outputs[row] = output
-        return table
 
 
 __all__ = [

@@ -125,13 +125,18 @@ def check_execution_settings(
     *,
     num_workers: int | None,
     min_rows_per_worker: int | None,
-    task_timeout_s: float,
     shard_retries: int,
+    task_timeout_s: float = 0.0,
+    task_timeout: float | None = None,
 ) -> None:
-    """Raise ``ValueError`` when an execution setting is negative.
+    """Raise ``ValueError`` when an execution setting is out of range.
 
-    Shared by ``DiscoveryConfig``, ``MatchingConfig`` and
-    ``TransformationJoiner.check_settings``; ``None`` means the default.
+    Shared by ``DiscoveryConfig``, ``MatchingConfig``,
+    ``TransformationJoiner.check_settings``, ``CoverageComputer`` and
+    ``TransformationApplier.transform_rows``; ``None`` means the default.
+    The counts and ``task_timeout_s`` (0 = unbounded) must not be
+    negative; ``task_timeout``, the form the engines take (``None`` =
+    unbounded), must be positive.
     """
     if num_workers is not None and num_workers < 0:
         raise ValueError(f"num_workers must be >= 0, got {num_workers}")
@@ -141,6 +146,8 @@ def check_execution_settings(
         )
     if task_timeout_s < 0:
         raise ValueError(f"task_timeout_s must be >= 0, got {task_timeout_s}")
+    if task_timeout is not None and task_timeout <= 0:
+        raise ValueError(f"task_timeout must be > 0, got {task_timeout}")
     if shard_retries < 0:
         raise ValueError(f"shard_retries must be >= 0, got {shard_retries}")
 
@@ -341,10 +348,12 @@ class ShardedExecutor:
     ) -> None:
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-        if task_timeout is not None and task_timeout <= 0:
-            raise ValueError(f"task_timeout must be > 0, got {task_timeout}")
-        if max_shard_retries < 0:
-            raise ValueError(f"max_shard_retries must be >= 0, got {max_shard_retries}")
+        check_execution_settings(
+            num_workers=None,
+            min_rows_per_worker=None,
+            shard_retries=max_shard_retries,
+            task_timeout=task_timeout,
+        )
         if retry_backoff_s < 0:
             raise ValueError(f"retry_backoff_s must be >= 0, got {retry_backoff_s}")
         self._state = state

@@ -9,7 +9,6 @@ that exploits it as a long-lived process instead of cold one-shot applies:
     packed target :class:`~repro.matching.index.ValueIndex` per target
     column kept warm behind bounded LRU caches.
 ``repro.serve.engine``
-    :func:`apply_iter` (stream batches through one compiled applier) and
     :class:`ServeEngine` — the request path, with a micro-batcher that
     coalesces concurrent same-model requests into one sharded apply call,
     responses byte-identical to offline ``JoinPipeline.apply``.
@@ -42,7 +41,7 @@ or from the command line: ``python -m repro serve --models models/``.
 from repro.serve.admission import AdmissionController
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.cache import LRUCache
-from repro.serve.engine import MicroBatcher, ServeEngine, ServeResponse, apply_iter
+from repro.serve.engine import MicroBatcher, ServeEngine, ServeResponse
 from repro.serve.errors import (
     BadRequestError,
     CircuitOpenError,
@@ -75,5 +74,4 @@ __all__ = [
     "ServeEngine",
     "ServeError",
     "ServeResponse",
-    "apply_iter",
 ]

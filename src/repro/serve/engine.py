@@ -1,23 +1,17 @@
-"""The serving apply engine: streaming batches and micro-batched requests.
+"""The serving apply engine: micro-batched join requests.
 
-Two serving shapes live here, both built on the warm artifacts of the
-:class:`~repro.serve.registry.ModelRegistry`:
-
-* :func:`apply_iter` — the streaming form of the PR 5 apply path: one
-  compiled applier (one trie build) reused across an iterator of batches,
-  with the joiner's most-recent-target index cache making repeated targets
-  free.  This is the library-level API; it needs no registry or server.
-* :class:`ServeEngine` — the request/response form behind the HTTP server.
-  Its :class:`MicroBatcher` never delays a request for an idle
-  ``(model, target column)``: it runs at once.  Requests that arrive while
-  that key's apply is running queue behind it, and the queue then runs as
-  **one** apply call: its leader concatenates every queued source batch,
-  runs a single (optionally sharded) ``join_values`` over the union, and
-  splits the joined pairs back per request by source-row offset.  The split
-  preserves transformation-major, row-ascending order and first-match
-  attribution, so every coalesced response is byte-identical to the
-  response the request would have received alone — the equivalence tests
-  assert exactly that.
+:class:`ServeEngine` is the request/response form behind the HTTP server,
+built on the warm artifacts of the
+:class:`~repro.serve.registry.ModelRegistry`.  Its :class:`MicroBatcher`
+never delays a request for an idle ``(model, target column)``: it runs at
+once.  Requests that arrive while that key's apply is running queue behind
+it, and the queue then runs as **one** apply call: its leader concatenates
+every queued source batch, runs a single (optionally sharded)
+``join_values`` over the union, and splits the joined pairs back per
+request by source-row offset.  The split preserves transformation-major,
+row-ascending order and first-match attribution, so every coalesced
+response is byte-identical to the response the request would have received
+alone — the equivalence tests assert exactly that.
 """
 
 from __future__ import annotations
@@ -26,11 +20,10 @@ import os
 import threading
 import time
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.join.joiner import JoinResult, TransformationJoiner
-from repro.model.artifact import TransformationModel
+from repro.join.joiner import JoinResult
 from repro.parallel.errors import DeadlineExceededError as CoreDeadlineExceededError
 from repro.parallel.errors import ShardError, ShardTimeoutError
 from repro.serve.breaker import (
@@ -52,33 +45,6 @@ def _maybe_inject(site: str, deadline: float | None) -> None:
         from repro.testing.faults import maybe_inject_serve  # noqa: PLC0415
 
         maybe_inject_serve(site, deadline=deadline)
-
-
-def apply_iter(
-    model: TransformationModel | TransformationJoiner,
-    batches: Iterable[tuple[Sequence[str], Sequence[str]]],
-    *,
-    num_workers: int | None = None,
-    min_rows_per_worker: int | None = None,
-) -> Iterator[JoinResult]:
-    """Stream ``(source_values, target_values)`` batches through one applier.
-
-    The model's transformation set is compiled into the packed trie exactly
-    once, before the first batch; every subsequent batch reuses it.  A
-    repeated target column (the common stream shape: many source batches
-    against one target) also reuses the previous packed
-    :class:`~repro.matching.index.ValueIndex` via the joiner's
-    most-recent-target cache.  Results are yielded in input order and are
-    identical to calling ``join_values`` on a fresh joiner per batch.
-    """
-    if isinstance(model, TransformationJoiner):
-        joiner = model
-    else:
-        joiner = model.joiner(
-            num_workers=num_workers, min_rows_per_worker=min_rows_per_worker
-        )
-    for source_values, batch_target_values in batches:
-        yield joiner.join_values(source_values, batch_target_values)
 
 
 @dataclass
@@ -504,23 +470,6 @@ class ServeEngine:
             return isinstance(error, FaultInjected)
         return False
 
-    def apply_iter(
-        self,
-        name: str,
-        batches: Iterable[tuple[Sequence[str], Sequence[str]]],
-    ) -> Iterator[JoinResult]:
-        """Stream batches through *name*'s warm joiner (one trie compile).
-
-        The registry's target-index cache serves every batch, so a stream
-        alternating between a handful of target columns rebuilds nothing.
-        """
-        joiner, _entry, _hit = self._registry.joiner_for(name)
-        for source_values, batch_targets in batches:
-            index, _ = self._registry.target_index_for(joiner, batch_targets)
-            yield joiner.join_values(
-                source_values, batch_targets, target_index=index
-            )
-
     def stats(self) -> dict:
         """Registry cache, micro-batcher, and circuit-breaker counters."""
         with self._breaker_lock:
@@ -598,5 +547,4 @@ __all__ = [
     "MicroBatcher",
     "ServeEngine",
     "ServeResponse",
-    "apply_iter",
 ]

@@ -7,8 +7,10 @@ pairs.
 Malformed input surfaces as :class:`TableReadError` — one typed exception
 (a ``ValueError`` subclass, so pre-existing callers keep working) carrying
 the file and, where known, the line of the defect: invalid UTF-8, ragged
-rows, CSV structure errors, and empty files all map to it instead of
-leaking ``UnicodeDecodeError`` or ``csv.Error`` with no file context.  For
+rows, CSV structure errors, empty files, and a header with an empty or
+repeated column name all map to it instead of leaking
+``UnicodeDecodeError`` or ``csv.Error`` with no file context.  A leading
+byte-order mark (Excel's "CSV UTF-8") is not part of the first name.  For
 data that is dirty but usable, ``errors="replace"`` switches
 :func:`read_csv` to a lenient mode: undecodable bytes become U+FFFD
 replacement characters and ragged rows are padded/truncated to the header
@@ -28,7 +30,8 @@ class TableReadError(ValueError):
 
     Raised with file (and, where applicable, line) context for every defect
     class :func:`read_csv` detects: files it cannot open or read, empty
-    files, undecodable bytes, ragged rows and CSV structure errors.
+    files, empty or repeated header names, undecodable bytes, ragged rows
+    and CSV structure errors.
     Subclasses ``ValueError`` so callers of the pre-typed API keep catching
     it.
     """
@@ -54,7 +57,9 @@ def read_csv(
       empty cells, long rows truncated) — for dirty-but-usable data.
 
     A file that cannot be opened or read (missing, a directory, no
-    permission) raises :class:`TableReadError` under either setting.
+    permission), or whose header has an empty or repeated column name,
+    raises :class:`TableReadError` under either setting.  A leading UTF-8
+    byte-order mark is skipped.
     """
     if errors not in ("strict", "replace"):
         raise ValueError(
@@ -65,7 +70,7 @@ def read_csv(
     try:
         with path.open(
             newline="",
-            encoding="utf-8",
+            encoding="utf-8-sig",
             errors="replace" if lenient else "strict",
         ) as handle:
             reader = csv.reader(handle)
@@ -75,7 +80,17 @@ def read_csv(
                 raise TableReadError(
                     f"{path} is empty; expected a header row"
                 ) from None
-            columns: dict[str, list[str]] = {column: [] for column in header}
+            columns: dict[str, list[str]] = {}
+            for position, column in enumerate(header, start=1):
+                if not column:
+                    raise TableReadError(
+                        f"{path}: header column {position} has no name"
+                    )
+                if column in columns:
+                    raise TableReadError(
+                        f"{path}: header repeats column {column!r}"
+                    )
+                columns[column] = []
             arity = len(header)
             for line_number, row in enumerate(reader, start=2):
                 if len(row) != arity:

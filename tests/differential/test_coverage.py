@@ -1,0 +1,101 @@
+"""Every coverage route against the oracle ``Transformation.covers``.
+
+A route returns, per transformation, the rows it covers, the walk's
+``(hits, misses, applications)`` and the rows it walked.  Every route
+classifies each (transformation, walked row) exactly once, and the sharded
+and blocked walks also count exactly what the serial batched walk counts:
+every cache in the walk is per row.
+"""
+
+from __future__ import annotations
+
+from time import monotonic
+from unittest import mock
+
+import pytest
+
+from differential.strategies import COVERAGE_FAMILIES, run_examples
+from repro.core import coverage
+from repro.core.coverage import CoverageComputer
+from repro.core.stats import DiscoveryStats
+
+
+def computed(workers, *, batched=True, cache=True, warm=False, expired=False):
+    def route(pairs, transformations):
+        computer = CoverageComputer(
+            pairs, use_unit_cache=cache, num_workers=workers, min_rows_per_worker=0
+        )
+        if warm:
+            # Per-row unit caches the unbatched path leaves behind must not
+            # change what the walk reports.
+            computer.coverage_of_all(transformations, batched=False)
+            computer.stats = DiscoveryStats()
+        deadline = monotonic() - 1.0 if expired else None
+        results = computer.coverage_of_all(
+            transformations, batched=batched, deadline=deadline
+        )
+        rows = computer.rows_processed
+        assert computer.budget_exhausted == (rows < len(pairs))
+        stats = computer.stats
+        counts = (stats.cache_hits, stats.cache_misses, stats.applications)
+        return [sorted(result.covered_rows) for result in results], counts, rows
+
+    return route
+
+
+def walked_in_blocks(block_rows, offset=7):
+    def route(pairs, transformations):
+        trie = coverage._build_unit_trie(transformations)
+        with mock.patch.object(coverage, "_WALK_BLOCK_ROWS", block_rows):
+            covered, *counts, rows = coverage._walk_trie_rows(pairs, offset, trie)
+        local = [
+            [row - offset for row in covered.get(index, [])]
+            for index in range(len(transformations))
+        ]
+        return local, tuple(counts), rows
+
+    return route
+
+
+def expired_deadline(pairs, transformations):
+    # An expired deadline still walks the first block, and only that.
+    with mock.patch.object(coverage, "_WALK_BLOCK_ROWS", 3):
+        return computed(1, expired=True)(pairs, transformations)
+
+
+BATCHED_SERIAL = computed(1)
+
+# (workers, route, rows it walks (None = all), counts like the serial walk)
+ROUTES = [
+    pytest.param(1, computed(1, batched=False), None, False, id="unbatched"),
+    pytest.param(1, computed(1, cache=False), None, False, id="unbatched-no-cache"),
+    pytest.param(1, BATCHED_SERIAL, None, False, id="batched-serial"),
+    pytest.param(2, computed(2, warm=True), None, True, id="sharded-2"),
+    pytest.param(3, computed(3), None, True, id="sharded-3"),
+    pytest.param(1, walked_in_blocks(1), None, True, id="blocks-1"),
+    pytest.param(1, walked_in_blocks(3), None, True, id="blocks-3"),
+    pytest.param(1, expired_deadline, 3, False, id="expired-deadline"),
+]
+
+
+@pytest.mark.parametrize("family", COVERAGE_FAMILIES)
+@pytest.mark.parametrize("workers, route, cut, serial_counts", ROUTES)
+def test_route_matches_covers(family, workers, route, cut, serial_counts):
+    def check(case):
+        pairs, transformations = case
+        covered, counts, rows = route(pairs, transformations)
+        # With no transformation there is no walk to cut.
+        walked = len(pairs)
+        if cut is not None and transformations:
+            walked = min(cut, walked)
+        assert rows == walked
+        walked_pairs = pairs[:walked]
+        assert covered == [
+            [row for row, p in enumerate(walked_pairs) if t.covers(p.source, p.target)]
+            for t in transformations
+        ]
+        assert counts[0] + counts[1] == len(transformations) * walked
+        if serial_counts:
+            assert counts == BATCHED_SERIAL(pairs, transformations)[1]
+
+    run_examples(COVERAGE_FAMILIES[family], check, pooled=workers > 1)

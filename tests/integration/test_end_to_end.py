@@ -13,6 +13,7 @@ dataset instances, and assert the *shape* of the paper's findings:
 from __future__ import annotations
 
 import pytest
+from oracles.join import join_values_reference
 
 from repro.baselines.autojoin import AutoJoin, AutoJoinConfig
 from repro.baselines.fuzzyjoin import AutoFuzzyJoin
@@ -300,7 +301,8 @@ class TestFitApplySessions:
             source_column=held_out.source_column,
             target_column=held_out.target_column,
         )
-        expected = loaded.joiner(num_workers=1).join_values_reference(
+        expected = join_values_reference(
+            loaded.joiner(num_workers=1),
             list(held_out.source[held_out.source_column]),
             list(held_out.target[held_out.target_column]),
         )

@@ -7,7 +7,7 @@ row, sorts its n-grams, and scores each one with two per-gram hash lookups —
 exactly the behaviour the packed fast path in
 :mod:`repro.matching.row_matcher` must reproduce bit-for-bit.
 
-The equivalence property tests assert that
+``tests/differential/test_matching.py`` asserts that
 :class:`~repro.matching.row_matcher.NGramRowMatcher` returns *exactly* the
 pairs this matcher returns (same pairs, same order, including Rscore ties).
 

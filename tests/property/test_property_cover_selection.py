@@ -5,7 +5,7 @@ The coverage-v3 selection engine replaces the plain greedy scan of
 contract is exact: across every instance — including ties on gain,
 placeholder count, unit count and rendering, duplicate transformations,
 support thresholds, and selection caps — the selected sequence must be
-*identical* to :func:`repro.core.cover.greedy_minimal_cover_reference`,
+*identical* to ``greedy_minimal_cover_reference`` (``tests/oracles/cover.py``),
 which keeps the original set-arithmetic implementation as the executable
 spec.  The bitset helpers and set-ops are checked against their frozenset
 counterparts the same way.
@@ -17,13 +17,13 @@ import random
 
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles.cover import greedy_minimal_cover_reference
 
 from repro.core.cover import (
     cover_fraction,
     covered_mask,
     covered_rows,
     greedy_minimal_cover,
-    greedy_minimal_cover_reference,
     mask_from_rows,
     rows_from_mask,
     top_k_by_coverage,

@@ -346,6 +346,45 @@ class TestErrorContract:
         assert captured.err.startswith(f"error: {missing}: cannot read: ")
         assert len(captured.err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["discover", "join", "fit", "apply"])
+    def test_missing_join_column_maps_to_one_error_line(
+        self, command, staff_csvs, tmp_path, capsys
+    ):
+        # A join column the CSV lacks is reported, with the columns it has,
+        # before any matching starts; not a KeyError traceback.
+        source_path, target_path = staff_csvs
+        model = str(tmp_path / "model.json")
+        output = ["--output", str(tmp_path / "joined.csv")]
+        extra = {
+            "discover": [],
+            "join": output,
+            "fit": ["--save", model],
+            "apply": ["--model", model, *output],
+        }
+        if command == "apply":
+            fit = ["fit", str(source_path), str(target_path)]
+            columns = ["--source-column", "Name", "--target-column", "Name"]
+            assert main([*fit, *columns, "--save", model]) == 0
+            capsys.readouterr()
+        exit_code = main(
+            [
+                command,
+                str(source_path),
+                str(target_path),
+                "--source-column",
+                "nope",
+                "--target-column",
+                "Name",
+                *extra[command],
+            ]
+        )
+        captured = capsys.readouterr()
+        assert exit_code == 1
+        assert captured.err == (
+            f"error: {source_path}: no column named 'nope'; "
+            "available: ['Name', 'Department']\n"
+        )
+
 
 class TestTimeBudgetFlag:
     def test_exhausted_budget_warns_but_succeeds(self, staff_csvs, capsys):

@@ -3,18 +3,21 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles.cover import greedy_minimal_cover_reference
 
 from repro.core.cover import (
     cover_fraction,
     covered_mask,
     covered_rows,
     greedy_minimal_cover,
-    greedy_minimal_cover_reference,
     top_k_by_coverage,
 )
 from repro.core.coverage import (
     CoverageComputer,
     CoverageResult,
+    _build_anchor_automaton,
     mask_from_rows,
     rows_from_mask,
 )
@@ -178,6 +181,31 @@ class TestCoverageComputer:
             transformations, batched=False
         )
         assert batched == unbatched
+
+    @given(
+        texts=st.lists(
+            st.text(alphabet="ab, ", min_size=1, max_size=5),
+            min_size=1,
+            max_size=12,
+            unique=True,
+        ),
+        target=st.text(alphabet="ab, ", max_size=20),
+    )
+    def test_anchor_scan_matches_substring_search(self, texts, target):
+        # The automaton is the prefilter's ground truth for anchor presence:
+        # one scan must find exactly the anchors a substring search would,
+        # overlapping and nested ones included.
+        goto, fail, outputs = _build_anchor_automaton(texts)
+        found: set[int] = set()
+        state = 0
+        for char in target:
+            next_state = goto[state].get(char)
+            while next_state is None and state:
+                state = fail[state]
+                next_state = goto[state].get(char)
+            state = next_state if next_state is not None else 0
+            found.update(outputs[state])
+        assert found == {index for index, text in enumerate(texts) if text in target}
 
 
 class TestUnitCache:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from oracles.join import join_values_reference
 
 from repro.baselines.autojoin import AutoJoin, AutoJoinConfig
 from repro.baselines.fuzzyjoin import AutoFuzzyJoin, FuzzyJoinConfig
@@ -57,7 +58,7 @@ class TestTransformationJoiner:
             [paper_transformation, Transformation([Split(",", 1)])]
         )
         result = joiner.join_values(sources, targets)
-        reference = joiner.join_values_reference(sources, targets)
+        reference = join_values_reference(joiner, sources, targets)
         assert (0, 0) in result.pairs
         assert result.pairs == reference.pairs
         assert result.matched_by == reference.matched_by

@@ -6,7 +6,7 @@ Five surfaces live here:
 * where numpy runs — nowhere: no fit and no apply of any size imports it,
   and no module of ``src/`` imports it except the version probe;
 * the bitset helpers of :mod:`repro.core.coverage` (the randomized sweep
-  lives in ``tests/property/test_property_kernels.py``);
+  lives in ``tests/property/test_property_cover_selection.py``);
 * the worker tuning, which ignores the tier;
 * the absence of any tier override: the CLI takes no ``--kernels``.
 

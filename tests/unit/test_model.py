@@ -6,6 +6,7 @@ import json
 from time import monotonic
 
 import pytest
+from oracles.join import join_values_reference
 
 from repro.core.config import DiscoveryConfig
 from repro.core.discovery import TransformationDiscovery
@@ -326,14 +327,17 @@ class TestTransformationApplier:
         transformations = [r.transformation for r in result.cover]
         applier = TransformationApplier(transformations)
         values = [source for source, _ in name_initial_pairs] + ["held-out, row"]
-        dense = applier.apply_all(values)
-        for transformation, row_outputs in zip(transformations, dense):
-            assert row_outputs == [transformation.apply(v) for v in values]
+        outputs = applier.transform_rows(values)
+        for index, transformation in enumerate(transformations):
+            assert outputs.get(index, []) == [
+                (row, output)
+                for row, value in enumerate(values)
+                if (output := transformation.apply(value)) is not None
+            ]
 
     def test_empty_inputs(self):
         applier = TransformationApplier([])
         assert applier.transform_rows(["a", "b"]) == {}
-        assert applier.apply_all(["a", "b"]) == []
         applier = TransformationApplier([Transformation([Substr(0, 2)])])
         assert applier.transform_rows([]) == {}
 
@@ -348,9 +352,8 @@ class TestTransformationApplier:
         first = Transformation([Split(",", 1), Literal("!")])
         second = Transformation([Split(",", 1), Literal("?")])
         applier = TransformationApplier([first, second])
-        dense = applier.apply_all(["a,b", "nope"])
-        assert dense[0] == ["a!", None]
-        assert dense[1] == ["a?", None]
+        outputs = applier.transform_rows(["a,b", "nope"])
+        assert outputs == {0: [(0, "a!")], 1: [(0, "a?")]}
 
     def test_sharded_deadline_reaches_the_workers(self):
         # The deadline travels to the workers in the shards' state: expired,
@@ -463,10 +466,10 @@ class TestLowercaseTargetIndex:
         assert (1, 1) in result.pairs and (0, 0) in result.pairs
         # The case-sensitive reference joins fewer rows on the same input,
         # and a case-insensitive joiner's reference joins exactly these.
-        reference = joiner.join_values_reference(sources, targets)
+        reference = join_values_reference(joiner, sources, targets)
         assert set(reference.pairs) < set(result.pairs)
         folded = TransformationJoiner(transformations, case_insensitive=True)
         result = folded.join_values(sources, targets, target_index=index)
-        reference = folded.join_values_reference(sources, targets)
+        reference = join_values_reference(folded, sources, targets)
         assert result.pairs == reference.pairs
         assert result.matched_by == reference.matched_by

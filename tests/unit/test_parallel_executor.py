@@ -6,6 +6,13 @@ import os
 
 import pytest
 
+from repro.core.config import DiscoveryConfig
+from repro.core.coverage import CoverageComputer
+from repro.core.discovery import TransformationDiscovery
+from repro.core.transformation import Transformation
+from repro.core.units import Substr
+from repro.matching.row_matcher import MatchingConfig
+from repro.model import TransformationApplier
 from repro.parallel.executor import (
     DEFAULT_MIN_ITEMS_PER_WORKER,
     ShardedExecutor,
@@ -259,3 +266,62 @@ class TestTunedNumWorkers:
             tuned_num_workers(2, 10, min_items_per_worker=-5)
         with pytest.raises(ValueError):
             tuned_num_workers(1, 10, min_items_per_worker=-1)
+
+
+class TestWorkerKnobs:
+    def test_zero_workers_runs_end_to_end(self):
+        # num_workers=0 must not crash regardless of the host's core count
+        # (on a 1-core host it resolves to the serial path).
+        pairs = [("Rafiei, Davood", "D Rafiei"), ("Bowling, Michael", "M Bowling")]
+        serial = TransformationDiscovery(
+            DiscoveryConfig(num_workers=1)
+        ).discover_from_strings(pairs)
+        all_cores = TransformationDiscovery(
+            DiscoveryConfig(num_workers=0)
+        ).discover_from_strings(pairs)
+        assert all_cores.top == serial.top
+        assert all_cores.cover == serial.cover
+
+    def test_negative_workers_rejected(self):
+        with pytest.raises(ValueError):
+            DiscoveryConfig(num_workers=-1)
+        with pytest.raises(ValueError):
+            MatchingConfig(num_workers=-1)
+        with pytest.raises(ValueError):
+            CoverageComputer([], num_workers=-1).coverage_of_all([])
+
+    def test_negative_min_rows_per_worker_rejected(self):
+        # Only 0 turns the small-input fast path off; a negative threshold
+        # is an error, not a second spelling of 0.
+        with pytest.raises(ValueError):
+            DiscoveryConfig(min_rows_per_worker=-5)
+        with pytest.raises(ValueError):
+            MatchingConfig(min_rows_per_worker=-5)
+        assert DiscoveryConfig(min_rows_per_worker=0).min_rows_per_worker == 0
+        assert MatchingConfig(min_rows_per_worker=0).min_rows_per_worker == 0
+
+    def test_env_default_reaches_configs(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NUM_WORKERS", "3")
+        assert DiscoveryConfig().num_workers == 3
+        assert MatchingConfig().num_workers == 3
+        monkeypatch.delenv("REPRO_NUM_WORKERS")
+        assert DiscoveryConfig().num_workers == 1
+        assert MatchingConfig().num_workers == 1
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("shard_retries", -1),
+            ("task_timeout", -1.0),
+            ("task_timeout", 0.0),
+            ("min_rows_per_worker", -1),
+        ],
+    )
+    def test_fault_settings_fail_before_any_work(self, name, value):
+        # Serial as well as sharded: the computer refuses to be built, and
+        # transform_rows refuses to start, with the shared checks' message.
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            CoverageComputer([], num_workers=1, **{name: value})
+        applier = TransformationApplier([Transformation([Substr(0, 1)])])
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            applier.transform_rows(["a"], num_workers=1, **{name: value})

@@ -1,5 +1,5 @@
-"""Unit tests for the serving engine: streaming apply, micro-batching, and
-thread-safe concurrent serving."""
+"""Unit tests for the serving engine: repeated joins on one joiner,
+micro-batching, and thread-safe concurrent serving."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from repro.core.discovery import TransformationDiscovery
 from repro.core.transformation import Transformation
 from repro.model.artifact import TransformationModel
 from repro.parallel.errors import DeadlineExceededError as CoreDeadlineExceededError
-from repro.serve.engine import MicroBatcher, ServeEngine, apply_iter
+from repro.serve.engine import MicroBatcher, ServeEngine
 from repro.serve.errors import ModelNotFoundError
 from repro.serve.registry import ModelRegistry
 
@@ -46,7 +46,8 @@ def engine(tmp_path, model) -> ServeEngine:
     return ServeEngine(ModelRegistry(tmp_path))
 
 
-class TestApplyIter:
+class TestRepeatedJoins:
+    # One joiner serving many batches, the shape of a stream or a server.
     def test_results_match_per_batch_fresh_joiners(self, model, columns):
         sources, targets = columns
         batches = [
@@ -54,9 +55,12 @@ class TestApplyIter:
             (sources[2:], targets),
             (sources, targets[:3]),
         ]
-        streamed = list(apply_iter(model, batches))
-        for (batch_sources, batch_targets), result in zip(batches, streamed):
-            expected = model.joiner().join_values(batch_sources, batch_targets)
+        joiner = model.joiner()
+        for batch_sources, batch_targets in batches:
+            result = joiner.join_values(batch_sources, batch_targets)
+            # A reloaded model is a fresh object, so its joiner is fresh too.
+            fresh = TransformationModel.loads(model.dumps()).joiner()
+            expected = fresh.join_values(batch_sources, batch_targets)
             assert result.pairs == expected.pairs
             assert result.matched_by == expected.matched_by
 
@@ -72,9 +76,9 @@ class TestApplyIter:
             return original(transformations)
 
         monkeypatch.setattr(joiner_module, "TransformationApplier", counting)
-        batches = [(sources, targets)] * 4
-        results = list(apply_iter(model, batches))
-        assert len(results) == 4
+        joiner = model.joiner()
+        results = [joiner.join_values(sources, targets) for _ in range(4)]
+        assert len(results) == 4 and results[0].pairs
         assert len(builds) == 1
 
 
@@ -427,10 +431,12 @@ class TestServeEngine:
         assert response.pairs == offline.pairs
         assert response.coalesced == 1
 
-    def test_engine_apply_iter_uses_registry_caches(self, engine, columns):
+    def test_repeated_engine_joins_use_registry_caches(self, engine, columns):
         sources, targets = columns
-        batches = [(sources[:2], targets), (sources[2:], targets)]
-        results = list(engine.apply_iter("names", batches))
-        assert len(results) == 2
+        results = [
+            engine.join("names", sources[:2], targets),
+            engine.join("names", sources[2:], targets),
+        ]
+        assert [len(result.pairs) for result in results] == [2, 3]
         stats = engine.stats()["registry"]
         assert stats["target_index_cache"]["hits"] >= 1

@@ -269,6 +269,41 @@ class TestTableReadErrors:
             with pytest.raises(TableReadError, match=r"missing\.csv: cannot read"):
                 read_csv(path, errors=errors)
 
+    @pytest.mark.parametrize("errors", ["strict", "replace"])
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path, errors):
+        # Excel's "CSV UTF-8" starts the file with a byte-order mark.
+        from repro.table.io import read_csv
+
+        path = tmp_path / "bom.csv"
+        path.write_bytes("name,city\r\nAnn,Köln\r\n".encode("utf-8-sig"))
+        table = read_csv(path, errors=errors)
+        assert table.column_names == ("name", "city")
+        assert table["name"].values == ("Ann",)
+
+    @pytest.mark.parametrize("errors", ["strict", "replace"])
+    def test_repeated_header_name_is_a_typed_error(self, tmp_path, errors):
+        # Not one column holding both cells of every row.
+        from repro.table.io import TableReadError, read_csv
+
+        path = tmp_path / "twice.csv"
+        path.write_text("name,name\na,b\nc,d\n")
+        with pytest.raises(
+            TableReadError, match=r"twice\.csv: header repeats column 'name'"
+        ):
+            read_csv(path, errors=errors)
+
+    @pytest.mark.parametrize("errors", ["strict", "replace"])
+    def test_empty_header_name_is_a_typed_error(self, tmp_path, errors):
+        # A trailing comma leaves the last header cell empty.
+        from repro.table.io import TableReadError, read_csv
+
+        path = tmp_path / "trailing.csv"
+        path.write_text("name,\nAnn,\n")
+        with pytest.raises(
+            TableReadError, match=r"trailing\.csv: header column 2 has no name"
+        ):
+            read_csv(path, errors=errors)
+
     def test_lenient_mode_substitutes_replacement_characters(self, tmp_path):
         from repro.table.io import read_csv
 

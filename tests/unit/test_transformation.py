@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.transformation import Transformation, apply_all
+from repro.core.transformation import Transformation
 from repro.core.units import Literal, Split, SplitSubstr, Substr
 
 
@@ -108,4 +108,4 @@ class TestApplyAll:
             Transformation([Literal("k")]),
             Transformation([Split("-", 2)]),
         ]
-        assert apply_all(transformations, "ab-cd") == ["ab", "k", "cd"]
+        assert [t.apply("ab-cd") for t in transformations] == ["ab", "k", "cd"]
