@@ -149,6 +149,11 @@ class DiscoveryConfig:
                 "min_placeholder_length must be >= 1, got "
                 f"{self.min_placeholder_length}"
             )
+        if self.max_matches_per_placeholder < 1:
+            raise ValueError(
+                "max_matches_per_placeholder must be >= 1, got "
+                f"{self.max_matches_per_placeholder}"
+            )
         if self.min_support < 1:
             raise ValueError(f"min_support must be >= 1, got {self.min_support}")
         if self.sample_size < 0:

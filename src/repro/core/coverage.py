@@ -14,18 +14,35 @@ pair.  Four observations make this cheap in practice:
   transformations are Cartesian products of candidate units, the same units
   recur across many transformations and the cache is extremely effective
   (hit ratios above 90 % in the paper's experiments and in ours).
-* **Batch mode** (:meth:`CoverageComputer.coverage_of_all`) — transformations
-  are grouped by shared unit prefixes into a trie (transformations sharing a
-  first unit share a root edge, and so on recursively), and each row walks
-  the trie once.  A unit is applied at most once per (unit, row) — its
-  output is memoized for the whole batch — and when a unit fails on a row,
-  the *entire subtree* of transformations below it is skipped with a single
-  cache consultation instead of one per transformation.  Batch mode
-  additionally prunes positionally: a transformation's output is the
-  concatenation of its units' outputs, so the accumulated prefix must be a
-  literal prefix of the target; subtrees whose prefix diverges can never
-  cover the row, even if every remaining unit's output appears somewhere in
-  the target.
+* **Batch mode** (:meth:`CoverageComputer.coverage_of_trie`) —
+  transformations are grouped by shared unit prefixes into a trie
+  (transformations sharing a first unit share a root edge, and so on
+  recursively), and each row walks the trie once.  A unit is applied at
+  most once per (unit, row) — its output is memoized for the whole batch —
+  and when a unit fails on a row, the *entire subtree* of transformations
+  below it is skipped with a single cache consultation instead of one per
+  transformation.  Batch mode additionally prunes positionally: a
+  transformation's output is the concatenation of its units' outputs, so
+  the accumulated prefix must be a literal prefix of the target; subtrees
+  whose prefix diverges can never cover the row, even if every remaining
+  unit's output appears somewhere in the target.
+* **The generation-built trie and owner rows** — discovery does not build
+  the trie at coverage time.  Candidate generation expands each skeleton's
+  Cartesian product depth first straight into it (:class:`TrieBuilder`),
+  merging adjacent literals on the way, so duplicate removal is "this node
+  already has a terminal".  Each node records the one row that generated
+  every transformation below it, its *owner*, when there is one.  This
+  relies on an invariant of generation: every generated transformation
+  covers the row that generated it
+  (``test_every_generated_transformation_reproduces_the_target``).  So
+  when the walk would carry a row into a node it owns, it adds the node's
+  subtree size to misses and applications instead of descending, and each
+  result's mask starts with the bit of the row that generated it first
+  whenever the walk reaches that row.  Every other row is still walked, so
+  a transformation that covers more rows than generated it is still found.
+  :meth:`CoverageComputer.coverage_of_all` over a list builds its trie from
+  the list, with no owners, and walks every row; both give the same masks
+  and counters for the same transformations.
 * **Literal-anchored candidate pruning** (the coverage-v3 prefilter) — a
   :class:`~repro.core.units.Literal` unit emits its text unconditionally, so
   a transformation containing one can only cover rows whose target contains
@@ -69,7 +86,7 @@ the 300-row ``fit-wide`` fit of the repository benchmark walked in
 0.25 s (minimum of 7 interleaved runs each), with identical covered rows
 and cache statistics, and 25k rows ran at parity.
 
-Covered-row sets are returned as packed integer bitmasks
+Covered-row sets come off the walk as packed integer bitmasks
 (:attr:`CoverageResult.covered_mask`, bit *r* = row *r* covered), the
 representation the bitset cover-selection engine of :mod:`repro.core.cover`
 operates on; :attr:`CoverageResult.covered_rows` materializes the classic
@@ -273,16 +290,6 @@ def _unit_op(
     return _OP_APPLY, (unit.apply,)
 
 
-class _TrieNode:
-    """One node of the unit-prefix trie used by the batched coverage path."""
-
-    __slots__ = ("children", "terminals")
-
-    def __init__(self) -> None:
-        self.children: dict[TransformationUnit, _TrieNode] = {}
-        self.terminals: list[int] = []
-
-
 def _build_anchor_automaton(
     texts: Sequence[str],
 ) -> tuple[list[dict[str, int]], list[int], list[tuple[int, ...]]]:
@@ -341,9 +348,12 @@ class PackedTrie:
     remainder in O(1)), ``root_slice_groups`` (SplitSubstr/Substr-first
     edges grouped by the piece they slice, members sorted by slice end with
     suffix subtree sums for one-bisect bulk skips), and
-    ``root_other_edges`` (everything else, walked normally).  The object is
-    read-only after construction and pickles cheaply, so the
-    process-sharded engine ships it to workers once per run.
+    ``root_other_edges`` (everything else, walked normally).  ``seeds``
+    maps each generating row to the transformations it generated first
+    (empty for a trie built from a list): the walk starts their masks with
+    that row's bit.  The object is read-only after construction and pickles
+    cheaply, so the process-sharded engine ships it to workers once per
+    run.
     """
 
     __slots__ = (
@@ -353,6 +363,7 @@ class PackedTrie:
         "req_sets",
         "num_units",
         "num_delimiters",
+        "seeds",
         "automaton",
         "root_literal_by_text",
         "root_literal_total",
@@ -368,6 +379,7 @@ class PackedTrie:
         req_sets: list[tuple[int, ...]],
         num_units: int,
         num_delimiters: int,
+        seeds: dict[int, list[int]],
     ) -> None:
         self.root_edges = root_edges
         self.root_terminals = root_terminals
@@ -375,6 +387,7 @@ class PackedTrie:
         self.req_sets = req_sets
         self.num_units = num_units
         self.num_delimiters = num_delimiters
+        self.seeds = seeds
         self.automaton = _build_anchor_automaton(anchor_texts)
         # Root split: a non-empty literal-first edge can only matter for
         # rows whose target contains its text, so those edges are reached
@@ -416,6 +429,7 @@ class PackedTrie:
             unit_ids = tuple(edge[0] for edge in group)
             req_ids = tuple(edge[6] for edge in group)
             subtrees = tuple(edge[5] for edge in group)
+            owners = tuple(edge[7] for edge in group)
             # suffix_totals[i] = transformations below members i.. — the
             # O(1) bulk account for bisect-skipped members.
             suffix_totals = [0] * (len(group) + 1)
@@ -431,6 +445,7 @@ class PackedTrie:
                     unit_ids,
                     req_ids,
                     subtrees,
+                    owners,
                     tuple(suffix_totals),
                     tuple(group),
                 )
@@ -444,104 +459,304 @@ class PackedTrie:
             self.req_sets,
             self.num_units,
             self.num_delimiters,
+            self.seeds,
         )
 
     def __setstate__(self, state) -> None:
         self.__init__(*state)
 
 
-def _build_unit_trie(transformations: Sequence[Transformation]) -> PackedTrie:
-    """Pack *transformations* into a :class:`PackedTrie`.
+class TrieBuilder:
+    """The unit-prefix trie while it grows; candidates enter it here, once.
 
-    Each edge is a flat tuple ``(unit_id, op, args, child_edges,
-    child_terminals, subtree_size, req_id)``.  ``unit_id`` is the
-    ordinal of the canonical unit object (equal units are collapsed during
-    construction), indexing the per-row unit-output memo array directly;
-    ``subtree_size`` counts the transformations below the edge, letting the
-    walker account for a whole skipped subtree in O(1); ``req_id`` indexes
-    the interned set of anchor-literal text ids that *every* transformation
-    below the edge requires (-1 when the set is empty, i.e. when the
-    prefilter has nothing to check).
+    Units are interned once per builder (a unit's id indexes :attr:`units`
+    and, once frozen, the walk's per-row unit memo).  A node is a list
+    ``[children, terminals, owner]``: ``children`` maps unit ids to nodes,
+    ``terminals`` lists the transformations ending there by the order they
+    entered, and ``owner`` is the one row that generated every
+    transformation below the node (-1 for none).  :meth:`add` inserts a
+    transformation as it is and owns nothing (:func:`_build_unit_trie`);
+    :meth:`expand` is candidate generation, which owns what it makes.
     """
-    canonical: dict[TransformationUnit, TransformationUnit] = {}
-    root = _TrieNode()
-    for index, transformation in enumerate(transformations):
-        node = root
-        for unit in transformation.units:
-            unit = canonical.setdefault(unit, unit)
-            child = node.children.get(unit)
-            if child is None:
-                child = _TrieNode()
-                node.children[unit] = child
-            node = child
-        node.terminals.append(index)
 
-    anchor_texts: list[str] = []
-    text_ids: dict[str, int] = {}
-    req_sets: list[tuple[int, ...]] = []
-    req_ids: dict[frozenset[int], int] = {}
-    unit_ordinals: dict[int, int] = {}
-    delimiter_ids: dict[str, int] = {}
-
-    def intern_req(required: frozenset[int]) -> int:
-        if not required:
-            return -1
-        req_id = req_ids.get(required)
-        if req_id is None:
-            req_id = len(req_sets)
-            req_ids[required] = req_id
-            req_sets.append(tuple(sorted(required)))
-        return req_id
-
-    def freeze(node: _TrieNode) -> tuple[list, list[int], int, frozenset[int]]:
-        subtree = len(node.terminals)
-        edges = []
-        edge_requirements: list[frozenset[int]] = []
-        for unit, child in node.children.items():
-            child_edges, child_terminals, child_size, child_required = freeze(child)
-            subtree += child_size
-            anchor = unit.anchor_text
-            if anchor is not None:
-                text_id = text_ids.get(anchor)
-                if text_id is None:
-                    text_id = len(anchor_texts)
-                    text_ids[anchor] = text_id
-                    anchor_texts.append(anchor)
-                required = child_required | {text_id}
-            else:
-                required = child_required
-            op, args = _unit_op(unit, delimiter_ids)
-            ordinal = unit_ordinals.setdefault(id(unit), len(unit_ordinals))
-            edges.append(
-                (
-                    ordinal,
-                    op,
-                    args,
-                    child_edges,
-                    child_terminals,
-                    child_size,
-                    intern_req(required),
-                )
-            )
-            edge_requirements.append(required)
-        if node.terminals or not edge_requirements:
-            # A transformation ends here: nothing below this node is common
-            # to every transformation passing through it.
-            node_required: frozenset[int] = frozenset()
-        else:
-            node_required = frozenset.intersection(*edge_requirements)
-        return edges, node.terminals, subtree, node_required
-
-    root_edges, root_terminals, _, _ = freeze(root)
-    return PackedTrie(
-        root_edges,
-        root_terminals,
-        anchor_texts,
-        req_sets,
-        len(unit_ordinals),
-        len(delimiter_ids),
+    __slots__ = (
+        "units",
+        "terminal_units",
+        "terminal_rows",
+        "_texts",
+        "_unit_ids",
+        "_literal_ids",
+        "_root",
     )
 
+    def __init__(self) -> None:
+        #: The interned units; a unit's id is its index.
+        self.units: list[TransformationUnit] = []
+        #: The units of each transformation, by terminal index.
+        self.terminal_units: list[tuple[TransformationUnit, ...]] = []
+        #: The row that generated each transformation first (-1 for none).
+        self.terminal_rows: list[int] = []
+        # The text of each interned Literal by unit id, None for the rest.
+        self._texts: list[str | None] = []
+        self._unit_ids: dict[TransformationUnit, int] = {}
+        self._literal_ids: dict[str, int] = {}
+        self._root: list = [{}, [], -1]
+
+    def __len__(self) -> int:
+        return len(self.terminal_units)
+
+    def intern(self, unit: TransformationUnit) -> int:
+        """The id of *unit*; equal units share one."""
+        if type(unit) is Literal:
+            return self.literal(unit.text)
+        unit_id = self._unit_ids.get(unit)
+        if unit_id is None:
+            unit_id = self._unit_ids[unit] = len(self.units)
+            self.units.append(unit)
+            self._texts.append(None)
+        return unit_id
+
+    def literal(self, text: str) -> int:
+        """The id of ``Literal(text)``, interned by its text."""
+        unit_id = self._literal_ids.get(text)
+        if unit_id is None:
+            unit_id = self._literal_ids[text] = len(self.units)
+            self.units.append(Literal(text))
+            self._texts.append(text)
+        return unit_id
+
+    def transformations(self, start: int = 0) -> list[Transformation]:
+        """The transformations from terminal index *start* on, in order."""
+        return [Transformation(units) for units in self.terminal_units[start:]]
+
+    def add(self, units: tuple[TransformationUnit, ...]) -> None:
+        """Insert one transformation's units as they are, as a new terminal."""
+        node = self._root
+        for unit in units:
+            unit_id = self.intern(unit)
+            children = node[0]
+            child = children.get(unit_id)
+            if child is None:
+                child = children[unit_id] = [{}, [], -1]
+            else:
+                child[2] = -1
+            node = child
+        node[1].append(len(self.terminal_units))
+        self.terminal_units.append(units)
+        self.terminal_rows.append(-1)
+
+    def expand(
+        self,
+        unit_sets: Sequence[Sequence[int]],
+        limit: int,
+        *,
+        row: int = -1,
+        dedup: bool = True,
+    ) -> int:
+        """Insert the Cartesian product of *unit_sets*, stopping after *limit*.
+
+        *unit_sets* holds one list of unit ids per skeleton piece.  Members
+        enter depth first, in ``itertools.product`` order, and runs of
+        adjacent literals merge into one literal on the way, so a member
+        enters as its simplified transformation.  With *dedup* a member
+        whose node already has a terminal adds nothing; without it, every
+        member is a new terminal.  *row* (-1 for none) is the generating
+        row: it owns the nodes this call makes and disowns every other node
+        it reaches.  Returns the number of members, duplicates included.
+        """
+        if not all(unit_sets):
+            return 0
+        units = self.units
+        texts = self._texts
+        literal = self.literal
+        terminal_units = self.terminal_units
+        terminal_rows = self.terminal_rows
+        depth = len(unit_sets)
+        members = 0
+
+        def child(node: list, unit_id: int) -> list:
+            children = node[0]
+            found = children.get(unit_id)
+            if found is None:
+                found = children[unit_id] = [{}, [], row]
+            elif found[2] != row:
+                found[2] = -1
+            return found
+
+        def visit(node: list, path: tuple, position: int, pending: str | None) -> bool:
+            # *pending* is the merged text of the literals chosen since the
+            # last other unit (None when there are none): it is not in the
+            # trie yet, and will hang below *node*.
+            nonlocal members
+            if position == depth:
+                if pending is not None:
+                    unit_id = literal(pending)
+                    node = child(node, unit_id)
+                    path += (units[unit_id],)
+                terminals = node[1]
+                if not (dedup and terminals):
+                    terminals.append(len(terminal_units))
+                    terminal_units.append(path)
+                    terminal_rows.append(row)
+                members += 1
+                return members < limit
+            base = base_path = None
+            for unit_id in unit_sets[position]:
+                text = texts[unit_id]
+                if text is not None:
+                    going = visit(
+                        node,
+                        path,
+                        position + 1,
+                        text if pending is None else pending + text,
+                    )
+                else:
+                    if base is None:
+                        base, base_path = node, path
+                        if pending is not None:
+                            literal_id = literal(pending)
+                            base = child(node, literal_id)
+                            base_path = path + (units[literal_id],)
+                    going = visit(
+                        child(base, unit_id),
+                        base_path + (units[unit_id],),
+                        position + 1,
+                        None,
+                    )
+                if not going:
+                    return False
+            return True
+
+        try:
+            visit(self._root, (), 0, None)
+        finally:
+            # visit reaches itself through its cell, and the builder through
+            # literal; discovery runs with the cyclic collector off, so the
+            # cycle is broken here rather than left to it.
+            del visit
+        return members
+
+    def freeze(self) -> PackedTrie:
+        """Pack the trie into the read-only :class:`PackedTrie` the walks use.
+
+        Packing empties the growing trie node by node, so the two never
+        coexist in full; the builder keeps its transformations and takes
+        no more.
+
+        Each edge is a flat tuple ``(unit_id, op, args, child_edges,
+        child_terminals, subtree_size, req_id, owner)``.  ``unit_id``
+        indexes the per-row unit-output memo directly; ``subtree_size``
+        counts the transformations below the edge, letting the walker
+        account for a whole skipped subtree in O(1); ``req_id`` indexes the
+        interned set of anchor-literal text ids that *every* transformation
+        below the edge requires (-1 when the set is empty, i.e. when the
+        prefilter has nothing to check); ``owner`` is the child node's
+        owner row (-1 for none).
+        """
+        units = self.units
+        anchor_texts: list[str] = []
+        text_ids: dict[str, int] = {}
+        req_sets: list[tuple[int, ...]] = []
+        delimiter_ids: dict[str, int] = {}
+        # unit id -> (op, args, anchor text id or -1), filled on first use
+        infos: list[tuple[int, tuple, int] | None] = [None] * len(units)
+        no_requirement: frozenset[int] = frozenset()
+        # required set -> (its id, the one frozenset that stands for it)
+        interned: dict[frozenset[int], tuple[int, frozenset[int]]] = {
+            no_requirement: (-1, no_requirement)
+        }
+        # (required set, anchor text id) -> their union, interned
+        extended: dict[tuple[frozenset[int], int], tuple[int, frozenset[int]]] = {}
+
+        def intern_req(required: frozenset[int]) -> tuple[int, frozenset[int]]:
+            entry = interned.get(required)
+            if entry is None:
+                entry = interned[required] = (len(req_sets), required)
+                req_sets.append(tuple(sorted(required)))
+            return entry
+
+        def freeze(node: list) -> tuple[list, list[int], int, frozenset[int]]:
+            children, terminals, _ = node
+            subtree = len(terminals)
+            edges = []
+            edge_requirements: list[frozenset[int]] = []
+            for unit_id, child in children.items():
+                if child[0]:
+                    child_edges, child_terminals, child_size, required = freeze(child)
+                else:  # a leaf, the common case: no call
+                    child_edges, child_terminals = (), child[1]
+                    child_size, required = len(child_terminals), no_requirement
+                subtree += child_size
+                info = infos[unit_id]
+                if info is None:
+                    unit = units[unit_id]
+                    op, args = _unit_op(unit, delimiter_ids)
+                    text_id = -1
+                    anchor = unit.anchor_text
+                    if anchor is not None:
+                        text_id = text_ids.setdefault(anchor, len(anchor_texts))
+                        if text_id == len(anchor_texts):
+                            anchor_texts.append(anchor)
+                    info = infos[unit_id] = (op, args, text_id)
+                op, args, text_id = info
+                if text_id >= 0:
+                    key = (required, text_id)
+                    entry = extended.get(key)
+                    if entry is None:
+                        entry = extended[key] = intern_req(required | {text_id})
+                else:
+                    entry = intern_req(required)
+                req_id, required = entry
+                edges.append(
+                    (
+                        unit_id,
+                        op,
+                        args,
+                        child_edges,
+                        child_terminals,
+                        child_size,
+                        req_id,
+                        child[2],
+                    )
+                )
+                edge_requirements.append(required)
+            children.clear()
+            if terminals or not edge_requirements:
+                # A transformation ends here: nothing below this node is common
+                # to every transformation passing through it.
+                node_required = no_requirement
+            elif len(edge_requirements) == 1:
+                node_required = edge_requirements[0]
+            else:
+                node_required = frozenset.intersection(*edge_requirements)
+            return edges, terminals, subtree, node_required
+
+        try:
+            root_edges, root_terminals, _, _ = freeze(self._root)
+        finally:
+            del freeze  # the cycle through its own cell, as in expand
+        seeds: dict[int, list[int]] = {}
+        for index, row in enumerate(self.terminal_rows):
+            if row >= 0:
+                seeds.setdefault(row, []).append(index)
+        return PackedTrie(
+            root_edges,
+            root_terminals,
+            anchor_texts,
+            req_sets,
+            len(units),
+            len(delimiter_ids),
+            seeds,
+        )
+
+
+def _build_unit_trie(transformations: Iterable[Transformation]) -> PackedTrie:
+    """Pack *transformations* into a :class:`PackedTrie`, one terminal each,
+    in order and without owners."""
+    builder = TrieBuilder()
+    for transformation in transformations:
+        builder.add(transformation.units)
+    return builder.freeze()
 
 #: Rows walked per edge-major block.  The walk keeps every per-row cache of
 #: a block alive simultaneously, so the block size bounds memory; any value
@@ -554,7 +769,7 @@ def _walk_trie_rows(
     row_offset: int,
     trie: PackedTrie,
     deadline: float | None = None,
-) -> tuple[dict[int, list[int]], int, int, int, int]:
+) -> tuple[dict[int, int], int, int, int, int]:
     """Walk the frozen unit trie over the rows of *pairs*.
 
     This is the batched coverage kernel, shared by the serial engine (which
@@ -573,6 +788,13 @@ def _walk_trie_rows(
     row-at-a-time walk, and therefore identical however the rows are sharded
     or blocked.
 
+    A row never enters a node it owns (see :class:`TrieBuilder`): it covers
+    every transformation below, so the walk would classify each of them as
+    one full application.  It adds the subtree size to misses and
+    applications instead, and the seeds put the row's bit into the masks
+    of the transformations it generated first, for every row it walks.
+    Covered rows and statistics are those of the same walk without owners.
+
     ``deadline`` (a ``time.monotonic()`` timestamp; ``CLOCK_MONOTONIC`` is
     system-wide, so sharded workers can compare a deadline computed in the
     parent) makes the walk cooperatively interruptible: it is checked at
@@ -583,11 +805,12 @@ def _walk_trie_rows(
     it never changes per-row results.
 
     Returns ``(covered, hits, misses, applications, rows_processed)`` where
-    ``covered`` maps a transformation's index in the trie to the (ascending)
-    global ids of the rows it covers and ``rows_processed`` counts the fully
+    ``covered`` maps a transformation's index in the trie to the mask of
+    the rows it covers (bit *r* = global row *r*; transformations that
+    cover no walked row are absent) and ``rows_processed`` counts the fully
     walked rows of *pairs* (``len(pairs)`` unless the deadline cut in).
     """
-    covered: dict[int, list[int]] = {}
+    covered: dict[int, int] = {}
     hits = misses = applications = 0
     rows_processed = 0
     root_terminals = trie.root_terminals
@@ -595,6 +818,7 @@ def _walk_trie_rows(
     root_literal_by_text = trie.root_literal_by_text
     root_literal_total = trie.root_literal_total
     root_slice_groups = trie.root_slice_groups
+    seeds = trie.seeds
     req_sets = trie.req_sets
     goto, fail, outputs = trie.automaton
     num_texts = len(trie.anchor_texts)
@@ -632,6 +856,15 @@ def _walk_trie_rows(
         block = pairs[block_start : block_start + _WALK_BLOCK_ROWS]
         block_n = len(block)
         rows_processed = block_start + block_n
+        base = row_offset + block_start  # global id of the block's slot 0
+        # Masks of the block's rows, bit s = slot s; each transformation
+        # starts with the bit of the row that generated it first.
+        block_covered: dict[int, int] = {}
+        if seeds:
+            for slot in range(block_n):
+                indices = seeds.get(base + slot)
+                if indices is not None:
+                    block_covered.update(dict.fromkeys(indices, 1 << slot))
         sources = [pair.source for pair in block]
         targets = [pair.target for pair in block]
         target_lengths = [len(target) for target in targets]
@@ -676,6 +909,7 @@ def _walk_trie_rows(
             descents: dict[int, tuple[list, list[int]]] = {}
             skipped_root = 0  # prefilter-pruned (transformation, row) pairs
             failed_root = 0  # positionally impossible ones
+            owned_root = 0  # accounted for their owner row
             for slot in all_slots:
                 target = targets[slot]
                 presence = presences[slot]
@@ -711,16 +945,19 @@ def _walk_trie_rows(
                         continue
                     viable_subtree += edge[5]
                     text = edge[2][0]
-                    if target.startswith(text):
+                    if not target.startswith(text):
+                        failed_root += edge[5]
+                    elif edge[7] == base + slot:
+                        owned_root += edge[5]
+                    else:
                         entry = descents.get(text_id)
                         if entry is None:
                             entry = descents[text_id] = ([], len(text))
                         entry[0].append(slot)
-                    else:
-                        failed_root += edge[5]
                 skipped_root += root_literal_total - viable_subtree
             hits += skipped_root
-            misses += failed_root
+            misses += failed_root + owned_root
+            applications += owned_root
             for text_id, (slots, prefix_length) in descents.items():
                 edge = root_literal_by_text[text_id]
                 push((edge[3], edge[4], slots, [prefix_length] * len(slots)))
@@ -746,6 +983,7 @@ def _walk_trie_rows(
             member_unit_ids,
             member_req_ids,
             member_subtrees,
+            member_owners,
             suffix_totals,
             group,
         ) in root_slice_groups:
@@ -753,6 +991,7 @@ def _walk_trie_rows(
             group_descents: list[list[int] | None] = [None] * group_size
             skipped_units = 0
             failed_units = 0
+            owned_units = 0
             for slot in all_slots:
                 if delimiter is None:
                     piece = sources[slot]
@@ -807,13 +1046,16 @@ def _walk_trie_rows(
                         memo[member_unit_ids[position]] = output
                         if found_at:
                             failed_units += member_subtrees[position]
+                        elif member_owners[position] == base + slot:
+                            owned_units += member_subtrees[position]
                         else:
                             slots = group_descents[position]
                             if slots is None:
                                 slots = group_descents[position] = []
                             slots.append(slot)
             hits += skipped_units
-            misses += failed_units
+            misses += failed_units + owned_units
+            applications += owned_units
             for position, slots in enumerate(group_descents):
                 if slots:
                     edge = group[position]
@@ -832,12 +1074,14 @@ def _walk_trie_rows(
                 applications += count * reached
                 for slot, prefix in zip(slots, prefixes):
                     if prefix == target_lengths[slot]:
-                        row_index = row_offset + block_start + slot
+                        bit = 1 << slot
                         for index in terminals:
-                            covered.setdefault(index, []).append(row_index)
+                            block_covered[index] = block_covered.get(index, 0) | bit
             for edge in edges:
                 subtree = edge[5]
                 req_id = edge[6]
+                owner_slot = edge[7] - base  # negative or past the block: none
+                owned = False
                 req_set = req_sets[req_id] if req_id >= 0 else None
                 op = edge[1]
                 args = edge[2]
@@ -872,32 +1116,38 @@ def _walk_trie_rows(
                             # row's target — the subtree is provably
                             # uncovered for it.
                             skipped += 1
-                        elif targets[slot].startswith(text, prefix):
+                        elif not targets[slot].startswith(text, prefix):
+                            failed += 1
+                        elif slot == owner_slot:
+                            owned = True
+                        else:
                             descend_slot(slot)
                             descend_prefix(prefix + text_length)
-                        else:
-                            failed += 1
                 elif op == _OP_LITERAL:
                     # Empty literal: a pure pass-through (it always applies
                     # and adds nothing to the prefix) — only a deeper
                     # required set can prune here.
-                    if req_id < 0:
+                    if req_id < 0 and owner_slot < 0:
                         child_slots = slots
                         child_prefixes = prefixes
                     else:
                         for slot, prefix in zip(slots, prefixes):
-                            states = req_states[slot]
-                            state = states[req_id]
-                            if not state:
-                                state = 1
-                                presence = presences[slot]
-                                for text_id in req_set:
-                                    if not presence[text_id]:
-                                        state = 2
-                                        break
-                                states[req_id] = state
-                            if state == 2:
-                                skipped += 1
+                            if req_set is not None:
+                                states = req_states[slot]
+                                state = states[req_id]
+                                if not state:
+                                    state = 1
+                                    presence = presences[slot]
+                                    for text_id in req_set:
+                                        if not presence[text_id]:
+                                            state = 2
+                                            break
+                                    states[req_id] = state
+                                if state == 2:
+                                    skipped += 1
+                                    continue
+                            if slot == owner_slot:
+                                owned = True
                             else:
                                 descend_slot(slot)
                                 descend_prefix(prefix)
@@ -946,11 +1196,13 @@ def _walk_trie_rows(
                             memo[unit_id] = output
                         if output is None:
                             skipped += 1
-                        elif targets[slot].startswith(output, prefix):
+                        elif not targets[slot].startswith(output, prefix):
+                            failed += 1
+                        elif slot == owner_slot:
+                            owned = True
+                        else:
                             descend_slot(slot)
                             descend_prefix(prefix + end - start)
-                        else:
-                            failed += 1
                 else:
                     unit_id = edge[0]
                     for slot, prefix in zip(slots, prefixes):
@@ -1030,15 +1282,13 @@ def _walk_trie_rows(
                             # Known non-covering for this row: the subtree
                             # is skipped below via the `skipped` tally.
                             skipped += 1
-                        elif output:
-                            if targets[slot].startswith(output, prefix):
-                                descend_slot(slot)
-                                descend_prefix(prefix + len(output))
-                            else:
-                                failed += 1
+                        elif output and not targets[slot].startswith(output, prefix):
+                            failed += 1
+                        elif slot == owner_slot:
+                            owned = True
                         else:
                             descend_slot(slot)
-                            descend_prefix(prefix)
+                            descend_prefix(prefix + len(output))
                 if skipped:
                     # Subtrees skipped through a non-covering unit (memoized
                     # or prefilter-proven) count as cache hits.
@@ -1049,16 +1299,25 @@ def _walk_trie_rows(
                     # keep their "skipped thanks to a non-covering unit"
                     # meaning.
                     misses += failed * subtree
+                if owned:
+                    # Its owner row covers everything below: one full
+                    # application per transformation, without descending.
+                    misses += subtree
+                    applications += subtree
                 if child_slots:
                     push((edge[3], edge[4], child_slots, child_prefixes))
+
+        if covered or base:
+            for index, mask in block_covered.items():
+                covered[index] = covered.get(index, 0) | (mask << base)
+        else:
+            covered = block_covered
 
     return covered, hits, misses, applications, rows_processed
 
 
-def _walk_shard(
-    start: int, stop: int
-) -> tuple[dict[int, list[int]], int, int, int, int]:
-    """Shard worker of :meth:`CoverageComputer._coverage_batched`.
+def _walk_shard(start: int, stop: int) -> tuple[dict[int, int], int, int, int, int]:
+    """Shard worker of :meth:`CoverageComputer.coverage_of_trie`.
 
     Walks rows ``[start, stop)`` of the shared ``(pairs, trie, deadline)``
     state, reporting global row ids.
@@ -1183,29 +1442,51 @@ class CoverageComputer:
         """Coverage of every transformation, in input order.
 
         ``batched`` selects the trie-walking batch engine (see the module
-        docstring).  The batch engine runs only with the unit cache:
-        without it, every call takes :meth:`coverage_of`.  Covered rows are
-        identical either way — only the order in which unit applications
-        are attempted (and therefore the exact cache hit/miss tallies)
-        differs.
-
-        When ``num_workers`` resolves above 1 (after the small-input fast
-        path — see ``min_rows_per_worker``), the batched engine shards the
-        rows across worker processes, with covered rows and cache
-        statistics identical to the serial walk.
-
-        ``deadline`` (a ``time.monotonic()`` timestamp) bounds the batched
-        walk cooperatively: rows past the deadline are left unwalked and
-        the call degrades to the coverage of the rows it finished, with
-        :attr:`budget_exhausted` set and :attr:`rows_processed` recording
-        the cut.  Only the batched engines honour it (the unbatched
-        per-transformation path has no row loop to cut); an
-        already-expired deadline still walks the first block.
+        docstring) over a trie built from the list, one terminal per
+        transformation and without owners, so every row is walked.  The
+        batch engine runs only with the unit cache: without it, every call
+        takes :meth:`coverage_of`.  Covered rows are identical either way —
+        only the order in which unit applications are attempted (and
+        therefore the exact cache hit/miss tallies) differs.  ``deadline``
+        is :meth:`coverage_of_trie`'s.
         """
         transformations = list(transformations)
+        trie = None
+        if batched and self.use_unit_cache and transformations and self.pairs:
+            trie = _build_unit_trie(transformations)
+        return self.coverage_of_trie(trie, transformations, deadline=deadline)
+
+    def coverage_of_trie(
+        self,
+        trie: PackedTrie | None,
+        transformations: Sequence[Transformation],
+        *,
+        deadline: float | None = None,
+    ) -> list[CoverageResult]:
+        """Coverage of the transformations frozen into *trie*, in order.
+
+        Terminal *i* of *trie* must be ``transformations[i]``.  Discovery
+        passes the trie its generation built, whose owners and seeds the
+        walk uses.  Without a trie, without the unit cache, or with no
+        transformation or row, every transformation takes
+        :meth:`coverage_of` instead.
+
+        When ``num_workers`` resolves above 1 (after the small-input fast
+        path — see ``min_rows_per_worker``), the walk shards the rows
+        across worker processes, with covered rows and cache statistics
+        identical to the serial walk.
+
+        ``deadline`` (a ``time.monotonic()`` timestamp) bounds the walk
+        cooperatively: rows past the deadline are left unwalked and the
+        call degrades to the coverage of the rows it finished, with
+        :attr:`budget_exhausted` set and :attr:`rows_processed` recording
+        the cut.  Only the walk honours it (the per-transformation path has
+        no row loop to cut); an already-expired deadline still walks the
+        first block.
+        """
         self.budget_exhausted = False
         self.rows_processed = len(self.pairs)
-        if not (batched and self.use_unit_cache and transformations and self.pairs):
+        if trie is None or not (self.use_unit_cache and transformations and self.pairs):
             return [self.coverage_of(t) for t in transformations]
         num_workers = tuned_num_workers(
             self.num_workers,
@@ -1217,15 +1498,6 @@ class CoverageComputer:
             # seconds producing rows the deadline will discard — run the
             # minimal serial walk instead.
             num_workers = 1
-        return self._coverage_batched(transformations, num_workers, deadline)
-
-    def _coverage_batched(
-        self,
-        transformations: list[Transformation],
-        num_workers: int,
-        deadline: float | None,
-    ) -> list[CoverageResult]:
-        trie = _build_unit_trie(transformations)
         if num_workers > 1:
             pairs = list(self.pairs)
             shards = map_sharded(
@@ -1239,22 +1511,21 @@ class CoverageComputer:
             )
         else:
             shards = [_walk_trie_rows(self.pairs, 0, trie, deadline)]
-        covered: list[list[int]] = [[] for _ in transformations]
+        masks = [0] * len(transformations)
         rows_processed = 0
         for shard_covered, hits, misses, applications, shard_rows in shards:
             self.stats.cache_hits += hits
             self.stats.cache_misses += misses
             self.stats.applications += applications
             rows_processed += shard_rows
-            # Shards arrive in row order, so every row list stays ascending.
-            for index, rows in shard_covered.items():
-                covered[index].extend(rows)
+            for index, mask in shard_covered.items():
+                masks[index] |= mask
         self.rows_processed = rows_processed
         if rows_processed < len(self.pairs):
             self.budget_exhausted = True
         return [
-            CoverageResult(transformation, covered_mask=mask_from_rows(rows))
-            for transformation, rows in zip(transformations, covered)
+            CoverageResult(transformation, covered_mask=mask)
+            for transformation, mask in zip(transformations, masks)
         ]
 
     def reset_cache(self) -> None:

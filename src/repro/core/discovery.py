@@ -3,12 +3,18 @@
 :class:`TransformationDiscovery` chains the pipeline stages —
 
 1. (optional) sampling of the input pairs,
-2. placeholder and skeleton construction per row,
-3. candidate-unit extraction and transformation generation (with duplicate
-   removal),
-4. coverage computation over all input pairs (with the non-covering-unit
-   cache),
-5. maximum-coverage / greedy-minimal-cover selection —
+2. placeholder and skeleton construction per row (stage
+   ``placeholder_generation``),
+3. candidate-unit extraction, each unit interned once per run
+   (``unit_extraction``),
+4. transformation generation: each skeleton's Cartesian product expanded
+   straight into the coverage trie, where a duplicate is a node that
+   already has a terminal (``duplicate_removal``),
+5. coverage computation over all input pairs: the trie is frozen and
+   walked with the non-covering-unit cache, each generating row skipping
+   the subtrees it owns (``applying_transformations``; see
+   :mod:`repro.core.coverage`),
+6. maximum-coverage / greedy-minimal-cover selection (``cover_selection``) —
 
 and reports both the discovered transformations and the statistics (Table 4,
 Figures 3–4) of the run.
@@ -29,8 +35,16 @@ from repro.core.cover import (
     greedy_minimal_cover,
     top_k_by_coverage,
 )
-from repro.core.coverage import CoverageComputer, CoverageResult, rows_from_mask
-from repro.core.generation import TransformationGenerator
+from repro.core.coverage import (
+    CoverageComputer,
+    CoverageResult,
+    TrieBuilder,
+    rows_from_mask,
+)
+from repro.core.generation import (
+    MAX_TRANSFORMATIONS_PER_SKELETON,
+    TransformationGenerator,
+)
 from repro.core.pairs import RowPair, pairs_from_strings
 from repro.core.skeletons import SkeletonBuilder
 from repro.core.stats import DiscoveryStats
@@ -197,9 +211,7 @@ class TransformationDiscovery:
             else None
         )
 
-        generation_pairs = self._sample(pairs)
-
-        transformations = self._generate(generation_pairs, stats, timer, deadline)
+        builder = self._generate(pairs, self._sample(len(pairs)), stats, timer, deadline)
 
         computer = CoverageComputer(
             pairs,
@@ -212,13 +224,10 @@ class TransformationDiscovery:
             serial_fallback=self._config.serial_fallback,
         )
         with timer.stage("applying_transformations"):
-            results = computer.coverage_of_all(
-                transformations,
-                batched=(
-                    self._config.use_batched_coverage
-                    and self._config.use_unit_cache
-                ),
-                deadline=deadline,
+            batched = self._config.use_batched_coverage and self._config.use_unit_cache
+            trie = builder.freeze() if batched else None
+            results = computer.coverage_of_trie(
+                trie, builder.transformations(), deadline=deadline
             )
         if computer.budget_exhausted and not stats.budget_exhausted:
             stats.budget_exhausted = True
@@ -238,73 +247,72 @@ class TransformationDiscovery:
     # ------------------------------------------------------------------ #
     # Pipeline stages
     # ------------------------------------------------------------------ #
-    def _sample(self, pairs: list[RowPair]) -> list[RowPair]:
-        """Sample the generation input when the configuration asks for it.
+    def _sample(self, num_pairs: int) -> list[int]:
+        """The rows candidate generation runs on, in generation order.
 
-        Coverage is always computed over the full input; only the generation
-        of candidate transformations is restricted to the sample
-        (Section 5.3: a small sample is enough to discover any transformation
-        with non-trivial coverage).
+        All rows, unless the configuration asks for a sample: coverage is
+        always computed over the full input; only the generation of
+        candidate transformations is restricted to the sample
+        (Section 5.3: a small sample is enough to discover any
+        transformation with non-trivial coverage).
         """
         sample_size = self._config.sample_size
-        if sample_size <= 0 or len(pairs) <= sample_size:
-            return pairs
+        if sample_size <= 0 or num_pairs <= sample_size:
+            return list(range(num_pairs))
         rng = random.Random(self._config.sample_seed)
-        return rng.sample(pairs, sample_size)
+        return rng.sample(range(num_pairs), sample_size)
 
     def _generate(
         self,
         pairs: Sequence[RowPair],
+        rows: Sequence[int],
         stats: DiscoveryStats,
         timer: StageTimer,
         deadline: float | None = None,
-    ) -> list[Transformation]:
-        """Generate the candidate transformations of every pair, deduplicated.
+    ) -> TrieBuilder:
+        """Generate the candidate transformations of ``pairs[row]`` for each
+        of *rows*, into the coverage trie.
 
-        ``deadline`` (a ``time.monotonic()`` timestamp) is the run's
-        cooperative time budget: it is checked between pairs, and pairs past
-        it are skipped — their transformations simply go ungenerated, which
-        degrades coverage but never validity (every generated transformation
-        is still exact).  The first pair always runs, so even an expired
-        budget yields candidates.  The cut is recorded in *stats*
-        (``budget_exhausted`` / ``budget_stage`` / ``rows_fully_processed``).
+        Each row's skeletons are expanded into one :class:`TrieBuilder`
+        with the row as owner, so duplicate removal (when enabled) happens
+        as the trie grows.  ``deadline`` (a ``time.monotonic()`` timestamp)
+        is the run's cooperative time budget: it is checked between rows,
+        and rows past it are skipped — their transformations simply go
+        ungenerated, which degrades coverage but never validity (every
+        generated transformation is still exact).  The first row always
+        runs, so even an expired budget yields candidates.  The cut is
+        recorded in *stats* (``budget_exhausted`` / ``budget_stage`` /
+        ``rows_fully_processed``).
         """
-        unique: dict[Transformation, None] = {}
+        builder = TrieBuilder()
         generated = 0
         dedup = self._config.use_duplicate_removal
-        duplicates_kept: list[Transformation] = []
+        generator = self._generator
 
-        for pair_index, pair in enumerate(pairs):
-            if (
-                deadline is not None
-                and pair_index
-                and monotonic() >= deadline
-            ):
+        for position, row in enumerate(rows):
+            if deadline is not None and position and monotonic() >= deadline:
                 stats.budget_exhausted = True
                 stats.budget_stage = "skeleton_generation"
-                stats.rows_fully_processed = pair_index
+                stats.rows_fully_processed = position
                 break
+            pair = pairs[row]
             with timer.stage("placeholder_generation"):
                 skeletons = self._skeleton_builder.build(pair.source, pair.target)
             stats.num_skeletons += len(skeletons)
             with timer.stage("unit_extraction"):
-                row_transformations = list(
-                    self._generator.from_row(pair.source, skeletons)
-                )
+                unit_sets = [
+                    generator.unit_sets(builder, pair.source, skeleton)
+                    for skeleton in skeletons
+                ]
             with timer.stage("duplicate_removal"):
-                for transformation in row_transformations:
-                    generated += 1
-                    if dedup:
-                        unique.setdefault(transformation, None)
-                    else:
-                        duplicates_kept.append(transformation)
+                for sets in unit_sets:
+                    generated += builder.expand(
+                        sets, MAX_TRANSFORMATIONS_PER_SKELETON, row=row, dedup=dedup
+                    )
 
         stats.generated_transformations = generated
-        if dedup:
-            stats.unique_transformations = len(unique)
-            return list(unique)
-        stats.unique_transformations = len(duplicates_kept)
-        return duplicates_kept
+        stats.unique_transformations = len(builder)
+        return builder
 
 
 def discover_transformations(

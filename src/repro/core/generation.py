@@ -2,20 +2,21 @@
 
 Every placeholder of a skeleton is replaced by its candidate units, every
 literal gap by a ``Literal`` unit, and the Cartesian product of the candidate
-sets yields the skeleton's transformations.  The product is enumerated lazily
-and capped so a pathological row cannot blow up memory.
+sets yields the skeleton's transformations.  The product is expanded depth
+first into a :class:`~repro.core.coverage.TrieBuilder`, the unit-prefix trie
+the coverage walk runs on, with adjacent literals merged on the way; it is
+capped so a pathological row cannot blow up memory.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import product
 
 from repro.core.config import DiscoveryConfig
+from repro.core.coverage import TrieBuilder
 from repro.core.skeletons import Skeleton
 from repro.core.transformation import Transformation
 from repro.core.unit_generation import UnitGenerator
-from repro.core.units import Literal, TransformationUnit
 
 #: Safety cap on the number of transformations generated from one skeleton.
 #: In practice the per-placeholder candidate sets are tiny (a handful of
@@ -30,39 +31,43 @@ class TransformationGenerator:
         self._config = config or DiscoveryConfig()
         self._unit_generator = UnitGenerator(self._config)
 
-    def from_skeleton(self, source: str, skeleton: Skeleton) -> Iterator[Transformation]:
-        """Yield every transformation obtainable from *skeleton*.
-
-        The per-piece candidate sets are:
+    def unit_sets(
+        self, builder: TrieBuilder, source: str, skeleton: Skeleton
+    ) -> list[list[int]]:
+        """The candidate units of each piece of *skeleton*, interned in *builder*.
 
         * for a literal gap: the single ``Literal`` unit,
         * for a placeholder: every unit produced by
-          :class:`~repro.core.unit_generation.UnitGenerator`.
-
-        The Cartesian product of these sets is yielded lazily; generation
-        stops after :data:`MAX_TRANSFORMATIONS_PER_SKELETON` results.
+          :class:`~repro.core.unit_generation.UnitGenerator` (the
+          placeholder's ``Literal`` when there is none).
         """
-        candidate_sets: list[list[TransformationUnit]] = []
+        sets: list[list[int]] = []
         for piece in skeleton.pieces:
             if piece.is_placeholder:
                 assert piece.placeholder is not None
                 candidates = self._unit_generator.candidates(source, piece.placeholder)
-                if not candidates:
-                    candidates = [Literal(piece.text)]
-                candidate_sets.append(candidates)
-            else:
-                candidate_sets.append([Literal(piece.text)])
-
-        emitted = 0
-        for combination in product(*candidate_sets):
-            yield Transformation(combination).simplified()
-            emitted += 1
-            if emitted >= MAX_TRANSFORMATIONS_PER_SKELETON:
-                break
+                if candidates:
+                    sets.append([builder.intern(unit) for unit in candidates])
+                    continue
+            sets.append([builder.literal(piece.text)])
+        return sets
 
     def from_row(
         self, source: str, skeletons: list[Skeleton]
     ) -> Iterator[Transformation]:
-        """Yield the transformations of every skeleton of a row, in order."""
+        """Yield the transformations of every skeleton of a row, in order.
+
+        Each skeleton yields its product in ``itertools.product`` order,
+        simplified (adjacent literals merged) and without duplicate removal,
+        after expanding it into a builder of the row's own; a skeleton is
+        expanded only when the previous one's transformations are used up.
+        """
+        builder = TrieBuilder()
         for skeleton in skeletons:
-            yield from self.from_skeleton(source, skeleton)
+            start = len(builder)
+            builder.expand(
+                self.unit_sets(builder, source, skeleton),
+                MAX_TRANSFORMATIONS_PER_SKELETON,
+                dedup=False,
+            )
+            yield from builder.transformations(start)

@@ -13,7 +13,11 @@ from repro.core.units import Literal, TransformationUnit
 
 
 class Transformation:
-    """An immutable, hashable sequence of transformation units."""
+    """An immutable, hashable sequence of transformation units.
+
+    The hash is computed on first use: discovery builds every candidate
+    once, after duplicate removal, and hashes few of them.
+    """
 
     __slots__ = ("_units", "_hash")
 
@@ -22,7 +26,7 @@ class Transformation:
         if not units:
             raise ValueError("a transformation must contain at least one unit")
         self._units: tuple[TransformationUnit, ...] = units
-        self._hash = hash(units)
+        self._hash: int | None = None
 
     # ------------------------------------------------------------------ #
     # Value semantics
@@ -44,6 +48,8 @@ class Transformation:
         return self._units == other._units
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self._units)
         return self._hash
 
     def __repr__(self) -> str:

@@ -5,6 +5,11 @@ A route returns, per transformation, the rows it covers, the walk's
 classifies each (transformation, walked row) exactly once, and the sharded
 and blocked walks also count exactly what the serial batched walk counts:
 every cache in the walk is per row.
+
+The generation routes build the trie the way discovery does, from the
+family's row pairs, with owner rows and seeds; their counts must equal the
+walk of a trie built from the list of the same transformations, which has
+neither.
 """
 
 from __future__ import annotations
@@ -16,8 +21,11 @@ import pytest
 
 from differential.strategies import COVERAGE_FAMILIES, run_examples
 from repro.core import coverage
-from repro.core.coverage import CoverageComputer
+from repro.core.config import DiscoveryConfig
+from repro.core.coverage import CoverageComputer, rows_from_mask
+from repro.core.discovery import TransformationDiscovery
 from repro.core.stats import DiscoveryStats
+from repro.utils.timing import StageTimer
 
 
 def computed(workers, *, batched=True, cache=True, warm=False, expired=False):
@@ -49,7 +57,7 @@ def walked_in_blocks(block_rows, offset=7):
         with mock.patch.object(coverage, "_WALK_BLOCK_ROWS", block_rows):
             covered, *counts, rows = coverage._walk_trie_rows(pairs, offset, trie)
         local = [
-            [row - offset for row in covered.get(index, [])]
+            [row - offset for row in rows_from_mask(covered.get(index, 0))]
             for index in range(len(transformations))
         ]
         return local, tuple(counts), rows
@@ -97,5 +105,80 @@ def test_route_matches_covers(family, workers, route, cut, serial_counts):
         assert counts[0] + counts[1] == len(transformations) * walked
         if serial_counts:
             assert counts == BATCHED_SERIAL(pairs, transformations)[1]
+
+    run_examples(COVERAGE_FAMILIES[family], check, pooled=workers > 1)
+
+
+def generated(workers, *, sample=False, dedup=True, expired=False):
+    """Discovery's generation over every row (or a sample of them) into
+    one trie, then the walk over every row; the family's own
+    transformations are not used."""
+
+    def route(pairs):
+        engine = TransformationDiscovery(
+            DiscoveryConfig(
+                sample_size=max(1, len(pairs) // 2) if sample else 0,
+                use_duplicate_removal=dedup,
+            )
+        )
+        builder = engine._generate(
+            pairs, engine._sample(len(pairs)), DiscoveryStats(), StageTimer()
+        )
+        transformations = builder.transformations()
+        computer = CoverageComputer(
+            pairs, num_workers=workers, min_rows_per_worker=0
+        )
+        deadline = monotonic() - 1.0 if expired else None
+        results = computer.coverage_of_trie(
+            builder.freeze(), transformations, deadline=deadline
+        )
+        rows = computer.rows_processed
+        assert computer.budget_exhausted == (rows < len(pairs))
+        stats = computer.stats
+        counts = (stats.cache_hits, stats.cache_misses, stats.applications)
+        covered = [sorted(result.covered_rows) for result in results]
+        return transformations, covered, counts, rows
+
+    return route
+
+
+def generated_expired_deadline(pairs):
+    # Every row generates and owns nodes; the walk only reaches the first
+    # 3-row block, so no row past it may get its bit.
+    with mock.patch.object(coverage, "_WALK_BLOCK_ROWS", 3):
+        return generated(1, expired=True)(pairs)
+
+
+# (workers, route, rows it walks (None = all))
+GENERATION_ROUTES = [
+    pytest.param(1, generated(1), None, id="generated-serial"),
+    pytest.param(2, generated(2), None, id="generated-sharded-2"),
+    pytest.param(1, generated(1, sample=True), None, id="generated-sampled"),
+    pytest.param(1, generated(1, dedup=False), None, id="generated-no-dedup"),
+    pytest.param(1, generated_expired_deadline, 3, id="generated-expired-deadline"),
+]
+
+
+@pytest.mark.parametrize("family", COVERAGE_FAMILIES)
+@pytest.mark.parametrize("workers, route, cut", GENERATION_ROUTES)
+def test_generation_route_matches_covers_and_the_list_walk(
+    family, workers, route, cut
+):
+    def check(case):
+        pairs, _ = case
+        transformations, covered, counts, rows = route(pairs)
+        walked = len(pairs)
+        if cut is not None and transformations:
+            walked = min(cut, walked)
+        assert rows == walked
+        walked_pairs = pairs[:walked]
+        assert covered == [
+            [row for row, p in enumerate(walked_pairs) if t.covers(p.source, p.target)]
+            for t in transformations
+        ]
+        if transformations:
+            trie = coverage._build_unit_trie(transformations)
+            _, *list_counts, _ = coverage._walk_trie_rows(walked_pairs, 0, trie)
+            assert counts == tuple(list_counts)
 
     run_examples(COVERAGE_FAMILIES[family], check, pooled=workers > 1)

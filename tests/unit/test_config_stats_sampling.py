@@ -68,6 +68,13 @@ class TestDiscoveryConfig:
         with pytest.raises(ValueError):
             DiscoveryConfig(**kwargs)
 
+    @pytest.mark.parametrize("matches", [0, -1])
+    def test_max_matches_checked_at_construction_under_its_own_name(self, matches):
+        with pytest.raises(
+            ValueError, match=f"max_matches_per_placeholder must be >= 1, got {matches}"
+        ):
+            DiscoveryConfig(max_matches_per_placeholder=matches)
+
 
 class TestDiscoveryStats:
     def test_duplicate_ratio(self):

@@ -42,13 +42,13 @@ def test_discover_leaves_gc_as_it_found_it(restore_gc, monkeypatch, enabled):
     else:
         gc.disable()
     during = []
-    from_row = TransformationGenerator.from_row
+    unit_sets = TransformationGenerator.unit_sets
 
-    def recording_from_row(self, source, skeletons):
+    def recording_unit_sets(self, builder, source, skeleton):
         during.append(gc.isenabled())
-        return from_row(self, source, skeletons)
+        return unit_sets(self, builder, source, skeleton)
 
-    monkeypatch.setattr(TransformationGenerator, "from_row", recording_from_row)
+    monkeypatch.setattr(TransformationGenerator, "unit_sets", recording_unit_sets)
     result = TransformationDiscovery().discover_from_strings(PAIRS)
     assert result.cover_coverage == 1.0
     assert during and not any(during)
@@ -58,10 +58,10 @@ def test_discover_leaves_gc_as_it_found_it(restore_gc, monkeypatch, enabled):
 def test_gc_re_enabled_when_a_stage_raises(restore_gc, monkeypatch):
     gc.enable()
 
-    def failing_from_row(self, source, skeletons):
+    def failing_unit_sets(self, builder, source, skeleton):
         raise RuntimeError("unit extraction failed")
 
-    monkeypatch.setattr(TransformationGenerator, "from_row", failing_from_row)
+    monkeypatch.setattr(TransformationGenerator, "unit_sets", failing_unit_sets)
     with pytest.raises(RuntimeError, match="unit extraction failed"):
         TransformationDiscovery().discover_from_strings(PAIRS)
     assert gc.isenabled()
@@ -70,10 +70,10 @@ def test_gc_re_enabled_when_a_stage_raises(restore_gc, monkeypatch):
 def test_gc_stays_disabled_when_a_stage_raises(restore_gc, monkeypatch):
     gc.disable()
 
-    def failing_from_row(self, source, skeletons):
+    def failing_unit_sets(self, builder, source, skeleton):
         raise RuntimeError("unit extraction failed")
 
-    monkeypatch.setattr(TransformationGenerator, "from_row", failing_from_row)
+    monkeypatch.setattr(TransformationGenerator, "unit_sets", failing_unit_sets)
     with pytest.raises(RuntimeError, match="unit extraction failed"):
         TransformationDiscovery().discover_from_strings(PAIRS)
     assert not gc.isenabled()
