@@ -40,7 +40,7 @@ Sub-packages
     model registry, warm compiled-artifact caches, and request
     micro-batching.
 ``repro.baselines``
-    Naive enumeration, Auto-Join, and Auto-FuzzyJoin baselines.
+    Auto-Join, Auto-FuzzyJoin and set-similarity join baselines.
 ``repro.datasets``
     Synthetic and simulated real-world benchmark generators.
 ``repro.evaluation``
@@ -61,7 +61,6 @@ from repro.core import (
     TransformationDiscovery,
     TwoCharSplitSubstr,
 )
-from repro.core.discovery import discover_transformations
 from repro.join import ApplyResult, JoinPipeline, PipelineResult, TransformationJoiner
 from repro.matching import GoldenRowMatcher, MatchingConfig, NGramRowMatcher
 from repro.model import (
@@ -97,7 +96,6 @@ __all__ = [
     "TransformationJoiner",
     "TransformationModel",
     "TwoCharSplitSubstr",
-    "discover_transformations",
     "read_csv",
     "write_csv",
     "__version__",

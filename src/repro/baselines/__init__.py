@@ -1,7 +1,5 @@
 """Baseline methods the paper compares against.
 
-* :mod:`repro.baselines.naive` — the brute-force enumeration baseline of
-  Section 3.1 (only tractable on tiny inputs; used for correctness checks).
 * :mod:`repro.baselines.autojoin` — a reimplementation of Auto-Join
   (Zhu et al., VLDB 2017) as described in Section 3.2: subset sampling plus
   recursive best-unit search with backtracking over the full parameter space.
@@ -16,7 +14,6 @@
 
 from repro.baselines.autojoin import AutoJoin, AutoJoinConfig, AutoJoinResult
 from repro.baselines.fuzzyjoin import AutoFuzzyJoin, FuzzyJoinConfig
-from repro.baselines.naive import NaiveDiscovery, NaiveConfig
 from repro.baselines.setsimjoin import (
     SetSimJoinResult,
     cosine_join,
@@ -31,8 +28,6 @@ __all__ = [
     "AutoJoinConfig",
     "AutoJoinResult",
     "FuzzyJoinConfig",
-    "NaiveConfig",
-    "NaiveDiscovery",
     "SetSimJoinResult",
     "cosine_join",
     "jaccard_join",

@@ -34,7 +34,6 @@ from repro.core.sampling import (
 )
 from repro.core.skeletons import Skeleton, SkeletonBuilder, SkeletonPiece
 from repro.core.stats import DiscoveryStats
-from repro.core.transfer import TransferResult, TransformationTransfer
 from repro.core.transformation import Transformation
 from repro.core.unit_generation import UnitGenerator
 from repro.core.units import (
@@ -62,10 +61,8 @@ __all__ = [
     "Split",
     "SplitSubstr",
     "Substr",
-    "TransferResult",
     "Transformation",
     "TransformationDiscovery",
-    "TransformationTransfer",
     "TransformationUnit",
     "TwoCharSplitSubstr",
     "UnitGenerator",

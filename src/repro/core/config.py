@@ -48,7 +48,7 @@ class DiscoveryConfig:
     min_support:
         Minimum number of covered rows for a transformation to be kept in the
         final cover (1 disables support filtering).  The open-data experiments
-        use a relative threshold; use :meth:`with_relative_support`.
+        use a relative threshold; :meth:`open_data` sets 1 % of the sample.
     sample_size:
         When positive and the input has more pairs than this, discovery runs
         on a deterministic random sample of this many pairs (Section 5.3) and
@@ -201,13 +201,6 @@ class DiscoveryConfig:
         sample = min(3000, num_pairs)
         support = max(2, int(0.01 * min(sample, num_pairs)))
         return cls(max_placeholders=3, sample_size=sample, min_support=support)
-
-    def with_relative_support(self, fraction: float, num_pairs: int) -> "DiscoveryConfig":
-        """Return a copy whose ``min_support`` is ``fraction`` of *num_pairs*."""
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"support fraction must be in [0, 1], got {fraction}")
-        support = max(1, int(round(fraction * num_pairs)))
-        return self.replace(min_support=support)
 
     def replace(self, **changes) -> "DiscoveryConfig":
         """Return a copy with the given fields replaced."""

@@ -1527,7 +1527,3 @@ class CoverageComputer:
             CoverageResult(transformation, covered_mask=mask)
             for transformation, mask in zip(transformations, masks)
         ]
-
-    def reset_cache(self) -> None:
-        """Clear the per-row non-covering-unit sets."""
-        self._non_covering_units = [set() for _ in self.pairs]

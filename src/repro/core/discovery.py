@@ -31,16 +31,10 @@ from time import monotonic
 from repro.core.config import DiscoveryConfig
 from repro.core.cover import (
     cover_fraction,
-    covered_mask,
     greedy_minimal_cover,
     top_k_by_coverage,
 )
-from repro.core.coverage import (
-    CoverageComputer,
-    CoverageResult,
-    TrieBuilder,
-    rows_from_mask,
-)
+from repro.core.coverage import CoverageComputer, CoverageResult, TrieBuilder
 from repro.core.generation import (
     MAX_TRANSFORMATIONS_PER_SKELETON,
     TransformationGenerator,
@@ -110,25 +104,6 @@ class DiscoveryResult:
     def transformations(self) -> list[Transformation]:
         """The transformations of the covering set, in selection order."""
         return [result.transformation for result in self.cover]
-
-    def uncovered_rows(self) -> frozenset[int]:
-        """Indices of input pairs not covered by the covering set."""
-        all_rows = (1 << len(self.pairs)) - 1
-        return frozenset(rows_from_mask(all_rows & ~covered_mask(self.cover)))
-
-    def summary(self) -> dict[str, float]:
-        """Key figures of the run as a flat dict (used by benchmarks)."""
-        return {
-            "num_pairs": len(self.pairs),
-            "top_coverage": self.top_coverage,
-            "cover_coverage": self.cover_coverage,
-            "num_transformations": self.num_transformations,
-            "total_seconds": self.stats.total_seconds,
-            "generated_transformations": self.stats.generated_transformations,
-            "unique_transformations": self.stats.unique_transformations,
-            "duplicate_ratio": self.stats.duplicate_ratio,
-            "cache_hit_ratio": self.stats.cache_hit_ratio,
-        }
 
 
 class TransformationDiscovery:
@@ -313,12 +288,3 @@ class TransformationDiscovery:
         stats.generated_transformations = generated
         stats.unique_transformations = len(builder)
         return builder
-
-
-def discover_transformations(
-    pairs: Sequence[tuple[str, str]],
-    *,
-    config: DiscoveryConfig | None = None,
-) -> DiscoveryResult:
-    """Functional one-shot API: discover transformations for string pairs."""
-    return TransformationDiscovery(config).discover_from_strings(pairs)

@@ -6,7 +6,7 @@ golden matching or produced by the row matcher of :mod:`repro.matching`.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 
@@ -24,15 +24,6 @@ class RowPair:
     source_row: int = -1
     target_row: int = -1
 
-    def reversed(self) -> "RowPair":
-        """Swap source and target (used when re-orienting the join direction)."""
-        return RowPair(
-            source=self.target,
-            target=self.source,
-            source_row=self.target_row,
-            target_row=self.source_row,
-        )
-
 
 def pairs_from_strings(pairs: Iterable[tuple[str, str]]) -> list[RowPair]:
     """Build :class:`RowPair` objects from plain (source, target) tuples."""
@@ -40,17 +31,3 @@ def pairs_from_strings(pairs: Iterable[tuple[str, str]]) -> list[RowPair]:
         RowPair(source=source, target=target, source_row=index, target_row=index)
         for index, (source, target) in enumerate(pairs)
     ]
-
-
-def average_source_length(pairs: Sequence[RowPair]) -> float:
-    """Average length of the source strings (0.0 for an empty input)."""
-    if not pairs:
-        return 0.0
-    return sum(len(pair.source) for pair in pairs) / len(pairs)
-
-
-def average_target_length(pairs: Sequence[RowPair]) -> float:
-    """Average length of the target strings (0.0 for an empty input)."""
-    if not pairs:
-        return 0.0
-    return sum(len(pair.target) for pair in pairs) / len(pairs)

@@ -57,11 +57,6 @@ class Skeleton:
         """Number of placeholder pieces."""
         return sum(1 for piece in self.pieces if piece.is_placeholder)
 
-    @property
-    def target_text(self) -> str:
-        """The concatenation of all pieces (== the row's target text)."""
-        return "".join(piece.text for piece in self.pieces)
-
     def describe(self) -> str:
         """Render the skeleton as in the paper, e.g. ``<(P: 'a'), (L: 'b')>``."""
         rendered = ", ".join(
@@ -81,11 +76,6 @@ class SkeletonBuilder:
             max_matches=self._config.max_matches_per_placeholder,
             split_on_separators=self._config.split_placeholders_on_separators,
         )
-
-    @property
-    def extractor(self) -> PlaceholderExtractor:
-        """The underlying placeholder extractor."""
-        return self._extractor
 
     def build(self, source: str, target: str) -> list[Skeleton]:
         """Return the skeletons of the pair, most-specific first.

@@ -97,33 +97,6 @@ class DiscoveryStats:
         """Total recorded wall-clock time across stages."""
         return sum(self.stage_seconds.values())
 
-    def merge(self, other: "DiscoveryStats") -> "DiscoveryStats":
-        """Combine counters from two runs (used when averaging over tables)."""
-        merged_stages = dict(self.stage_seconds)
-        for stage, seconds in other.stage_seconds.items():
-            merged_stages[stage] = merged_stages.get(stage, 0.0) + seconds
-        return DiscoveryStats(
-            num_pairs=self.num_pairs + other.num_pairs,
-            num_skeletons=self.num_skeletons + other.num_skeletons,
-            generated_transformations=(
-                self.generated_transformations + other.generated_transformations
-            ),
-            unique_transformations=(
-                self.unique_transformations + other.unique_transformations
-            ),
-            cache_hits=self.cache_hits + other.cache_hits,
-            cache_misses=self.cache_misses + other.cache_misses,
-            applications=self.applications + other.applications,
-            stage_seconds=merged_stages,
-            budget_exhausted=self.budget_exhausted or other.budget_exhausted,
-            budget_stage=self.budget_stage or other.budget_stage,
-            rows_fully_processed=(
-                self.rows_fully_processed
-                if self.rows_fully_processed is not None
-                else other.rows_fully_processed
-            ),
-        )
-
     def as_dict(self) -> dict[str, float]:
         """Flatten the statistics to a plain dict (for reports and tests).
 

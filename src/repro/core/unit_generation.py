@@ -83,10 +83,6 @@ class UnitGenerator:
                     add(unit)
         return units
 
-    def literal_unit(self, text: str) -> Literal:
-        """The literal unit for a skeleton's literal gap."""
-        return Literal(text)
-
     # ------------------------------------------------------------------ #
     # Split(c, i)
     # ------------------------------------------------------------------ #

@@ -18,7 +18,7 @@ ground-truth row pairs, so both the row matcher and the end-to-end join can
 be scored.
 """
 
-from repro.datasets.base import BenchmarkDataset, TablePair, dataset_statistics
+from repro.datasets.base import BenchmarkDataset, TablePair
 from repro.datasets.open_data import generate_open_data
 from repro.datasets.registry import available_datasets, load_dataset
 from repro.datasets.spreadsheet import generate_spreadsheet_dataset
@@ -30,7 +30,6 @@ __all__ = [
     "SyntheticConfig",
     "TablePair",
     "available_datasets",
-    "dataset_statistics",
     "generate_open_data",
     "generate_spreadsheet_dataset",
     "generate_synthetic_dataset",

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.table.io import read_csv, write_csv
+from repro.table.io import write_csv
 from repro.table.table import Table
 
 
@@ -80,33 +80,6 @@ class TablePair:
         )
         write_csv(golden, directory / f"{self.name}_golden.csv")
 
-    @classmethod
-    def load(
-        cls,
-        directory: str | Path,
-        name: str,
-        *,
-        source_column: str,
-        target_column: str,
-    ) -> "TablePair":
-        """Load a pair previously written by :meth:`save`."""
-        directory = Path(directory)
-        source = read_csv(directory / f"{name}_source.csv", name=f"{name}_source")
-        target = read_csv(directory / f"{name}_target.csv", name=f"{name}_target")
-        golden_table = read_csv(directory / f"{name}_golden.csv")
-        golden = [
-            (int(s), int(t))
-            for s, t in zip(golden_table["source_row"], golden_table["target_row"])
-        ]
-        return cls(
-            name=name,
-            source=source,
-            target=target,
-            source_column=source_column,
-            target_column=target_column,
-            golden_pairs=golden,
-        )
-
 
 @dataclass
 class BenchmarkDataset:
@@ -124,29 +97,3 @@ class BenchmarkDataset:
 
     def __getitem__(self, index: int) -> TablePair:
         return self.pairs[index]
-
-    def subset(self, count: int) -> "BenchmarkDataset":
-        """The first *count* pairs as a smaller dataset (for quick runs)."""
-        return BenchmarkDataset(
-            name=f"{self.name}[:{count}]",
-            pairs=self.pairs[:count],
-            description=self.description,
-        )
-
-
-def dataset_statistics(dataset: BenchmarkDataset | Sequence[TablePair]) -> dict[str, float]:
-    """Aggregate statistics reported in Table 1 (#rows, avg length, #pairs)."""
-    pairs = list(dataset)
-    if not pairs:
-        return {
-            "num_tables": 0,
-            "avg_rows": 0.0,
-            "avg_join_length": 0.0,
-            "avg_golden_pairs": 0.0,
-        }
-    return {
-        "num_tables": len(pairs),
-        "avg_rows": sum(p.num_source_rows for p in pairs) / len(pairs),
-        "avg_join_length": sum(p.average_join_length for p in pairs) / len(pairs),
-        "avg_golden_pairs": sum(len(p.golden_pairs) for p in pairs) / len(pairs),
-    }

@@ -8,7 +8,7 @@ sets.
 
 from repro.evaluation.join_metrics import evaluate_join
 from repro.evaluation.matching_metrics import PRF, evaluate_matching, prf
-from repro.evaluation.report import format_table, rows_to_csv
+from repro.evaluation.report import format_table
 
 __all__ = [
     "PRF",
@@ -16,5 +16,4 @@ __all__ = [
     "evaluate_matching",
     "format_table",
     "prf",
-    "rows_to_csv",
 ]

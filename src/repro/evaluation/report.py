@@ -1,14 +1,12 @@
 """Plain-text report formatting used by benchmarks and examples.
 
 Every benchmark regenerates one of the paper's tables or figures; these
-helpers render the result rows as an aligned text table (and optionally CSV)
-so the output reads like the table it reproduces.
+helpers render the result rows as an aligned text table so the output reads
+like the table it reproduces.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from collections.abc import Mapping, Sequence
 
 
@@ -48,21 +46,3 @@ def format_table(
         parts.append(title)
     parts.extend([header, separator, body])
     return "\n".join(parts)
-
-
-def rows_to_csv(
-    rows: Sequence[Mapping[str, object]],
-    *,
-    columns: Sequence[str] | None = None,
-) -> str:
-    """Render *rows* as a CSV string (header + one line per row)."""
-    if not rows:
-        return ""
-    if columns is None:
-        columns = list(rows[0].keys())
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=list(columns), extrasaction="ignore")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({column: row.get(column, "") for column in columns})
-    return buffer.getvalue()

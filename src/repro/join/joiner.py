@@ -415,23 +415,6 @@ class TransformationJoiner:
             list(source[source_column]), list(target[target_column])
         )
 
-    def materialize(
-        self,
-        source: Table,
-        target: Table,
-        *,
-        source_column: str,
-        target_column: str,
-    ) -> Table:
-        """Return the joined table (all columns of both inputs, suffixed)."""
-        join_result = self.join(
-            source,
-            target,
-            source_column=source_column,
-            target_column=target_column,
-        )
-        return self.materialize_from(join_result, source, target)
-
     def materialize_from(
         self,
         join_result: JoinResult,

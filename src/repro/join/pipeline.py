@@ -153,11 +153,6 @@ class JoinPipeline:
         self._shard_retries = shard_retries
         self._serial_fallback = serial_fallback
 
-    @property
-    def discovery_engine(self) -> TransformationDiscovery:
-        """The underlying discovery engine."""
-        return self._discovery
-
     # ------------------------------------------------------------------ #
     # fit: matching + discovery -> model
     # ------------------------------------------------------------------ #

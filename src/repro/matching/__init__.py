@@ -9,8 +9,6 @@ the ``REPRO_MATCHER`` environment variable):
 * :mod:`repro.matching.index` — the packed inverted index (sorted-array
   postings, O(1) row-frequency table, build-time representative n-grams,
   stop-gram pruning) plus the packed exact-value index used by the joiner,
-* :mod:`repro.matching.scoring` — Inverse Row Frequency (IRF) and the
-  representative score (Rscore),
 * :mod:`repro.matching.row_matcher` — Algorithm 1 (representative-n-gram
   matching), the engine-selecting :func:`~repro.matching.row_matcher.
   create_row_matcher` factory, plus a golden matcher that replays a known
@@ -23,15 +21,13 @@ the ``REPRO_MATCHER`` environment variable):
 
 The seed's nested-loop matcher, the executable specification of
 :class:`~repro.matching.row_matcher.NGramRowMatcher`, lives with the tests
-as ``tests/oracles/matching.py``.
+as ``tests/oracles/matching.py``, together with the paper's definitions of
+Inverse Row Frequency (IRF) and the representative score (Rscore) that
+:meth:`~repro.matching.index.InvertedIndex.representatives` fuses.
 """
 
 from repro.matching.index import InvertedIndex, ValueIndex
-from repro.matching.ngrams import (
-    character_ngrams,
-    ngrams_in_range,
-    unique_ngrams_by_size,
-)
+from repro.matching.ngrams import unique_ngrams_by_size
 from repro.matching.row_matcher import (
     MATCHER_ENGINES,
     SETSIM_SIMILARITIES,
@@ -39,10 +35,8 @@ from repro.matching.row_matcher import (
     MatchingConfig,
     NGramRowMatcher,
     RowMatcher,
-    choose_source_column,
     create_row_matcher,
 )
-from repro.matching.scoring import inverse_row_frequency, representative_score
 from repro.matching.setsim import SetSimRowMatcher, SetSimStats
 from repro.matching.tokenize import (
     TOKENIZERS,
@@ -63,13 +57,8 @@ __all__ = [
     "SetSimStats",
     "TOKENIZERS",
     "ValueIndex",
-    "character_ngrams",
-    "choose_source_column",
     "create_row_matcher",
-    "inverse_row_frequency",
-    "ngrams_in_range",
     "qgram_tokens",
-    "representative_score",
     "tokenizer_for",
     "unique_ngrams_by_size",
     "whitespace_tokens",

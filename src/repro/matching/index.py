@@ -253,9 +253,10 @@ class InvertedIndex:
                 best: str | None = None
                 best_score = 0.0
                 for gram in kept:
-                    # Same arithmetic as scoring.representative_score so that
-                    # floating-point behaviour (and therefore tie-breaking)
-                    # is identical to the reference matcher.
+                    # Same arithmetic as representative_score in
+                    # tests/oracles/matching.py so that floating-point
+                    # behaviour (and therefore tie-breaking) is identical to
+                    # the reference matcher.
                     score = (1.0 / source_frequency[gram]) * (
                         1.0 / target_frequency[gram]
                     )

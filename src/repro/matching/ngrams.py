@@ -10,25 +10,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 
-def character_ngrams(text: str, size: int, *, lowercase: bool = True) -> list[str]:
-    """Return all character n-grams of *size* in *text* (with duplicates).
-
-    Returns an empty list when the text is shorter than *size*.
-    """
-    if size <= 0:
-        raise ValueError(f"n-gram size must be positive, got {size}")
-    if lowercase:
-        text = text.lower()
-    if len(text) < size:
-        return []
-    return [text[i : i + size] for i in range(len(text) - size + 1)]
-
-
-def unique_ngrams(text: str, size: int, *, lowercase: bool = True) -> set[str]:
-    """The distinct character n-grams of *size* in *text*."""
-    return set(character_ngrams(text, size, lowercase=lowercase))
-
-
 def unique_ngrams_by_size(
     text: str,
     min_size: int,
@@ -65,28 +46,3 @@ def unique_ngrams_by_size(
                 text[start : start + size] for start in range(length - size + 1)
             )
         )
-
-
-def ngrams_in_range(
-    text: str,
-    min_size: int,
-    max_size: int,
-    *,
-    lowercase: bool = True,
-) -> Iterator[str]:
-    """Yield every n-gram of every size in ``[min_size, max_size]``.
-
-    Sizes larger than the text produce nothing; duplicates are yielded as they
-    occur (the inverted index deduplicates per row).
-    """
-    if min_size <= 0:
-        raise ValueError(f"min n-gram size must be positive, got {min_size}")
-    if max_size < min_size:
-        raise ValueError(
-            f"max n-gram size ({max_size}) must be >= min size ({min_size})"
-        )
-    if lowercase:
-        text = text.lower()
-    for size in range(min_size, min(max_size, len(text)) + 1):
-        for start in range(len(text) - size + 1):
-            yield text[start : start + size]

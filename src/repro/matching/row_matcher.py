@@ -227,16 +227,6 @@ class RowMatcher(ABC):
         """Return candidate joinable row pairs between the two columns."""
 
 
-def choose_source_column(left: Table, right: Table, column_left: str, column_right: str) -> bool:
-    """Decide whether *left* should be the source (more informative) table.
-
-    The paper tags the column with longer descriptions on average as the
-    source column.  Returns True when the left column's average cell length is
-    at least that of the right column.
-    """
-    return left[column_left].average_length() >= right[column_right].average_length()
-
-
 class NGramRowMatcher(RowMatcher):
     """Algorithm 1: representative-n-gram candidate pair detection."""
 

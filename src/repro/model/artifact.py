@@ -164,12 +164,6 @@ class TransformationModel:
         """Whether the transformations were learned on lower-cased text."""
         return self.discovery_config.case_insensitive
 
-    def support_fractions(self) -> list[float]:
-        """Discovery-time support (coverage / candidate pairs) per transformation."""
-        if self.num_candidate_pairs == 0:
-            return [0.0] * len(self.coverage_counts)
-        return [count / self.num_candidate_pairs for count in self.coverage_counts]
-
     def describe(self) -> str:
         """Human-readable multi-line summary of the model."""
         lines = [

@@ -80,6 +80,10 @@ DEFAULT_REQUEST_TIMEOUT_S = 30.0
 #: hostile Content-Length could otherwise make the server buffer.
 DEFAULT_MAX_BODY_BYTES = 8 * 1024 * 1024
 
+#: Largest accepted ``deadline_ms``: the longest wait the ``threading``
+#: primitives accept, which raise ``OverflowError`` past it.
+_MAX_DEADLINE_MS = threading.TIMEOUT_MAX * 1000.0
+
 #: Duplicated from :mod:`repro.testing.faults` (zero-cost guard when unset).
 _FAULT_ENV = "REPRO_FAULT_INJECT"
 
@@ -291,7 +295,9 @@ class _JoinRequestHandler(BaseHTTPRequestHandler):
         raw = self.rfile.read(length)
         try:
             payload = json.loads(raw)
-        except json.JSONDecodeError as error:
+        except (ValueError, RecursionError) as error:
+            # ValueError: malformed JSON, a body that is not UTF-8, or an
+            # integer past the digit limit; RecursionError: nesting too deep.
             raise BadRequestError(f"request body is not valid JSON: {error}") from None
         if not isinstance(payload, dict):
             raise BadRequestError("request body must be a JSON object")
@@ -307,14 +313,16 @@ class _JoinRequestHandler(BaseHTTPRequestHandler):
             values[field] = column
         deadline_ms = payload.get("deadline_ms")
         if deadline_ms is not None:
+            # The range test also rejects NaN and Infinity, which Python's
+            # json accepts although RFC 8259 has no such numbers.
             if (
                 isinstance(deadline_ms, bool)
                 or not isinstance(deadline_ms, (int, float))
-                or deadline_ms <= 0
+                or not 0 < deadline_ms <= _MAX_DEADLINE_MS
             ):
                 raise BadRequestError(
                     "field 'deadline_ms' must be a positive number of "
-                    "milliseconds"
+                    f"milliseconds, at most {_MAX_DEADLINE_MS:.0f}"
                 )
         return values["source"], values["target"], deadline_ms
 

@@ -6,8 +6,7 @@ the rest of the library builds on:
 
 * :class:`~repro.table.table.Table` / :class:`~repro.table.table.Column` —
   in-memory, column-oriented tables of strings,
-* :mod:`repro.table.ops` — selection, projection, equi-join and
-  transformation-join operators,
+* :mod:`repro.table.ops` — the equi-join operator,
 * :mod:`repro.table.io` — CSV import/export.
 
 The substrate intentionally mirrors the subset of a relational engine the
@@ -16,7 +15,7 @@ the join semantics used by the experiments are explicit and testable.
 """
 
 from repro.table.io import TableReadError, read_csv, write_csv
-from repro.table.ops import equi_join, hash_join, project, rename, select
+from repro.table.ops import equi_join
 from repro.table.schema import ColumnSchema, TableSchema
 from repro.table.table import Column, Row, Table
 
@@ -28,10 +27,6 @@ __all__ = [
     "TableReadError",
     "TableSchema",
     "equi_join",
-    "hash_join",
-    "project",
     "read_csv",
-    "rename",
-    "select",
     "write_csv",
 ]

@@ -127,12 +127,4 @@ def write_csv(table: Table, path: str | Path) -> None:
             writer.writerow(row.as_tuple(table.column_names))
 
 
-def read_table_pair(
-    source_path: str | Path,
-    target_path: str | Path,
-) -> tuple[Table, Table]:
-    """Read two CSV files as a (source, target) table pair."""
-    return read_csv(source_path), read_csv(target_path)
-
-
-__all__ = ["TableReadError", "read_csv", "write_csv", "read_table_pair", "Column"]
+__all__ = ["TableReadError", "read_csv", "write_csv", "Column"]

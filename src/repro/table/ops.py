@@ -1,101 +1,15 @@
-"""Relational operators over :class:`~repro.table.table.Table`.
+"""The equi-join operator over :class:`~repro.table.table.Table`.
 
-Only the operators the reproduction needs are implemented: selection,
-projection, renaming, and (hash) equi-join.  The transformation join used by
-the end-to-end experiments lives in :mod:`repro.join` and is built on
-:func:`equi_join`.
+The transformation join used by the end-to-end experiments lives in
+:mod:`repro.join`; it probes a :class:`~repro.matching.index.ValueIndex`
+and does not call :func:`equi_join`.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Callable, Sequence
 
-from repro.table.table import Column, Row, Table
-
-
-def project(table: Table, columns: Sequence[str], *, name: str | None = None) -> Table:
-    """Return a new table with only *columns*, in the given order."""
-    missing = [c for c in columns if c not in table]
-    if missing:
-        raise KeyError(f"columns {missing} not in table {table.name!r}")
-    return Table(
-        [Column(c, table[c].values) for c in columns],
-        name=name or table.name,
-    )
-
-
-def rename(table: Table, mapping: dict[str, str], *, name: str | None = None) -> Table:
-    """Return a new table with columns renamed according to *mapping*."""
-    columns = []
-    for column_name in table.column_names:
-        new_name = mapping.get(column_name, column_name)
-        columns.append(Column(new_name, table[column_name].values))
-    return Table(columns, name=name or table.name)
-
-
-def select(table: Table, predicate: Callable[[Row], bool]) -> Table:
-    """Return the rows of *table* for which *predicate* returns True."""
-    indices = [row.index for row in table.rows() if predicate(row)]
-    if not indices:
-        # Preserve the schema even when no row matches.
-        return Table(
-            [Column(c, []) for c in table.column_names],
-            name=table.name,
-        )
-    return table.take(indices)
-
-
-def hash_join(
-    left: Table,
-    right: Table,
-    *,
-    left_on: str,
-    right_on: str,
-    suffixes: tuple[str, str] = ("_left", "_right"),
-) -> Table:
-    """Hash equi-join of *left* and *right* on the given columns.
-
-    The result contains every pair of rows whose join cells compare equal as
-    strings.  Column-name collisions are resolved with *suffixes*.  The result
-    also carries two bookkeeping columns, ``__left_row__`` and
-    ``__right_row__``, holding the original row indices, which the evaluation
-    code uses to compare against ground-truth row pairs.
-    """
-    if left_on not in left:
-        raise KeyError(f"column {left_on!r} not in left table {left.name!r}")
-    if right_on not in right:
-        raise KeyError(f"column {right_on!r} not in right table {right.name!r}")
-
-    index: dict[str, list[int]] = defaultdict(list)
-    for row_id, value in enumerate(right[right_on]):
-        index[value].append(row_id)
-
-    left_names = list(left.column_names)
-    right_names = list(right.column_names)
-    collisions = set(left_names) & set(right_names)
-
-    def left_out(name: str) -> str:
-        return name + suffixes[0] if name in collisions else name
-
-    def right_out(name: str) -> str:
-        return name + suffixes[1] if name in collisions else name
-
-    out_columns: dict[str, list[str]] = {left_out(n): [] for n in left_names}
-    out_columns.update({right_out(n): [] for n in right_names})
-    out_columns["__left_row__"] = []
-    out_columns["__right_row__"] = []
-
-    for left_id, key in enumerate(left[left_on]):
-        for right_id in index.get(key, ()):
-            for name in left_names:
-                out_columns[left_out(name)].append(left[name][left_id])
-            for name in right_names:
-                out_columns[right_out(name)].append(right[name][right_id])
-            out_columns["__left_row__"].append(str(left_id))
-            out_columns["__right_row__"].append(str(right_id))
-
-    return Table(out_columns, name=f"{left.name}_join_{right.name}")
+from repro.table.table import Table
 
 
 def equi_join(
@@ -105,11 +19,7 @@ def equi_join(
     left_on: str,
     right_on: str,
 ) -> list[tuple[int, int]]:
-    """Return the (left_row, right_row) index pairs whose join cells are equal.
-
-    This is the row-pair level view of :func:`hash_join`, used when only the
-    matching pairs (not the materialized table) are needed.
-    """
+    """Return the (left_row, right_row) index pairs whose join cells are equal."""
     index: dict[str, list[int]] = defaultdict(list)
     for row_id, value in enumerate(right[right_on]):
         index[value].append(row_id)

@@ -38,22 +38,10 @@ class TableSchema:
         if len(names) != len(set(names)):
             raise ValueError(f"duplicate column names in schema: {names}")
 
-    @classmethod
-    def from_names(cls, names: list[str] | tuple[str, ...]) -> "TableSchema":
-        """Build a schema where every column has the default role."""
-        return cls(tuple(ColumnSchema(name) for name in names))
-
     @property
     def names(self) -> tuple[str, ...]:
         """Column names, in order."""
         return tuple(col.name for col in self.columns)
-
-    def index_of(self, name: str) -> int:
-        """Return the position of column *name*, raising ``KeyError`` if absent."""
-        for index, col in enumerate(self.columns):
-            if col.name == name:
-                return index
-        raise KeyError(f"no column named {name!r}; available: {list(self.names)}")
 
     def __contains__(self, name: object) -> bool:
         return any(col.name == name for col in self.columns)

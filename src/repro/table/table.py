@@ -72,16 +72,6 @@ class Column:
         suffix = ", ..." if len(self._values) > 3 else ""
         return f"Column({self._name!r}, [{preview}{suffix}], n={len(self._values)})"
 
-    def average_length(self) -> float:
-        """Average number of characters per cell (0.0 for an empty column)."""
-        if not self._values:
-            return 0.0
-        return sum(len(v) for v in self._values) / len(self._values)
-
-    def unique(self) -> set[str]:
-        """The set of distinct cell values."""
-        return set(self._values)
-
 
 class Table:
     """A column-oriented table of strings.
@@ -124,11 +114,6 @@ class Table:
         return self._name
 
     @property
-    def schema(self) -> TableSchema:
-        """The table schema."""
-        return self._schema
-
-    @property
     def column_names(self) -> tuple[str, ...]:
         """Column names, in order."""
         return self._schema.names
@@ -137,11 +122,6 @@ class Table:
     def num_rows(self) -> int:
         """Number of rows."""
         return self._num_rows
-
-    @property
-    def num_columns(self) -> int:
-        """Number of columns."""
-        return len(self._columns)
 
     def column(self, name: str) -> Column:
         """Return the column *name*, raising ``KeyError`` if it does not exist."""
@@ -189,55 +169,12 @@ class Table:
         for index in range(self._num_rows):
             yield self.row(index)
 
-    def to_records(self) -> list[dict[str, str]]:
-        """Return the table as a list of plain dicts (one per row)."""
-        return [dict(row.values) for row in self.rows()]
-
     # ------------------------------------------------------------------ #
     # Construction helpers and derived tables
     # ------------------------------------------------------------------ #
-    @classmethod
-    def from_records(
-        cls,
-        records: Sequence[Mapping[str, str]],
-        *,
-        name: str = "table",
-        column_order: Sequence[str] | None = None,
-    ) -> "Table":
-        """Build a table from row dictionaries.
-
-        All records must have identical keys.  *column_order* fixes the column
-        order; by default the order of keys in the first record is used.
-        """
-        if not records:
-            raise ValueError("cannot build a table from an empty record list")
-        keys = list(column_order) if column_order is not None else list(records[0])
-        columns: dict[str, list[str]] = {key: [] for key in keys}
-        for position, record in enumerate(records):
-            if set(record) != set(keys):
-                raise ValueError(
-                    f"record {position} keys {sorted(record)} do not match "
-                    f"expected columns {sorted(keys)}"
-                )
-            for key in keys:
-                columns[key].append(str(record[key]))
-        return cls(columns, name=name)
-
     def with_name(self, name: str) -> "Table":
         """Return the same table under a different name."""
         return Table(list(self._columns.values()), name=name)
-
-    def with_column(self, name: str, values: Iterable[str]) -> "Table":
-        """Return a new table with an extra (or replaced) column."""
-        values = tuple(str(v) for v in values)
-        if len(values) != self._num_rows:
-            raise ValueError(
-                f"new column {name!r} has {len(values)} values, "
-                f"table has {self._num_rows} rows"
-            )
-        columns = [c for c in self._columns.values() if c.name != name]
-        columns.append(Column(name, values))
-        return Table(columns, name=self._name)
 
     def take(self, indices: Sequence[int]) -> "Table":
         """Return a new table containing the rows at *indices* (in that order)."""
@@ -256,16 +193,3 @@ class Table:
         """Return the first *count* rows (fewer if the table is smaller)."""
         count = max(0, min(count, self._num_rows))
         return self.take(list(range(count)))
-
-    def sample(self, count: int, *, seed: int = 0) -> "Table":
-        """Return a deterministic pseudo-random sample of *count* rows.
-
-        Sampling without replacement using ``random.Random(seed)``; if *count*
-        exceeds the number of rows, the whole table is returned (shuffled).
-        """
-        import random
-
-        rng = random.Random(seed)
-        indices = list(range(self._num_rows))
-        rng.shuffle(indices)
-        return self.take(indices[: min(count, self._num_rows)])

@@ -1,34 +1,11 @@
-"""Shared utilities: text helpers, timers, and validation."""
+"""Shared utilities: separator-aware tokenizing and stage timers."""
 
-from repro.utils.text import (
-    COMMON_SEPARATORS,
-    all_ngrams,
-    common_substrings,
-    is_separator,
-    normalize_whitespace,
-    split_on_separators,
-    tokenize,
-)
-from repro.utils.timing import StageTimer, Timer
-from repro.utils.validation import (
-    require_non_empty,
-    require_positive,
-    require_range,
-    require_type,
-)
+from repro.utils.text import COMMON_SEPARATORS, is_separator, tokenize
+from repro.utils.timing import StageTimer
 
 __all__ = [
     "COMMON_SEPARATORS",
-    "all_ngrams",
-    "common_substrings",
     "is_separator",
-    "normalize_whitespace",
-    "split_on_separators",
     "tokenize",
     "StageTimer",
-    "Timer",
-    "require_non_empty",
-    "require_positive",
-    "require_range",
-    "require_type",
 ]

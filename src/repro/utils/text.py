@@ -1,21 +1,12 @@
 """Text helpers used across the library.
 
-The transformation-discovery algorithm relies on a handful of low-level
-string primitives:
-
-* enumeration of n-grams (for the row matcher's inverted index),
-* enumeration of common substrings of a source/target pair (placeholders),
-* splitting a string on the "common separators" the paper uses
-  (whitespace and punctuation) when breaking maximal-length placeholders.
-
-These are hot paths, so the implementations avoid building intermediate
-objects where a generator suffices.
+The "common separators" the paper breaks maximal-length placeholders on
+(whitespace and punctuation), and a tokenizer that splits on them.
 """
 
 from __future__ import annotations
 
 import string
-from collections.abc import Iterator
 
 #: Characters treated as common separators when splitting maximal-length
 #: placeholders into smaller candidate placeholders (Section 4.1.3 of the
@@ -27,11 +18,6 @@ COMMON_SEPARATORS: frozenset[str] = frozenset(string.punctuation + string.whites
 def is_separator(char: str) -> bool:
     """Return True when *char* is a common separator (punctuation/whitespace)."""
     return char in COMMON_SEPARATORS
-
-
-def normalize_whitespace(text: str) -> str:
-    """Collapse runs of whitespace to single spaces and strip the ends."""
-    return " ".join(text.split())
 
 
 def tokenize(text: str) -> list[str]:
@@ -54,87 +40,3 @@ def tokenize(text: str) -> list[str]:
     if current:
         tokens.append("".join(current))
     return tokens
-
-
-def split_on_separators(text: str) -> list[tuple[str, bool]]:
-    """Split *text* into alternating (chunk, is_separator_chunk) pieces.
-
-    Unlike :func:`tokenize`, the separator characters are preserved so the
-    caller can rebuild the original string:
-
-    >>> split_on_separators("a, b")
-    [('a', False), (', ', True), ('b', False)]
-    """
-    pieces: list[tuple[str, bool]] = []
-    if not text:
-        return pieces
-    current: list[str] = [text[0]]
-    current_is_sep = is_separator(text[0])
-    for char in text[1:]:
-        char_is_sep = is_separator(char)
-        if char_is_sep == current_is_sep:
-            current.append(char)
-        else:
-            pieces.append(("".join(current), current_is_sep))
-            current = [char]
-            current_is_sep = char_is_sep
-    pieces.append(("".join(current), current_is_sep))
-    return pieces
-
-
-def all_ngrams(text: str, size: int) -> Iterator[str]:
-    """Yield every character n-gram of *size* in *text* (possibly repeated)."""
-    if size <= 0:
-        raise ValueError(f"n-gram size must be positive, got {size}")
-    for start in range(len(text) - size + 1):
-        yield text[start : start + size]
-
-
-def common_substrings(
-    source: str,
-    target: str,
-    *,
-    min_length: int = 1,
-) -> set[str]:
-    """Return all substrings of *target* that also occur in *source*.
-
-    Only substrings of length >= *min_length* are returned.  This is the raw
-    material for placeholders: a placeholder is a block of the target that can
-    be produced by a non-constant transformation unit, and for copy-based
-    units that means any common substring (Section 4.1 of the paper).
-    """
-    found: set[str] = set()
-    target_len = len(target)
-    for start in range(target_len):
-        for end in range(start + min_length, target_len + 1):
-            candidate = target[start:end]
-            if candidate in source:
-                found.add(candidate)
-            else:
-                # If target[start:end] is not in source, no longer extension
-                # starting at `start` can be either.
-                break
-    return found
-
-
-def longest_common_substring(source: str, target: str) -> str:
-    """Return one longest common substring of *source* and *target*.
-
-    Implemented with dynamic programming over character positions; ties are
-    broken by the earliest occurrence in *target*.
-    """
-    if not source or not target:
-        return ""
-    best_len = 0
-    best_end = 0
-    previous = [0] * (len(source) + 1)
-    for t_index, t_char in enumerate(target, start=1):
-        current = [0] * (len(source) + 1)
-        for s_index, s_char in enumerate(source, start=1):
-            if t_char == s_char:
-                current[s_index] = previous[s_index - 1] + 1
-                if current[s_index] > best_len:
-                    best_len = current[s_index]
-                    best_end = t_index
-        previous = current
-    return target[best_end - best_len : best_end]

@@ -14,32 +14,6 @@ from dataclasses import dataclass, field
 
 
 @dataclass
-class Timer:
-    """A simple start/stop wall-clock timer."""
-
-    started_at: float | None = None
-    elapsed: float = 0.0
-
-    def start(self) -> None:
-        """Start (or restart) the timer."""
-        self.started_at = time.perf_counter()
-
-    def stop(self) -> float:
-        """Stop the timer, accumulate and return the elapsed time."""
-        if self.started_at is None:
-            raise RuntimeError("Timer.stop() called before start()")
-        delta = time.perf_counter() - self.started_at
-        self.elapsed += delta
-        self.started_at = None
-        return delta
-
-    def reset(self) -> None:
-        """Reset accumulated time."""
-        self.started_at = None
-        self.elapsed = 0.0
-
-
-@dataclass
 class StageTimer:
     """Accumulate elapsed time for named pipeline stages.
 
@@ -63,14 +37,6 @@ class StageTimer:
             self.stages[name] = self.stages.get(name, 0.0) + (
                 time.perf_counter() - start
             )
-
-    def add(self, name: str, seconds: float) -> None:
-        """Manually add *seconds* to stage *name*."""
-        self.stages[name] = self.stages.get(name, 0.0) + seconds
-
-    def total(self) -> float:
-        """Total accumulated time across all stages."""
-        return sum(self.stages.values())
 
     def as_dict(self) -> dict[str, float]:
         """Return a copy of the per-stage accumulated times."""

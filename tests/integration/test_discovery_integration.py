@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import DiscoveryConfig
-from repro.core.discovery import TransformationDiscovery, discover_transformations
+from repro.core.discovery import TransformationDiscovery
 from repro.core.pairs import pairs_from_strings
 from repro.core.units import Literal, Split, SplitSubstr
 
@@ -75,7 +75,7 @@ class TestMultiRuleInput:
 
     def test_uncovered_rows_empty_when_fully_covered(self, engine, mixed_rule_pairs):
         result = engine.discover_from_strings(mixed_rule_pairs)
-        assert result.uncovered_rows() == frozenset()
+        assert result.cover_coverage == 1.0
 
 
 class TestNoiseHandling:
@@ -104,7 +104,7 @@ class TestLemmaExamples:
             ("12345sabcdefg", "abcdefg"),
             ("67890taxxxx", "axxxx"),
         ]
-        result = discover_transformations(pairs)
+        result = TransformationDiscovery(DiscoveryConfig()).discover_from_strings(pairs)
         assert result.cover_coverage == 1.0
 
     def test_substr_example_of_lemma_2(self):
@@ -113,7 +113,7 @@ class TestLemmaExamples:
             ("abcdefghijklmn", "defg.jkb"),
             ("0123456789abcd", "d456.9ab"),
         ]
-        result = discover_transformations(pairs)
+        result = TransformationDiscovery(DiscoveryConfig()).discover_from_strings(pairs)
         # Both rows are coverable (individually or jointly).
         assert result.cover_coverage == 1.0
 

@@ -8,9 +8,9 @@ transformation or a greedy cover.
 
 The number of transformations is exponential in the transformation length, so
 this baseline is only runnable on very small inputs (short strings, one or
-two units).  It exists to (a) demonstrate the explosion the paper motivates
-its approach with, and (b) cross-check the efficient algorithm on tiny cases
-where exhaustive search is feasible.
+two units).  It is the exhaustive search that the discovery engine of
+:mod:`repro.core.discovery` can be checked against on tiny cases where that
+search is feasible.
 """
 
 from __future__ import annotations

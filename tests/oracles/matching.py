@@ -11,6 +11,15 @@ exactly the behaviour the packed fast path in
 :class:`~repro.matching.row_matcher.NGramRowMatcher` returns *exactly* the
 pairs this matcher returns (same pairs, same order, including Rscore ties).
 
+It also keeps the paper's scoring definitions (Equations 1 and 2).  In the
+spirit of IDF, the Inverse Row Frequency of an n-gram *t* in a column *c* is
+``1 / (number of rows of c containing t)``, and the representative score of
+an n-gram appearing in both the source column SC and the target column TC is
+``Rscore(t) = IRF(t, SC) * IRF(t, TC)``.  The packed index fuses this scoring
+into :meth:`~repro.matching.index.InvertedIndex.representatives`, with the
+identical ``(1/sf) * (1/tf)`` arithmetic so that tie-breaking is
+bit-compatible with :func:`representative_score`.
+
 Do not optimise this module; its slowness is the point.
 """
 
@@ -20,10 +29,58 @@ from collections import defaultdict
 from collections.abc import Sequence
 
 from repro.core.pairs import RowPair
-from repro.matching.ngrams import unique_ngrams
+from repro.matching.index import InvertedIndex
 from repro.matching.row_matcher import MatchingConfig, RowMatcher
 from repro.table.table import Table
 
+
+def character_ngrams(text: str, size: int, *, lowercase: bool = True) -> list[str]:
+    """Return all character n-grams of *size* in *text* (with duplicates).
+
+    Returns an empty list when the text is shorter than *size*.
+    """
+    if size <= 0:
+        raise ValueError(f"n-gram size must be positive, got {size}")
+    if lowercase:
+        text = text.lower()
+    if len(text) < size:
+        return []
+    return [text[i : i + size] for i in range(len(text) - size + 1)]
+
+
+def unique_ngrams(text: str, size: int, *, lowercase: bool = True) -> set[str]:
+    """The distinct character n-grams of *size* in *text*."""
+    return set(character_ngrams(text, size, lowercase=lowercase))
+
+
+def inverse_row_frequency(gram: str, index: InvertedIndex) -> float:
+    """IRF of *gram* in the column represented by *index*.
+
+    Returns 0.0 for an n-gram that occurs in no row (it carries no evidence).
+    """
+    frequency = index.row_frequency(gram)
+    if frequency == 0:
+        return 0.0
+    return 1.0 / frequency
+
+
+def representative_score(
+    gram: str,
+    source_index: InvertedIndex,
+    target_index: InvertedIndex,
+) -> float:
+    """Rscore of *gram*: the product of its IRFs in the source and target columns.
+
+    N-grams absent from either column score 0.0 — they cannot link a source
+    row to any target row.
+    """
+    source_irf = inverse_row_frequency(gram, source_index)
+    if source_irf == 0.0:
+        return 0.0
+    target_irf = inverse_row_frequency(gram, target_index)
+    if target_irf == 0.0:
+        return 0.0
+    return source_irf * target_irf
 
 class _SetIndex:
     """The seed's inverted index: n-gram -> set of row ids, copied per query."""

@@ -53,7 +53,7 @@ class TestSkeletonInvariants:
         config = DiscoveryConfig()
         builder = SkeletonBuilder(config)
         for skeleton in builder.build(source, target):
-            assert skeleton.target_text == target
+            assert "".join(piece.text for piece in skeleton.pieces) == target
             assert skeleton.num_placeholders <= config.max_placeholders
 
 

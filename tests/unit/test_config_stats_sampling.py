@@ -38,14 +38,6 @@ class TestDiscoveryConfig:
         config = DiscoveryConfig.open_data(100)
         assert config.sample_size == 100
 
-    def test_relative_support(self):
-        config = DiscoveryConfig().with_relative_support(0.05, 200)
-        assert config.min_support == 10
-
-    def test_relative_support_validation(self):
-        with pytest.raises(ValueError):
-            DiscoveryConfig().with_relative_support(1.5, 100)
-
     def test_replace_returns_modified_copy(self):
         config = DiscoveryConfig()
         other = config.replace(max_placeholders=5)
@@ -91,28 +83,6 @@ class TestDiscoveryStats:
         stats = DiscoveryStats(cache_hits=90, cache_misses=10)
         assert stats.cache_hit_ratio == pytest.approx(0.9)
         assert DiscoveryStats().cache_hit_ratio == 0.0
-
-    def test_merge_accumulates(self):
-        left = DiscoveryStats(
-            num_pairs=2,
-            generated_transformations=10,
-            unique_transformations=5,
-            cache_hits=3,
-            cache_misses=1,
-            stage_seconds={"a": 1.0},
-        )
-        right = DiscoveryStats(
-            num_pairs=3,
-            generated_transformations=20,
-            unique_transformations=10,
-            cache_hits=1,
-            cache_misses=1,
-            stage_seconds={"a": 0.5, "b": 2.0},
-        )
-        merged = left.merge(right)
-        assert merged.num_pairs == 5
-        assert merged.generated_transformations == 30
-        assert merged.stage_seconds == {"a": 1.5, "b": 2.0}
 
     def test_as_dict_contains_stage_times(self):
         stats = DiscoveryStats(stage_seconds={"unit_extraction": 0.25})

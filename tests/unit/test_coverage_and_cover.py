@@ -246,16 +246,6 @@ class TestUnitCache:
         computer.coverage_of(transformation)
         assert computer.stats.cache_hits == 0
 
-    def test_reset_cache(self, name_pairs):
-        computer = CoverageComputer(name_pairs, use_unit_cache=True)
-        transformation = Transformation([Literal("zzz")])
-        computer.coverage_of(transformation)
-        computer.reset_cache()
-        computer.coverage_of(transformation)
-        # After the reset the second pass misses again instead of hitting.
-        assert computer.stats.cache_hits == 0
-        assert computer.stats.cache_misses == 6
-
 
 class TestTopK:
     def test_orders_by_coverage(self):

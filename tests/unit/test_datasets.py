@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.pairs import pairs_from_strings
-from repro.datasets.base import BenchmarkDataset, TablePair, dataset_statistics
+from repro.datasets.base import BenchmarkDataset, TablePair
 from repro.datasets.open_data import generate_open_data
 from repro.datasets.registry import available_datasets, load_dataset
 from repro.datasets.spreadsheet import (
@@ -20,7 +20,16 @@ from repro.datasets.synthetic import (
     generate_table_pair,
 )
 from repro.datasets.web_tables import TOPICS, generate_pair, generate_web_tables_dataset
+from repro.table.io import read_csv
 from repro.table.table import Table
+
+
+def _shares_a_block(source: str, target: str, length: int) -> bool:
+    """True when some *length*-character block of *target* occurs in *source*."""
+    return any(
+        target[start : start + length] in source
+        for start in range(len(target) - length + 1)
+    )
 
 
 class TestTablePair:
@@ -47,25 +56,18 @@ class TestTablePair:
     def test_save_and_load_round_trip(self, tmp_path):
         pair = self.make_pair()
         pair.save(tmp_path)
-        loaded = TablePair.load(
-            tmp_path, "toy", source_column="j", target_column="j"
-        )
-        assert loaded.source == pair.source
-        assert loaded.target == pair.target
-        assert loaded.golden_pairs == pair.golden_pairs
+        assert read_csv(tmp_path / "toy_source.csv") == pair.source
+        assert read_csv(tmp_path / "toy_target.csv") == pair.target
+        golden = read_csv(tmp_path / "toy_golden.csv")
+        assert [
+            (int(s), int(t)) for s, t in zip(golden["source_row"], golden["target_row"])
+        ] == pair.golden_pairs
 
-    def test_dataset_statistics(self):
-        dataset = BenchmarkDataset(name="toy", pairs=[self.make_pair()])
-        stats = dataset_statistics(dataset)
-        assert stats["num_tables"] == 1
-        assert stats["avg_rows"] == 2
-        assert stats["avg_golden_pairs"] == 2
-
-    def test_dataset_subset(self):
+    def test_dataset_iteration_and_indexing(self):
         dataset = BenchmarkDataset(
             name="toy", pairs=[self.make_pair(), self.make_pair()]
         )
-        assert len(dataset.subset(1)) == 1
+        assert len(dataset) == 2
         assert len(list(iter(dataset))) == 2
         assert dataset[0].name == "toy"
 
@@ -140,13 +142,13 @@ class TestWebTablesGenerator:
             assert len(pair.golden_pairs) == 20
 
     def test_golden_pairs_are_joinable_by_some_string_relationship(self):
-        from repro.utils.text import common_substrings
-
         pair = generate_pair(TOPICS[0], num_rows=15, noise_rate=0.0, seed=2)
         for source_text, target_text in pair.golden_string_pairs():
             # Some non-trivial block of text is copied from source to target.
-            shared = common_substrings(source_text, target_text, min_length=3)
-            assert shared, (source_text, target_text)
+            assert _shares_a_block(source_text, target_text, 3), (
+                source_text,
+                target_text,
+            )
 
     def test_noise_rate_zero_removes_annotations(self):
         clean = generate_pair(TOPICS[0], num_rows=30, noise_rate=0.0, seed=3)

@@ -7,7 +7,7 @@ import pytest
 from repro.core.pairs import RowPair
 from repro.evaluation.join_metrics import evaluate_join
 from repro.evaluation.matching_metrics import evaluate_matching, prf
-from repro.evaluation.report import format_table, rows_to_csv
+from repro.evaluation.report import format_table
 
 
 class TestPRF:
@@ -85,12 +85,3 @@ class TestReportFormatting:
         rows = [{"a": 1, "b": 2}]
         rendered = format_table(rows, columns=["b"])
         assert "a" not in rendered.splitlines()[0]
-
-    def test_rows_to_csv(self):
-        rows = [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}]
-        text = rows_to_csv(rows)
-        assert text.splitlines()[0] == "a,b"
-        assert "2,y" in text
-
-    def test_rows_to_csv_empty(self):
-        assert rows_to_csv([]) == ""

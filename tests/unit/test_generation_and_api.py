@@ -10,12 +10,7 @@ from repro.core.generation import (
     MAX_TRANSFORMATIONS_PER_SKELETON,
     TransformationGenerator,
 )
-from repro.core.pairs import (
-    RowPair,
-    average_source_length,
-    average_target_length,
-    pairs_from_strings,
-)
+from repro.core.pairs import pairs_from_strings
 from repro.core.skeletons import SkeletonBuilder
 
 
@@ -62,19 +57,6 @@ class TestRowPairHelpers:
         pairs = pairs_from_strings([("a", "b"), ("c", "d")])
         assert [(p.source_row, p.target_row) for p in pairs] == [(0, 0), (1, 1)]
 
-    def test_reversed_swaps_sides(self):
-        pair = RowPair("src", "tgt", source_row=3, target_row=7)
-        flipped = pair.reversed()
-        assert flipped.source == "tgt" and flipped.target == "src"
-        assert flipped.source_row == 7 and flipped.target_row == 3
-
-    def test_average_lengths(self):
-        pairs = pairs_from_strings([("ab", "xyz"), ("abcd", "x")])
-        assert average_source_length(pairs) == 3.0
-        assert average_target_length(pairs) == 2.0
-        assert average_source_length([]) == 0.0
-        assert average_target_length([]) == 0.0
-
 
 class TestPublicAPI:
     def test_version_is_exposed(self):
@@ -83,12 +65,6 @@ class TestPublicAPI:
     def test_all_exports_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), name
-
-    def test_discover_transformations_shortcut(self):
-        result = repro.discover_transformations(
-            [("Rafiei, Davood", "D Rafiei"), ("Bowling, Michael", "M Bowling")]
-        )
-        assert result.top_coverage == 1.0
 
     def test_core_exports_resolve(self):
         import repro.core as core

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from oracles.discovery import NaiveConfig, NaiveDiscovery
 from oracles.join import join_values_reference
 
 from repro.baselines.autojoin import AutoJoin, AutoJoinConfig
 from repro.baselines.fuzzyjoin import AutoFuzzyJoin, FuzzyJoinConfig
-from repro.baselines.naive import NaiveConfig, NaiveDiscovery
 from repro.core.coverage import CoverageResult
 from repro.core.transformation import Transformation
 from repro.core.units import Literal, Split, SplitSubstr, Substr
@@ -41,8 +41,10 @@ class TestTransformationJoiner:
     def test_materialize_produces_joined_table(self, staff_tables, paper_transformation):
         source, target = staff_tables
         joiner = TransformationJoiner([paper_transformation])
-        joined = joiner.materialize(
-            source, target, source_column="Name", target_column="Name"
+        joined = joiner.materialize_from(
+            joiner.join(source, target, source_column="Name", target_column="Name"),
+            source,
+            target,
         )
         assert joined.num_rows == source.num_rows
         assert "Name_source" in joined and "Phone_target" in joined

@@ -3,18 +3,17 @@
 from __future__ import annotations
 
 import pytest
+from oracles.matching import (
+    character_ngrams,
+    inverse_row_frequency,
+    representative_score,
+    unique_ngrams,
+)
 
 from repro.core.pairs import RowPair
 from repro.matching.index import InvertedIndex
-from repro.matching.ngrams import character_ngrams, ngrams_in_range, unique_ngrams
-from repro.matching.row_matcher import (
-    GoldenRowMatcher,
-    MatchingConfig,
-    NGramRowMatcher,
-    choose_source_column,
-)
-from repro.matching.scoring import inverse_row_frequency, representative_score
-from repro.table.table import Table
+from repro.matching.ngrams import unique_ngrams_by_size
+from repro.matching.row_matcher import GoldenRowMatcher, MatchingConfig, NGramRowMatcher
 
 
 class TestNgrams:
@@ -31,15 +30,11 @@ class TestNgrams:
     def test_unique_ngrams(self):
         assert unique_ngrams("aaaa", 2) == {"aa"}
 
-    def test_ngrams_in_range(self):
-        grams = list(ngrams_in_range("abcd", 2, 3))
-        assert "ab" in grams and "abc" in grams and "abcd" not in grams
-
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
             character_ngrams("abc", 0)
         with pytest.raises(ValueError):
-            list(ngrams_in_range("abc", 3, 2))
+            list(unique_ngrams_by_size("abc", 3, 2))
 
 
 class TestInvertedIndex:
@@ -128,6 +123,20 @@ class TestInvertedIndex:
         assert reps[0] == ["bcd", "abcd"]
         # Row 1: only "abc" co-occurs at size 3, nothing at size 4.
         assert reps[1] == ["abc"]
+        # The fused pass picks, per row and size, the n-gram that the paper's
+        # Rscore definition ranks highest (the smallest one on ties).
+        source_index = InvertedIndex.build(source, min_size=3, max_size=4)
+        for row, text in enumerate(source):
+            expected = []
+            for size in (3, 4):
+                scores = {
+                    gram: representative_score(gram, source_index, index)
+                    for gram in unique_ngrams(text, size)
+                }
+                best = max(sorted(scores), key=scores.__getitem__)
+                if scores[best] > 0:
+                    expected.append(best)
+            assert reps[row] == expected
 
     def test_representatives_break_ties_lexicographically(self):
         # Both "abcd" and "bcde" occur once in source and once in target:
@@ -256,11 +265,3 @@ class TestGoldenRowMatcher:
             GoldenRowMatcher([(99, 0)]).match(
                 source, target, source_column="Name", target_column="Name"
             )
-
-
-class TestChooseSourceColumn:
-    def test_longer_column_is_source(self):
-        long = Table({"c": ["a very long description here"]})
-        short = Table({"c": ["short"]})
-        assert choose_source_column(long, short, "c", "c") is True
-        assert choose_source_column(short, long, "c", "c") is False

@@ -160,7 +160,10 @@ class TestTransformationModel:
         assert len(fitted_model.coverage_counts) == fitted_model.num_transformations
         assert fitted_model.discovery is not None
         assert fitted_model.stats["num_pairs"] == len(name_initial_pairs)
-        assert all(0.0 <= s <= 1.0 for s in fitted_model.support_fractions())
+        assert all(
+            0.0 <= count / fitted_model.num_candidate_pairs <= 1.0
+            for count in fitted_model.coverage_counts
+        )
 
     def test_dict_round_trip(self, fitted_model):
         clone = TransformationModel.from_dict(fitted_model.to_dict())

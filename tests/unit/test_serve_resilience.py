@@ -537,7 +537,19 @@ def test_server_checks_settings_before_binding(
 
 
 class TestRequestParsing:
-    @pytest.mark.parametrize("bad", [0, -5, "soon", True, [100]])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            0,
+            -5,
+            "soon",
+            True,
+            [100],
+            float("nan"),
+            float("inf"),
+            pytest.param(10**400, id="beyond-float-range"),
+        ],
+    )
     def test_invalid_deadline_ms_is_a_400(self, small_server, bad):
         body = json.dumps(
             {"source": ["a"], "target": ["a"], "deadline_ms": bad}
@@ -546,6 +558,18 @@ class TestRequestParsing:
         assert status == 400
         assert payload["error"]["type"] == "BadRequestError"
         assert "deadline_ms" in payload["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            pytest.param(b'{"source": ["\xff\xfe"], "target": ["x"]}', id="not-utf8"),
+            pytest.param(b"[" * 1500, id="nested-too-deep"),
+        ],
+    )
+    def test_undecodable_body_is_a_400(self, small_server, body):
+        status, payload, _ = _post(small_server, "synth", body)
+        assert status == 400
+        assert payload["error"]["type"] == "BadRequestError"
 
     def test_valid_deadline_ms_serves_normally(self, small_server):
         body = json.dumps(

@@ -36,7 +36,8 @@ class TestSkeleton:
         builder = SkeletonBuilder()
         skeletons = builder.build("bowling, michael", "michael.bowling@ualberta.ca")
         for skeleton in skeletons:
-            assert skeleton.target_text == "michael.bowling@ualberta.ca"
+            pieces = "".join(piece.text for piece in skeleton.pieces)
+            assert pieces == "michael.bowling@ualberta.ca"
 
     def test_describe_uses_paper_notation(self):
         builder = SkeletonBuilder()
@@ -74,7 +75,7 @@ class TestSkeletonBuilder:
         ]
         for source, target in cases:
             for skeleton in builder.build(source, target):
-                assert skeleton.target_text == target
+                assert "".join(piece.text for piece in skeleton.pieces) == target
 
     def test_empty_target_produces_no_skeletons(self):
         builder = SkeletonBuilder()

@@ -113,16 +113,6 @@ class TestBudgetStats:
         assert payload["budget_stage"] == "skeleton_generation"
         assert payload["rows_fully_processed"] == 7
 
-    def test_merge_propagates_exhaustion(self):
-        clean = DiscoveryStats()
-        cut = DiscoveryStats(
-            budget_exhausted=True, budget_stage="s", rows_fully_processed=3
-        )
-        merged = clean.merge(cut)
-        assert merged.budget_exhausted
-        assert merged.budget_stage == "s"
-        assert merged.rows_fully_processed == 3
-
 
 class TestModelProvenance:
     def test_budget_exhaustion_survives_save_and_load(

@@ -1,27 +1,11 @@
-"""Unit tests for repro.utils (text, timing, validation)."""
+"""Unit tests for repro.utils (text and timing)."""
 
 from __future__ import annotations
 
 import time
 
-import pytest
-
-from repro.utils.text import (
-    all_ngrams,
-    common_substrings,
-    is_separator,
-    longest_common_substring,
-    normalize_whitespace,
-    split_on_separators,
-    tokenize,
-)
-from repro.utils.timing import StageTimer, Timer
-from repro.utils.validation import (
-    require_non_empty,
-    require_positive,
-    require_range,
-    require_type,
-)
+from repro.utils.text import is_separator, tokenize
+from repro.utils.timing import StageTimer
 
 
 class TestTokenize:
@@ -36,83 +20,12 @@ class TestTokenize:
     def test_single_token(self):
         assert tokenize("hello") == ["hello"]
 
-
-class TestSplitOnSeparators:
-    def test_alternating_pieces(self):
-        assert split_on_separators("a, b") == [("a", False), (", ", True), ("b", False)]
-
-    def test_round_trip(self):
-        for text in ["a, b", "  leading", "trailing  ", "no-seps-here!", ""]:
-            assert "".join(piece for piece, _ in split_on_separators(text)) == text
-
     def test_is_separator(self):
         assert is_separator(" ") and is_separator(",") and is_separator(".")
         assert not is_separator("a") and not is_separator("1")
 
 
-class TestNormalizeWhitespace:
-    def test_collapses_runs(self):
-        assert normalize_whitespace("  a   b\t c ") == "a b c"
-
-
-class TestNgrams:
-    def test_all_ngrams(self):
-        assert list(all_ngrams("abcd", 2)) == ["ab", "bc", "cd"]
-        assert list(all_ngrams("ab", 3)) == []
-
-    def test_invalid_size(self):
-        with pytest.raises(ValueError):
-            list(all_ngrams("abc", 0))
-
-
-class TestCommonSubstrings:
-    def test_finds_shared_blocks(self):
-        shared = common_substrings("bowling, michael", "michael.bowling")
-        assert "michael" in shared
-        assert "bowling" in shared
-        assert "michael.bowling" not in shared
-
-    def test_min_length(self):
-        shared = common_substrings("abcdef", "abc xyz", min_length=3)
-        assert "abc" in shared
-        assert "ab" not in shared
-
-    def test_disjoint_strings(self):
-        assert common_substrings("abc", "xyz") == set()
-
-
-class TestLongestCommonSubstring:
-    def test_basic(self):
-        assert longest_common_substring("bowling, michael", "michael.b") == "michael"
-
-    def test_empty_inputs(self):
-        assert longest_common_substring("", "abc") == ""
-        assert longest_common_substring("abc", "") == ""
-
-    def test_whole_string(self):
-        assert longest_common_substring("abc", "abc") == "abc"
-
-
 class TestTimers:
-    def test_timer_accumulates(self):
-        timer = Timer()
-        timer.start()
-        time.sleep(0.01)
-        elapsed = timer.stop()
-        assert elapsed > 0
-        assert timer.elapsed >= elapsed
-
-    def test_timer_stop_without_start(self):
-        with pytest.raises(RuntimeError):
-            Timer().stop()
-
-    def test_timer_reset(self):
-        timer = Timer()
-        timer.start()
-        timer.stop()
-        timer.reset()
-        assert timer.elapsed == 0.0
-
     def test_stage_timer_accumulates_per_stage(self):
         timer = StageTimer()
         with timer.stage("a"):
@@ -124,34 +37,3 @@ class TestTimers:
         stages = timer.as_dict()
         assert set(stages) == {"a", "b"}
         assert stages["a"] > stages["b"]
-        assert timer.total() == pytest.approx(sum(stages.values()))
-
-    def test_stage_timer_manual_add(self):
-        timer = StageTimer()
-        timer.add("x", 1.5)
-        timer.add("x", 0.5)
-        assert timer.as_dict()["x"] == 2.0
-
-
-class TestValidation:
-    def test_require_type(self):
-        require_type("x", str, "value")
-        with pytest.raises(TypeError):
-            require_type(1, str, "value")
-        with pytest.raises(TypeError):
-            require_type(1.0, (str, int), "value")
-
-    def test_require_positive(self):
-        require_positive(1, "n")
-        with pytest.raises(ValueError):
-            require_positive(0, "n")
-
-    def test_require_non_empty(self):
-        require_non_empty([1], "items")
-        with pytest.raises(ValueError):
-            require_non_empty([], "items")
-
-    def test_require_range(self):
-        require_range(0.5, 0.0, 1.0, "fraction")
-        with pytest.raises(ValueError):
-            require_range(1.5, 0.0, 1.0, "fraction")
