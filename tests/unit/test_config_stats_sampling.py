@@ -145,3 +145,34 @@ class TestSamplingAnalysis:
     def test_full_coverage_discovered_with_two_rows(self):
         assert probability_discovered(1.0, 2) == 1.0
         assert math.isclose(probability_discovered(1.0, 1), 0.0)
+
+    def test_single_row_sample_is_never_discovered(self):
+        for coverage in (0.0, 0.5, 1.0):
+            assert probability_discovered(coverage, 0) == 0.0
+            assert probability_discovered(coverage, 1) == 0.0
+        assert probability_covered_once(0.5, 0) == 0.0
+
+    def test_closed_forms_at_half_coverage(self):
+        # s=3, q=0.5: P0 = 0.5^3, P1 = 3 * 0.5 * 0.5^2, discovered = 1 - P0 - P1.
+        assert probability_not_covered(0.5, 3) == pytest.approx(0.125)
+        assert probability_covered_once(0.5, 3) == pytest.approx(0.375)
+        assert probability_discovered(0.5, 3) == pytest.approx(0.5)
+
+    def test_autojoin_subset_probability_is_coverage_to_the_subset_size(self):
+        assert autojoin_subset_success_probability(0.3, 3) == pytest.approx(0.027)
+        assert autojoin_subset_success_probability(0.3, 0) == 1.0
+        assert required_subsets_for_autojoin(1.0, 7) == 1
+
+    def test_expected_covered_subsets_rejects_a_negative_count(self):
+        assert autojoin_expected_covered_subsets(0.5, 2, 0) == 0.0
+        with pytest.raises(ValueError, match="num_subsets"):
+            autojoin_expected_covered_subsets(0.5, 2, -1)
+
+    @pytest.mark.parametrize(
+        ("coverage", "confidence"), [(0.0, 0.9), (0.5, 0.0), (0.5, 1.0), (-0.1, 0.9)]
+    )
+    def test_minimum_sample_size_rejects_unreachable_targets(
+        self, coverage, confidence
+    ):
+        with pytest.raises(ValueError):
+            minimum_sample_size(coverage, confidence)

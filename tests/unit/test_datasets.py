@@ -53,6 +53,11 @@ class TestTablePair:
         pair = self.make_pair()
         assert pair.golden_string_pairs() == [("a, b", "b a"), ("c, d", "d c")]
 
+    def test_average_join_length_spans_both_join_columns(self):
+        # Source cells have 4 characters, target cells 3; the "extra"
+        # column is not a join column and does not count.
+        assert self.make_pair().average_join_length == 3.5
+
     def test_save_and_load_round_trip(self, tmp_path):
         pair = self.make_pair()
         pair.save(tmp_path)
@@ -62,6 +67,14 @@ class TestTablePair:
         assert [
             (int(s), int(t)) for s, t in zip(golden["source_row"], golden["target_row"])
         ] == pair.golden_pairs
+
+    def test_save_without_golden_pairs_writes_a_header_only_file(self, tmp_path):
+        pair = self.make_pair()
+        pair.golden_pairs = []
+        pair.save(tmp_path / "out")
+        golden = read_csv(tmp_path / "out" / "toy_golden.csv")
+        assert golden.column_names == ("source_row", "target_row")
+        assert golden.num_rows == 0
 
     def test_dataset_iteration_and_indexing(self):
         dataset = BenchmarkDataset(
@@ -255,3 +268,20 @@ class TestRegistry:
     def test_invalid_scale(self):
         with pytest.raises(ValueError):
             load_dataset("web", scale=0.0)
+
+    @pytest.mark.parametrize("name", available_datasets())
+    def test_every_dataset_builds_consistent_pairs(self, name):
+        dataset = load_dataset(name, scale=0.05, seed=1)
+        assert len(dataset) >= 1
+        for pair in dataset:
+            assert pair.source_column in pair.source
+            assert pair.target_column in pair.target
+            assert pair.golden_pairs
+            assert len(set(pair.golden_pairs)) == len(pair.golden_pairs)
+            for source_row, target_row in pair.golden_pairs:
+                assert 0 <= source_row < pair.num_source_rows
+                assert 0 <= target_row < pair.num_target_rows
+        again = load_dataset(name, scale=0.05, seed=1)
+        assert [(p.name, p.source, p.target) for p in again] == [
+            (p.name, p.source, p.target) for p in dataset
+        ]

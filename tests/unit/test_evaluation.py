@@ -49,6 +49,12 @@ class TestPRF:
         flat = prf([(0, 0)], [(0, 0)]).as_dict()
         assert flat["precision"] == 1.0 and flat["num_gold"] == 1
 
+    def test_f1_is_the_harmonic_mean(self):
+        result = prf([(0, 0)], [(0, 0), (1, 1), (2, 2), (3, 3)])
+        assert result.precision == 1.0
+        assert result.recall == 0.25
+        assert result.f1 == pytest.approx(0.4)
+
 
 class TestEvaluateMatching:
     def test_row_pairs_scored_by_indices(self):
@@ -58,6 +64,22 @@ class TestEvaluateMatching:
         ]
         result = evaluate_matching(pairs, [(0, 0), (1, 1)])
         assert result.num_correct == 1
+
+    def test_unknown_row_indices_count_as_incorrect(self):
+        pairs = [RowPair("a", "b"), RowPair("c", "d", source_row=1, target_row=1)]
+        result = evaluate_matching(pairs, [(0, 0), (1, 1)])
+        assert result.num_predicted == 2
+        assert result.num_correct == 1
+        assert result.precision == 0.5
+
+    def test_pairs_with_equal_row_indices_count_once(self):
+        pairs = [
+            RowPair("a", "b", source_row=0, target_row=0),
+            RowPair("a ", "b", source_row=0, target_row=0),
+        ]
+        result = evaluate_matching(pairs, [(0, 0)])
+        assert result.num_predicted == 1
+        assert result.f1 == 1.0
 
     def test_join_metrics_alias(self):
         result = evaluate_join([(0, 0)], [(0, 0), (1, 1)])
@@ -85,3 +107,23 @@ class TestReportFormatting:
         rows = [{"a": 1, "b": 2}]
         rendered = format_table(rows, columns=["b"])
         assert "a" not in rendered.splitlines()[0]
+
+    def test_format_table_without_title_starts_with_the_header(self):
+        rendered = format_table([{"name": "web", "rows": 92}])
+        assert rendered.splitlines() == [
+            "name | rows",
+            "-----+-----",
+            "web  | 92  ",
+        ]
+        assert format_table([]) == "(no rows)"
+
+    def test_format_table_renders_booleans_and_missing_values(self):
+        rows = [{"ok": True, "f1": 1.0}, {"f1": 0.5}]
+        rendered = format_table(rows, columns=["ok", "f1"])
+        lines = rendered.splitlines()
+        assert lines[2] == "True | 1.000"
+        assert lines[3] == "     | 0.500"
+
+    def test_format_table_custom_float_format(self):
+        rendered = format_table([{"x": 0.123456}], float_format="{:.1%}")
+        assert rendered.splitlines()[-1].strip() == "12.3%"

@@ -10,7 +10,7 @@ from repro.core.generation import (
     MAX_TRANSFORMATIONS_PER_SKELETON,
     TransformationGenerator,
 )
-from repro.core.pairs import pairs_from_strings
+from repro.core.pairs import RowPair, pairs_from_strings
 from repro.core.skeletons import SkeletonBuilder
 
 
@@ -56,6 +56,12 @@ class TestRowPairHelpers:
     def test_pairs_from_strings_sets_row_indices(self):
         pairs = pairs_from_strings([("a", "b"), ("c", "d")])
         assert [(p.source_row, p.target_row) for p in pairs] == [(0, 0), (1, 1)]
+        assert [(p.source, p.target) for p in pairs] == [("a", "b"), ("c", "d")]
+
+    def test_row_pair_rows_default_to_unknown(self):
+        pair = RowPair("Rafiei, Davood", "D Rafiei")
+        assert (pair.source_row, pair.target_row) == (-1, -1)
+        assert pair == RowPair("Rafiei, Davood", "D Rafiei", -1, -1)
 
 
 class TestPublicAPI:

@@ -35,6 +35,28 @@ class TestNgrams:
             character_ngrams("abc", 0)
         with pytest.raises(ValueError):
             list(unique_ngrams_by_size("abc", 3, 2))
+        with pytest.raises(ValueError):
+            list(unique_ngrams_by_size("abc", 0, 2))
+
+    def test_unique_ngrams_by_size_yields_one_list_per_size(self):
+        assert list(unique_ngrams_by_size("abcd", 2, 3)) == [
+            ["ab", "bc", "cd"],
+            ["abc", "bcd"],
+        ]
+
+    def test_unique_ngrams_by_size_stops_at_the_text_length(self):
+        assert list(unique_ngrams_by_size("abc", 2, 6)) == [["ab", "bc"], ["abc"]]
+        assert list(unique_ngrams_by_size("ab", 3, 4)) == []
+
+    def test_unique_ngrams_by_size_keeps_first_occurrence_order(self):
+        assert list(unique_ngrams_by_size("abab", 2, 2)) == [["ab", "ba"]]
+        assert list(unique_ngrams_by_size("baab", 1, 1)) == [["b", "a"]]
+
+    def test_unique_ngrams_by_size_lowercase_switch(self):
+        assert list(unique_ngrams_by_size("AbA", 2, 2)) == [["ab", "ba"]]
+        assert list(unique_ngrams_by_size("AbA", 2, 2, lowercase=False)) == [
+            ["Ab", "bA"]
+        ]
 
 
 class TestInvertedIndex:

@@ -114,6 +114,10 @@ class TestTransformationSerialization:
         with pytest.raises(ModelFormatError, match="non-empty list"):
             transformation_from_dict({"units": []})
 
+    def test_non_object_unit_entry_rejected(self):
+        with pytest.raises(ModelFormatError, match="unit payload must be an object"):
+            transformation_from_dict([unit_to_dict(Substr(0, 1)), "Literal"])
+
 
 class TestConfigSerialization:
     def test_default_round_trip(self):
@@ -140,6 +144,16 @@ class TestConfigSerialization:
     def test_invalid_values_rejected(self):
         with pytest.raises(ModelFormatError, match="invalid discovery_config"):
             config_from_dict({"max_placeholders": 0})
+
+    @pytest.mark.parametrize("payload", [[], "max_placeholders=3", None])
+    def test_non_object_payload_rejected(self, payload):
+        with pytest.raises(ModelFormatError, match="must be an object"):
+            config_from_dict(payload)
+
+    def test_tuples_serialize_as_json_lists(self):
+        payload = config_to_dict(DiscoveryConfig(enabled_units=("Literal", "Split")))
+        assert payload["enabled_units"] == ["Literal", "Split"]
+        assert config_from_dict({}) == DiscoveryConfig()
 
 
 @pytest.fixture

@@ -187,6 +187,33 @@ class TestShardedExecutor:
         with pytest.raises(RuntimeError):
             worker_state()
 
+    def test_inline_failure_names_its_shard(self):
+        from repro.parallel import ShardError
+
+        with ShardedExecutor([1, 2], num_workers=1) as executor:
+            with pytest.raises(ShardError, match=r"shard 0:1 failed inline") as excinfo:
+                executor.map_shards(_shard_boom, 2)
+        error = excinfo.value
+        assert error.shard == (0, 1)
+        assert error.attempts == 0
+        assert isinstance(error.cause, ValueError)
+        assert error.cause is error.__cause__
+
+    def test_error_types_share_one_base_except_the_deadline(self):
+        from repro.parallel.errors import (
+            DeadlineExceededError,
+            ShardError,
+            ShardTimeoutError,
+            WorkerCrashError,
+        )
+
+        assert issubclass(WorkerCrashError, ShardError)
+        assert issubclass(ShardTimeoutError, ShardError)
+        # The deadline is raised by serial paths too and is never retried.
+        assert not issubclass(DeadlineExceededError, ShardError)
+        bare = ShardError("failed")
+        assert (bare.shard, bare.attempts, bare.cause) == (None, 0, None)
+
     def test_nested_inline_executors_restore_outer_state(self):
         values = [1, 2, 3]
         with ShardedExecutor(values, num_workers=1) as executor:

@@ -31,9 +31,14 @@ from repro.serve.breaker import CircuitBreaker
 from repro.serve.engine import MicroBatcher, ServeEngine
 from repro.serve.registry import ModelRegistry
 from repro.serve.errors import (
+    BadRequestError,
     CircuitOpenError,
     DeadlineExceededError,
+    ModelLoadError,
+    ModelNotFoundError,
     OverloadedError,
+    PayloadTooLargeError,
+    ServeError,
 )
 from repro.testing.faults import (
     SERVE_SITES,
@@ -403,6 +408,62 @@ class TestMapFailure:
         assert ServeEngine._map_failure(error, None) is error
         plain = ValueError("boom")
         assert ServeEngine._map_failure(plain, None) is plain
+
+    def test_shard_timeout_before_the_deadline_passes_through(self):
+        # The executor's own task timeout fired while the request still had
+        # budget: that is a shard failure, not a request deadline.
+        error = ShardTimeoutError("task timeout")
+        assert ServeEngine._map_failure(error, time.monotonic() + 60.0) is error
+        assert ServeEngine._map_failure(error, None) is error
+
+    def test_deadline_nested_two_shard_errors_deep_maps_to_504(self):
+        inner = ShardError(
+            "inner shard", cause=CoreDeadlineExceededError("worker hit it")
+        )
+        outer = ShardError("outer shard", cause=inner)
+        mapped = ServeEngine._map_failure(outer, None)
+        assert isinstance(mapped, DeadlineExceededError)
+        assert "outer shard" in str(mapped)
+
+    def test_cause_cycle_terminates(self):
+        first = ShardError("first")
+        second = ShardError("second", cause=first)
+        first.cause = second
+        assert ServeEngine._map_failure(first, None) is first
+
+
+class TestErrorTaxonomy:
+    @pytest.mark.parametrize(
+        ("error", "status"),
+        [
+            (ServeError("x"), 500),
+            (BadRequestError("x"), 400),
+            (ModelNotFoundError("m"), 404),
+            (PayloadTooLargeError(10, 5), 413),
+            (OverloadedError("x"), 429),
+            (ModelLoadError("m", ValueError("bad")), 500),
+            (CircuitOpenError("m", retry_after_s=1.0), 503),
+            (DeadlineExceededError("x"), 504),
+        ],
+        ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None,
+    )
+    def test_each_type_carries_its_http_status(self, error, status):
+        assert isinstance(error, ServeError)
+        assert error.status == status
+        assert error.payload() == {
+            "error": {"type": type(error).__name__, "message": str(error)}
+        }
+
+    def test_messages_name_the_model_and_the_limits(self):
+        assert "'staff'" in str(ModelNotFoundError("staff"))
+        too_large = PayloadTooLargeError(2048, 1024)
+        assert (too_large.length, too_large.limit) == (2048, 1024)
+        assert "2048 bytes exceeds the 1024-byte limit" in str(too_large)
+        cause = ValueError("corrupt")
+        load_error = ModelLoadError("staff", cause)
+        assert load_error.cause is cause and "corrupt" in str(load_error)
+        assert "retry in 2.50s" in str(CircuitOpenError("staff", retry_after_s=2.5))
+        assert OverloadedError("busy").retry_after_s == 1.0
 
 
 # --------------------------------------------------------------------- #

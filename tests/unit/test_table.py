@@ -34,6 +34,24 @@ class TestColumn:
         with pytest.raises(ValueError):
             Column("", ["a"])
 
+    def test_sequence_protocol(self):
+        column = Column("x", ["a", "b", "c"])
+        assert len(column) == 3
+        assert column[1] == "b"
+        assert column[-1] == "c"
+        assert list(column) == ["a", "b", "c"]
+
+    def test_repr_previews_the_first_three_values(self):
+        assert repr(Column("x", ["a", "b"])) == "Column('x', ['a', 'b'], n=2)"
+        assert (
+            repr(Column("x", ["a", "b", "c", "d"]))
+            == "Column('x', ['a', 'b', 'c', ...], n=4)"
+        )
+
+    def test_not_equal_to_other_types(self):
+        assert Column("x", ["a"]) != ("a",)
+        assert Column("x", ["a"]) != Table({"x": ["a"]})
+
 
 class TestSchema:
     def test_duplicate_names_rejected(self):
@@ -48,6 +66,15 @@ class TestSchema:
     def test_empty_column_name_rejected(self):
         with pytest.raises(ValueError):
             ColumnSchema("")
+
+    def test_names_keep_column_order(self):
+        schema = TableSchema((ColumnSchema("b"), ColumnSchema("a", role="join")))
+        assert schema.names == ("b", "a")
+        assert TableSchema().names == ()
+
+    def test_role_defaults_to_payload(self):
+        assert ColumnSchema("a").role == "payload"
+        assert ColumnSchema("a", role="join").role == "join"
 
 
 class TestTableConstruction:
@@ -67,6 +94,24 @@ class TestTableConstruction:
     def test_no_columns_rejected(self):
         with pytest.raises(ValueError):
             Table({})
+
+    def test_built_from_columns_in_order(self):
+        table = Table([Column("b", ["1"]), Column("a", ["2"])], name="t")
+        assert table.column_names == ("b", "a")
+        assert table["a"].values == ("2",)
+        assert table.name == "t"
+
+    def test_zero_row_table(self):
+        table = Table({"a": [], "b": []})
+        assert table.num_rows == 0
+        assert list(table.rows()) == []
+        assert table.head(3).num_rows == 0
+
+    def test_equality_ignores_name_but_not_column_order(self, people):
+        assert people.with_name("other") == people
+        swapped = Table({"dept": people["dept"], "name": people["name"]})
+        assert swapped != people
+        assert people != {"name": people["name"].values}
 
 
 class TestTableAccess:
@@ -89,6 +134,13 @@ class TestTableAccess:
     def test_contains(self, people):
         assert "name" in people and "age" not in people
 
+    def test_negative_row_index_rejected(self, people):
+        with pytest.raises(IndexError):
+            people.row(-1)
+
+    def test_repr_names_columns_and_row_count(self, people):
+        assert repr(people) == "Table('people', columns=['name', 'dept'], rows=3)"
+
 
 class TestDerivedTables:
     def test_take_and_head(self, people):
@@ -100,6 +152,20 @@ class TestDerivedTables:
     def test_take_out_of_range(self, people):
         with pytest.raises(IndexError):
             people.take([5])
+        with pytest.raises(IndexError):
+            people.take([-1])
+
+    def test_take_repeats_rows_and_keeps_the_name(self, people):
+        repeated = people.take([1, 1])
+        assert repeated["name"].values == ("Bob", "Bob")
+        assert repeated.name == "people"
+        assert people.take([]).num_rows == 0
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_head_of_non_positive_count_is_empty(self, people, count):
+        head = people.head(count)
+        assert head.num_rows == 0
+        assert head.column_names == people.column_names
 
     def test_with_name(self, people):
         assert people.with_name("other").name == "other"
@@ -111,6 +177,31 @@ class TestRelationalOps:
         right = Table({"k": ["b", "a", "a"]})
         pairs = equi_join(left, right, left_on="k", right_on="k")
         assert set(pairs) == {(0, 1), (0, 2), (1, 0)}
+
+    def test_equi_join_orders_by_left_row_then_right_row(self):
+        left = Table({"k": ["a", "b", "b"], "x": ["1", "2", "3"]})
+        right = Table({"k": ["b", "c", "b"], "y": ["9", "8", "7"]})
+        pairs = equi_join(left, right, left_on="k", right_on="k")
+        assert pairs == [(1, 0), (1, 2), (2, 0), (2, 2)]
+
+    def test_equi_join_without_shared_keys_is_empty(self):
+        left = Table({"k": ["a", "b"]})
+        right = Table({"k": ["A", "c"]})
+        assert equi_join(left, right, left_on="k", right_on="k") == []
+
+    def test_equi_join_on_differently_named_columns(self):
+        left = Table({"phone": ["780-1", "780-2"]})
+        right = Table({"number": ["780-2"], "owner": ["Ann"]})
+        pairs = equi_join(left, right, left_on="phone", right_on="number")
+        assert pairs == [(1, 0)]
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_equi_join_missing_column_raises_key_error(self, side):
+        left = Table({"k": ["a"]})
+        right = Table({"k": ["a"]})
+        columns = {"left_on": "k", "right_on": "k", f"{side}_on": "z"}
+        with pytest.raises(KeyError, match="no column named 'z'"):
+            equi_join(left, right, **columns)
 
 
 class TestTableIO:
@@ -145,6 +236,39 @@ class TestTableIO:
         path = tmp_path / "quoted.csv"
         write_csv(table, path)
         assert read_csv(path) == table
+
+    def test_multiline_and_unicode_cells_round_trip(self, tmp_path):
+        from repro.table.io import read_csv, write_csv
+
+        table = Table({"a": ["line 1\nline 2", "Köln, 東京"], "b": ["", " x "]})
+        path = tmp_path / "cells.csv"
+        write_csv(table, path)
+        assert read_csv(path) == table
+
+    def test_zero_row_table_round_trip(self, tmp_path):
+        from repro.table.io import read_csv, write_csv
+
+        table = Table({"a": [], "b": []})
+        path = tmp_path / "header_only.csv"
+        write_csv(table, path)
+        loaded = read_csv(path)
+        assert loaded.column_names == ("a", "b")
+        assert loaded.num_rows == 0
+
+    def test_write_creates_parent_directories(self, tmp_path, people):
+        from repro.table.io import read_csv, write_csv
+
+        path = tmp_path / "nested" / "deeper" / "people.csv"
+        write_csv(people, path)
+        assert read_csv(path) == people
+
+    def test_name_defaults_to_the_file_stem(self, tmp_path, people):
+        from repro.table.io import read_csv, write_csv
+
+        path = tmp_path / "staff.csv"
+        write_csv(people, path)
+        assert read_csv(path).name == "staff"
+        assert read_csv(path, name="people").name == "people"
 
 
 class TestTableReadErrors:
@@ -219,6 +343,25 @@ class TestTableReadErrors:
             TableReadError, match=r"trailing\.csv: header column 2 has no name"
         ):
             read_csv(path, errors=errors)
+
+    def test_directory_is_a_typed_error(self, tmp_path):
+        from repro.table.io import TableReadError, read_csv
+
+        path = tmp_path / "folder.csv"
+        path.mkdir()
+        with pytest.raises(TableReadError, match=r"folder\.csv: cannot read"):
+            read_csv(path)
+
+    def test_oversized_field_is_a_typed_csv_error(self, tmp_path):
+        # The csv module refuses fields past its field size limit.
+        import csv
+
+        from repro.table.io import TableReadError, read_csv
+
+        path = tmp_path / "huge.csv"
+        path.write_text("a\n" + "x" * (csv.field_size_limit() + 1) + "\n")
+        with pytest.raises(TableReadError, match=r"huge\.csv: malformed CSV"):
+            read_csv(path)
 
     def test_lenient_mode_substitutes_replacement_characters(self, tmp_path):
         from repro.table.io import read_csv
