@@ -13,7 +13,7 @@
 """
 
 from repro.baselines.autojoin import AutoJoin, AutoJoinConfig, AutoJoinResult
-from repro.baselines.fuzzyjoin import AutoFuzzyJoin, FuzzyJoinConfig
+from repro.baselines.fuzzyjoin import AutoFuzzyJoin
 from repro.baselines.setsimjoin import (
     SetSimJoinResult,
     cosine_join,
@@ -27,7 +27,6 @@ __all__ = [
     "AutoJoin",
     "AutoJoinConfig",
     "AutoJoinResult",
-    "FuzzyJoinConfig",
     "SetSimJoinResult",
     "cosine_join",
     "jaccard_join",

@@ -29,30 +29,17 @@ from dataclasses import dataclass, field
 from repro.table.table import Table
 from repro.utils.text import tokenize
 
+#: Character n-gram size of the n-gram similarities.
+_NGRAM_SIZE = 3
 
-@dataclass(frozen=True)
-class FuzzyJoinConfig:
-    """Parameters of the similarity-join baseline."""
+#: The threshold grid each similarity is joined at.
+_THRESHOLDS = (0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
 
-    ngram_size: int = 3
-    thresholds: tuple[float, ...] = (0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
-    similarities: tuple[str, ...] = ("token_jaccard", "ngram_jaccard", "containment")
-    target_precision: float = 0.9
-    lowercase: bool = True
+#: The candidate similarity configurations.
+_SIMILARITIES = ("token_jaccard", "ngram_jaccard", "containment")
 
-    def __post_init__(self) -> None:
-        if self.ngram_size <= 0:
-            raise ValueError(f"ngram_size must be positive, got {self.ngram_size}")
-        if not self.thresholds:
-            raise ValueError("at least one threshold is required")
-        for threshold in self.thresholds:
-            if not 0.0 <= threshold <= 1.0:
-                raise ValueError(f"thresholds must be in [0, 1], got {threshold}")
-        unknown = [s for s in self.similarities if s not in _SIMILARITY_NAMES]
-        if unknown:
-            raise ValueError(
-                f"unknown similarity functions {unknown}; valid: {_SIMILARITY_NAMES}"
-            )
+#: The precision proxy above which configurations rank by pair count alone.
+_TARGET_PRECISION = 0.9
 
 
 @dataclass
@@ -69,21 +56,17 @@ class FuzzyJoinResult:
         return set(self.pairs)
 
 
-_SIMILARITY_NAMES = ("token_jaccard", "ngram_jaccard", "containment")
+def _token_set(text: str) -> frozenset[str]:
+    return frozenset(tokenize(text.lower()))
 
 
-def _token_set(text: str, lowercase: bool) -> frozenset[str]:
-    if lowercase:
-        text = text.lower()
-    return frozenset(tokenize(text))
-
-
-def _ngram_set(text: str, size: int, lowercase: bool) -> frozenset[str]:
-    if lowercase:
-        text = text.lower()
-    if len(text) < size:
+def _ngram_set(text: str) -> frozenset[str]:
+    text = text.lower()
+    if len(text) < _NGRAM_SIZE:
         return frozenset({text}) if text else frozenset()
-    return frozenset(text[i : i + size] for i in range(len(text) - size + 1))
+    return frozenset(
+        text[i : i + _NGRAM_SIZE] for i in range(len(text) - _NGRAM_SIZE + 1)
+    )
 
 
 def _jaccard(left: frozenset[str], right: frozenset[str]) -> float:
@@ -104,9 +87,6 @@ def _containment(left: frozenset[str], right: frozenset[str]) -> float:
 class AutoFuzzyJoin:
     """Similarity join with automatic configuration selection."""
 
-    def __init__(self, config: FuzzyJoinConfig | None = None) -> None:
-        self._config = config or FuzzyJoinConfig()
-
     # ------------------------------------------------------------------ #
     # Public API
     # ------------------------------------------------------------------ #
@@ -116,19 +96,18 @@ class AutoFuzzyJoin:
         target_values: Sequence[str],
     ) -> FuzzyJoinResult:
         """Join two value lists; row ids are list positions."""
-        config = self._config
         best_result = FuzzyJoinResult()
         best_score = -1.0
-        for similarity in config.similarities:
+        for similarity in _SIMILARITIES:
             matrix = self._similarity_matrix(source_values, target_values, similarity)
-            for threshold in config.thresholds:
+            for threshold in _THRESHOLDS:
                 pairs = self._join_at_threshold(matrix, threshold)
                 if not pairs:
                     continue
                 precision_proxy = self._estimate_precision(matrix, pairs)
                 # Prefer configurations that look precise, then more complete.
                 score = (
-                    min(precision_proxy, config.target_precision),
+                    min(precision_proxy, _TARGET_PRECISION),
                     len(pairs),
                 )
                 flat_score = score[0] * 1_000_000 + score[1]
@@ -158,37 +137,16 @@ class AutoFuzzyJoin:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
+    @staticmethod
     def _similarity_matrix(
-        self,
         source_values: Sequence[str],
         target_values: Sequence[str],
         similarity: str,
     ) -> list[list[float]]:
-        config = self._config
-        if similarity == "token_jaccard":
-            source_sets = [_token_set(v, config.lowercase) for v in source_values]
-            target_sets = [_token_set(v, config.lowercase) for v in target_values]
-            measure = _jaccard
-        elif similarity == "ngram_jaccard":
-            source_sets = [
-                _ngram_set(v, config.ngram_size, config.lowercase)
-                for v in source_values
-            ]
-            target_sets = [
-                _ngram_set(v, config.ngram_size, config.lowercase)
-                for v in target_values
-            ]
-            measure = _jaccard
-        else:  # containment
-            source_sets = [
-                _ngram_set(v, config.ngram_size, config.lowercase)
-                for v in source_values
-            ]
-            target_sets = [
-                _ngram_set(v, config.ngram_size, config.lowercase)
-                for v in target_values
-            ]
-            measure = _containment
+        to_set = _token_set if similarity == "token_jaccard" else _ngram_set
+        measure = _containment if similarity == "containment" else _jaccard
+        source_sets = [to_set(v) for v in source_values]
+        target_sets = [to_set(v) for v in target_values]
         return [
             [measure(source_set, target_set) for target_set in target_sets]
             for source_set in source_sets

@@ -94,7 +94,6 @@ def greedy_minimal_cover(
     results: Sequence[CoverageResult],
     *,
     min_support: int = 1,
-    max_transformations: int | None = None,
 ) -> list[CoverageResult]:
     """Greedy set cover over the transformations' covered-row bitmasks.
 
@@ -149,8 +148,6 @@ def greedy_minimal_cover(
     selection_round = 0
     selected: list[CoverageResult] = []
     while covered != reachable:
-        if max_transformations is not None and len(selected) >= max_transformations:
-            break
         if pending and (not ranked or pending[0][0] <= ranked[0][0]):
             # A pending gain bound reaches the top: rescore it if stale
             # (dropping it when the support threshold is out of reach), rank

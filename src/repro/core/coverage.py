@@ -1345,8 +1345,8 @@ class CoverageComputer:
         Worker processes for the batched path of :meth:`coverage_of_all`
         (1 = serial, 0 = all cores; the default honours the
         ``REPRO_NUM_WORKERS`` environment variable).  Rows are sharded across
-        a :class:`~repro.parallel.executor.ShardedExecutor` that shares the
-        frozen unit trie with the workers; because every cache in the walk is
+        :func:`~repro.parallel.executor.map_sharded` workers that share the
+        frozen unit trie; because every cache in the walk is
         per-row, covered rows and cache statistics are identical to the
         serial walk.
     min_rows_per_worker:
@@ -1359,11 +1359,11 @@ class CoverageComputer:
         0 disables the tuning, forcing the pool for any input size.
     task_timeout:
         Wall-clock budget per sharded map (``None`` = unbounded), forwarded
-        to the :class:`~repro.parallel.executor.ShardedExecutor` as its
+        to :func:`~repro.parallel.executor.map_sharded` as its
         submission-time deadline.
     shard_retries:
         Pool retries per failed shard before the executor falls back (or
-        raises); see :class:`~repro.parallel.executor.ShardedExecutor`.
+        raises); see :func:`~repro.parallel.executor.map_sharded`.
     serial_fallback:
         Whether a shard the pool cannot produce is recomputed serially
         inline (True, the default) or surfaces as a typed
@@ -1437,7 +1437,6 @@ class CoverageComputer:
         transformations: Iterable[Transformation],
         *,
         batched: bool = True,
-        deadline: float | None = None,
     ) -> list[CoverageResult]:
         """Coverage of every transformation, in input order.
 
@@ -1447,14 +1446,13 @@ class CoverageComputer:
         batch engine runs only with the unit cache: without it, every call
         takes :meth:`coverage_of`.  Covered rows are identical either way —
         only the order in which unit applications are attempted (and
-        therefore the exact cache hit/miss tallies) differs.  ``deadline``
-        is :meth:`coverage_of_trie`'s.
+        therefore the exact cache hit/miss tallies) differs.
         """
         transformations = list(transformations)
         trie = None
         if batched and self.use_unit_cache and transformations and self.pairs:
             trie = _build_unit_trie(transformations)
-        return self.coverage_of_trie(trie, transformations, deadline=deadline)
+        return self.coverage_of_trie(trie, transformations)
 
     def coverage_of_trie(
         self,

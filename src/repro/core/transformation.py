@@ -86,11 +86,6 @@ class Transformation:
         return sum(1 for unit in self._units if not unit.is_constant)
 
     @property
-    def num_literals(self) -> int:
-        """Number of literal units."""
-        return sum(1 for unit in self._units if unit.is_constant)
-
-    @property
     def is_constant(self) -> bool:
         """True when every unit is a literal (output independent of input)."""
         return all(unit.is_constant for unit in self._units)

@@ -90,7 +90,6 @@ class TransformationJoiner:
         num_candidate_pairs: int | None = None,
         case_insensitive: bool = False,
         num_workers: int | None = None,
-        min_rows_per_worker: int | None = None,
         task_timeout_s: float = 0.0,
         shard_retries: int = 2,
         serial_fallback: bool = True,
@@ -130,23 +129,20 @@ class TransformationJoiner:
             cores; ``None`` — the default — honours ``REPRO_NUM_WORKERS``).
             The resolution goes through
             :func:`~repro.parallel.executor.tuned_num_workers`, so small
-            inputs run serially regardless; joined pairs are identical at
-            any worker count.
-        min_rows_per_worker:
-            Small-input threshold of the apply fast path (``None`` reads
-            ``REPRO_MIN_ROWS_PER_WORKER``; 0 disables the tuning).
+            inputs run serially regardless (``REPRO_MIN_ROWS_PER_WORKER``
+            sets the threshold); joined pairs are identical at any worker
+            count.
         task_timeout_s / shard_retries / serial_fallback:
             Fault tolerance of the sharded apply stage: wall-clock bound per
             sharded map (0 = unbounded), pool retries per failed shard, and
             whether unproducible shards are recomputed serially inline
             (True, the default) instead of raising a typed
             :class:`~repro.parallel.errors.ShardError`; see
-            :class:`~repro.parallel.executor.ShardedExecutor`.
+            :func:`~repro.parallel.executor.map_sharded`.
         """
         self.check_settings(
             min_support=min_support,
             num_workers=num_workers,
-            min_rows_per_worker=min_rows_per_worker,
             task_timeout_s=task_timeout_s,
             shard_retries=shard_retries,
         )
@@ -189,7 +185,6 @@ class TransformationJoiner:
         self._num_workers = (
             env_default_workers() if num_workers is None else num_workers
         )
-        self._min_rows_per_worker = min_rows_per_worker
         self._task_timeout_s = task_timeout_s
         self._shard_retries = shard_retries
         self._serial_fallback = serial_fallback
@@ -208,7 +203,6 @@ class TransformationJoiner:
         *,
         min_support: float = 0.0,
         num_workers: int | None = None,
-        min_rows_per_worker: int | None = None,
         task_timeout_s: float = 0.0,
         shard_retries: int = 2,
     ) -> None:
@@ -223,7 +217,6 @@ class TransformationJoiner:
             raise ValueError(f"min_support must be in [0, 1], got {min_support}")
         check_execution_settings(
             num_workers=num_workers,
-            min_rows_per_worker=min_rows_per_worker,
             task_timeout_s=task_timeout_s,
             shard_retries=shard_retries,
         )
@@ -381,7 +374,6 @@ class TransformationJoiner:
         outputs = applier.transform_rows(
             source_values,
             num_workers=self._num_workers,
-            min_rows_per_worker=self._min_rows_per_worker,
             task_timeout=task_timeout,
             shard_retries=self._shard_retries,
             serial_fallback=self._serial_fallback,

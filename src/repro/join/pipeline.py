@@ -135,7 +135,7 @@ class JoinPipeline:
             Fault tolerance of the sharded apply stage (wall-clock bound per
             sharded map with 0 = unbounded, pool retries per failed shard,
             serial inline recomputation of unproducible shards); see
-            :class:`~repro.parallel.executor.ShardedExecutor`.  Matching and
+            :func:`~repro.parallel.executor.map_sharded`.  Matching and
             discovery carry the equivalent knobs on their own configs.
         """
         TransformationJoiner.check_settings(

@@ -78,7 +78,7 @@ class MatchingConfig:
     the sharded setsim path's fault tolerance (submission-time deadline per
     map, pool retries per failed shard, and the serial inline fallback that
     keeps a flaky pool's results byte-identical); see
-    :class:`~repro.parallel.executor.ShardedExecutor`.  ``task_timeout_s``
+    :func:`~repro.parallel.executor.map_sharded`.  ``task_timeout_s``
     0 means unbounded.
 
     ``engine`` selects the candidate-generation regime
@@ -169,27 +169,23 @@ def emit_candidate_pairs(
     target_index: InvertedIndex,
     representatives: Sequence[Sequence[str]],
     max_candidates_per_row: int,
-    *,
-    row_offset: int = 0,
 ) -> list[RowPair]:
     """Emit candidate pairs by scanning the representatives' posting arrays.
 
     The emission loop of the packed matcher.  *representatives* is aligned
-    with *source_values*; *row_offset* is added to every emitted source-row
-    id, for callers that pass a slice of the source column.
+    with *source_values*.
     """
     pairs: list[RowPair] = []
     append_pair = pairs.append
     cap = max_candidates_per_row
-    for local_row, source_text in enumerate(source_values):
-        source_row = row_offset + local_row
+    for source_row, source_text in enumerate(source_values):
         # A source row can never repeat a candidate (representatives'
         # postings are deduplicated below), so no (source, target) pair
         # can occur twice — candidate dedup per row is all that's needed.
         seen: set[int] = set()
         seen_add = seen.add
         emitted = 0
-        for representative in representatives[local_row]:
+        for representative in representatives[source_row]:
             if cap and emitted >= cap:
                 # The reference truncates the candidate list to its first
                 # `cap` entries; later candidates can be skipped entirely.

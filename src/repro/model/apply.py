@@ -348,17 +348,11 @@ class TransformationApplier:
         """The compiled transformations, in input order."""
         return list(self._transformations)
 
-    @property
-    def trie(self) -> PackedTrie | None:
-        """The frozen unit-prefix trie (``None`` for an empty set)."""
-        return self._trie
-
     def transform_rows(
         self,
         values: Sequence[str],
         *,
         num_workers: int = 1,
-        min_rows_per_worker: int | None = None,
         task_timeout: float | None = None,
         shard_retries: int = 2,
         serial_fallback: bool = True,
@@ -374,10 +368,11 @@ class TransformationApplier:
         rows are sharded across a process pool (0 = all cores), *within*
         travelling with them; the resolution goes through
         :func:`~repro.parallel.executor.tuned_num_workers`, so small inputs
-        take the serial path regardless — results are identical either way.
+        (below ``REPRO_MIN_ROWS_PER_WORKER`` rows per worker) take the
+        serial path regardless — results are identical either way.
         ``task_timeout``/``shard_retries``/``serial_fallback`` configure the
         sharded path's fault tolerance (see
-        :class:`~repro.parallel.executor.ShardedExecutor`); ``deadline`` is
+        :func:`~repro.parallel.executor.map_sharded`); ``deadline`` is
         the cooperative monotonic cut honoured at block boundaries in the
         walk, serial and sharded alike (see
         :func:`transform_trie_rows`).  Out-of-range settings raise
@@ -385,17 +380,12 @@ class TransformationApplier:
         """
         check_execution_settings(
             num_workers=num_workers,
-            min_rows_per_worker=min_rows_per_worker,
             shard_retries=shard_retries,
             task_timeout=task_timeout,
         )
         if self._trie is None or not values:
             return {}
-        workers = tuned_num_workers(
-            num_workers,
-            len(values),
-            min_items_per_worker=min_rows_per_worker,
-        )
+        workers = tuned_num_workers(num_workers, len(values))
         if workers > 1:
             shards = map_sharded(
                 (list(values), self._trie, deadline, within),

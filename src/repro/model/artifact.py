@@ -183,7 +183,6 @@ class TransformationModel:
         self,
         *,
         num_workers: int | None = None,
-        min_rows_per_worker: int | None = None,
         task_timeout_s: float = 0.0,
         shard_retries: int = 2,
         serial_fallback: bool = True,
@@ -207,13 +206,7 @@ class TransformationModel:
         """
         from repro.join.joiner import TransformationJoiner
 
-        key = (
-            num_workers,
-            min_rows_per_worker,
-            task_timeout_s,
-            shard_retries,
-            serial_fallback,
-        )
+        key = (num_workers, task_timeout_s, shard_retries, serial_fallback)
         with self._joiners_lock:
             joiner = self._joiners.get(key)
             if joiner is None:
@@ -224,7 +217,6 @@ class TransformationModel:
                     num_candidate_pairs=self.num_candidate_pairs,
                     case_insensitive=self.case_insensitive,
                     num_workers=num_workers,
-                    min_rows_per_worker=min_rows_per_worker,
                     task_timeout_s=task_timeout_s,
                     shard_retries=shard_retries,
                     serial_fallback=serial_fallback,

@@ -16,10 +16,11 @@ its serial kernel, and merges the in-order shard results itself:
 
 The n-gram matcher is serial: sharding it lost to serial on two cores.
 
-:mod:`repro.parallel.executor` holds the :class:`ShardedExecutor` (a
-``concurrent.futures.ProcessPoolExecutor`` per run, state shared
-copy-on-write under fork or pickled once per worker under spawn, guided
-shard sizing with a work-stealing task queue, in-order results).  The knobs are ``DiscoveryConfig.num_workers``,
+:mod:`repro.parallel.executor` holds :func:`map_sharded` (a
+``concurrent.futures.ProcessPoolExecutor`` per call, state shared
+copy-on-write under fork or pickled once per worker under spawn and
+forkserver, guided shard sizing with a work-stealing task queue, in-order
+results).  The knobs are ``DiscoveryConfig.num_workers``,
 ``MatchingConfig.num_workers`` and ``TransformationJoiner``'s
 ``num_workers`` (1 = serial, 0 = all cores; defaults honour the
 ``REPRO_NUM_WORKERS`` environment variable), surfaced on the CLI as
@@ -42,7 +43,6 @@ from repro.parallel.errors import (
     WorkerCrashError,
 )
 from repro.parallel.executor import (
-    ShardedExecutor,
     default_start_method,
     env_default_workers,
     map_sharded,
@@ -56,7 +56,6 @@ __all__ = [
     "DeadlineExceededError",
     "ShardError",
     "ShardTimeoutError",
-    "ShardedExecutor",
     "WorkerCrashError",
     "default_start_method",
     "env_default_workers",

@@ -4,7 +4,7 @@ Before this layer existed, a failure inside a worker process surfaced as
 whatever the pool happened to raise — a bare ``multiprocessing.TimeoutError``
 with no context, a re-raised worker exception with no shard attribution, or
 (for a hard worker death) an indefinite hang.  Every failure the
-:class:`~repro.parallel.executor.ShardedExecutor` can observe now maps to one
+:func:`~repro.parallel.executor.map_sharded` can observe now maps to one
 of three exception types, each carrying the shard range it happened on, how
 many pool attempts were made, and the underlying cause:
 

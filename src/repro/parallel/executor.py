@@ -2,28 +2,30 @@
 
 Batched coverage, setsim matching and the apply walk are embarrassingly
 parallel over rows, but the read-only structures they walk (the frozen
-unit-prefix trie, the setsim prefix index) are large.  The
-:class:`ShardedExecutor` therefore hands that state to the initializer of a
+unit-prefix trie, the setsim prefix index) are large.
+:func:`map_sharded` therefore hands that state to the initializer of a
 :class:`concurrent.futures.ProcessPoolExecutor`, so it reaches each worker
 once: inherited copy-on-write under **fork** (the default wherever
-available), pickled once per worker under **spawn / forkserver**.  Tasks
-are tiny ``(start, stop)`` row ranges on a guided, decreasing schedule,
-pulled from the pool's shared queue by whichever worker goes idle first;
-results come back in shard order, so every engine's merge is deterministic.
+available, unless other threads run), pickled once per worker under
+**spawn / forkserver**.  Tasks are tiny ``(start, stop)`` row ranges on a
+guided, decreasing schedule, pulled from the pool's shared queue by
+whichever worker goes idle first; results come back in shard order, so
+every engine's merge is deterministic.
 
-The executor is run-scoped and single-use, so workers (and any cache built
-inside one) never outlive the ``with ShardedExecutor(state, ...)`` block.
+The pool is scoped to one :func:`map_sharded` call, so workers (and any
+cache built inside one) never outlive it.
 
-**Fault tolerance.**  ``map_shards`` runs in rounds.  A round submits every
-shard not yet delivered and collects them in shard order, each wait taking
-what is left of one map deadline (``task_timeout``, fixed at submission).
-An undelivered shard becomes :class:`ShardError` when its worker raised
-(the next round reuses the pool), :class:`WorkerCrashError` when a worker
-process died — the pool then reports ``BrokenProcessPool`` for every shard
-it had not delivered, and the next round starts a fresh pool — or
-:class:`ShardTimeoutError` when the deadline expired, which terminates the
-round's workers.  Failed shards get up to ``max_shard_retries`` further
-rounds with exponential backoff, except after a timeout or a worker's own
+**Fault tolerance.**  :func:`map_sharded` runs in rounds.  A round submits
+every shard not yet delivered and collects them in shard order, each wait
+taking what is left of one map deadline (``task_timeout``, fixed at
+submission).  An undelivered shard becomes :class:`ShardError` when its
+worker raised (the next round reuses the pool), :class:`WorkerCrashError`
+when a worker process died — the pool then reports ``BrokenProcessPool``
+for every shard it had not delivered, and the next round starts a fresh
+pool — or :class:`ShardTimeoutError` when the deadline expired, which
+terminates the round's workers.  Failed shards get up to
+``max_shard_retries`` further rounds with exponential backoff (from
+:data:`RETRY_BACKOFF_S`), except after a timeout or a worker's own
 :class:`DeadlineExceededError` (a deadline cannot un-expire).  Whatever the
 pool still could not produce is re-run *serially inline* against the same
 state; every sharded engine is deterministic per row range, so the merged
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 import time
 from collections.abc import Callable, Sequence
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -97,13 +100,13 @@ def _run_shard(worker: Callable[[int, int], Any], shard_index: int, start: int, 
 def worker_state() -> Any:
     """The shared state of the current worker process.
 
-    Raises ``RuntimeError`` when called outside a :class:`ShardedExecutor`
+    Raises ``RuntimeError`` when called outside a :func:`map_sharded`
     worker (i.e. before the pool initializer ran).
     """
     if _WORKER_STATE is _STATE_NOT_INSTALLED:
         raise RuntimeError(
             "no shared worker state installed; worker functions must run "
-            "inside a ShardedExecutor pool"
+            "inside map_sharded"
         )
     return _WORKER_STATE
 
@@ -123,8 +126,8 @@ def resolve_num_workers(num_workers: int) -> int:
 
 def check_execution_settings(
     *,
-    num_workers: int | None,
-    min_rows_per_worker: int | None,
+    num_workers: int | None = None,
+    min_rows_per_worker: int | None = None,
     shard_retries: int,
     task_timeout_s: float = 0.0,
     task_timeout: float | None = None,
@@ -132,8 +135,9 @@ def check_execution_settings(
     """Raise ``ValueError`` when an execution setting is out of range.
 
     Shared by ``DiscoveryConfig``, ``MatchingConfig``,
-    ``TransformationJoiner.check_settings``, ``CoverageComputer`` and
-    ``TransformationApplier.transform_rows``; ``None`` means the default.
+    ``TransformationJoiner.check_settings``, ``CoverageComputer``,
+    ``TransformationApplier.transform_rows`` and :func:`map_sharded`;
+    ``None`` means the default.
     The counts and ``task_timeout_s`` (0 = unbounded) must not be
     negative; ``task_timeout``, the form the engines take (``None`` =
     unbounded), must be positive.
@@ -166,16 +170,16 @@ def _env_count(name: str, default: int) -> int:
     return count
 
 
-def env_default_workers(default: int = 1) -> int:
+def env_default_workers() -> int:
     """The default worker count, overridable via ``REPRO_NUM_WORKERS``.
 
     The configuration dataclasses use this as their ``num_workers`` default
     factory, so an entire run (CLI, tests, benchmarks) can be switched to a
     sharded configuration without touching call sites — CI uses it to run the
-    tier-1 suite with two workers.  Unset or empty means *default* (serial);
-    the value follows :func:`resolve_num_workers` semantics (0 = all cores).
+    tier-1 suite with two workers.  Unset or empty means 1 (serial); the
+    value follows :func:`resolve_num_workers` semantics (0 = all cores).
     """
-    return _env_count("REPRO_NUM_WORKERS", default)
+    return _env_count("REPRO_NUM_WORKERS", 1)
 
 
 #: Default small-input threshold: a worker must have at least this many items
@@ -185,13 +189,14 @@ def env_default_workers(default: int = 1) -> int:
 DEFAULT_MIN_ITEMS_PER_WORKER = 256
 
 
-def env_min_items_per_worker(default: int = DEFAULT_MIN_ITEMS_PER_WORKER) -> int:
+def env_min_items_per_worker() -> int:
     """The small-input threshold, overridable via ``REPRO_MIN_ROWS_PER_WORKER``.
 
-    ``0`` disables the small-input fast path entirely (the equivalence tests
-    and the sharded CI job use it so tiny inputs still exercise real pools).
+    Unset or empty means :data:`DEFAULT_MIN_ITEMS_PER_WORKER`.  ``0``
+    disables the small-input fast path entirely (the equivalence tests and
+    the sharded CI job use it so tiny inputs still exercise real pools).
     """
-    return _env_count("REPRO_MIN_ROWS_PER_WORKER", default)
+    return _env_count("REPRO_MIN_ROWS_PER_WORKER", DEFAULT_MIN_ITEMS_PER_WORKER)
 
 
 def tuned_num_workers(
@@ -238,10 +243,13 @@ def default_start_method() -> str:
     """The multiprocessing start method sharded engines use.
 
     Prefers ``fork`` (state is shared copy-on-write, pool start-up is
-    milliseconds); falls back to ``spawn`` elsewhere.  The environment
-    variable ``REPRO_START_METHOD`` forces a specific method — the
-    equivalence tests use it to exercise the pickle-once fallback on
-    platforms whose default is fork.
+    milliseconds); falls back to ``spawn`` elsewhere.  A process that runs
+    other threads (the HTTP server's handler threads) must not fork: the
+    child inherits every lock another thread held at that moment, and can
+    deadlock on one.  It gets ``forkserver``, or ``spawn`` where forkserver
+    is unavailable.  The environment variable ``REPRO_START_METHOD`` forces
+    a specific method — the equivalence tests use it to exercise the
+    pickle-once fallback on platforms whose default is fork.
     """
     override = os.environ.get("REPRO_START_METHOD", "").strip()
     available = multiprocessing.get_all_start_methods()
@@ -252,6 +260,8 @@ def default_start_method() -> str:
                 f"platform; choices: {available}"
             )
         return override
+    if threading.active_count() > 1:
+        return "forkserver" if "forkserver" in available else "spawn"
     return "fork" if "fork" in available else "spawn"
 
 
@@ -284,10 +294,9 @@ def shard_plan(num_items: int, num_workers: int) -> list[tuple[int, int]]:
 #: Default number of *additional* pool rounds for a failed shard.
 DEFAULT_MAX_SHARD_RETRIES = 2
 
-#: Default base of the exponential retry backoff, in seconds.
-DEFAULT_RETRY_BACKOFF_S = 0.05
-
-_SINGLE_USE = "ShardedExecutor is single-use: construct a new one"
+#: Base of the exponential retry backoff, in seconds: pool retry *n* sleeps
+#: ``RETRY_BACKOFF_S * 2**(n-1)``, clamped to the remaining deadline.
+RETRY_BACKOFF_S = 0.05
 
 
 def _terminate_workers(pool: ProcessPoolExecutor) -> None:
@@ -297,143 +306,86 @@ def _terminate_workers(pool: ProcessPoolExecutor) -> None:
     Python 3.14 adds ``ProcessPoolExecutor.terminate_workers()``; until then
     the private ``_processes`` map is the one handle on the workers.  Called
     only after a deadline expired, after a worker died (the pool's own
-    clean-up can fail in the race noted in ``ShardedExecutor._run_round``
-    and leave workers behind), or when the ``with`` block exits on an
-    exception — never on the healthy path.
+    clean-up can fail in the race noted in :func:`_run_round` and leave
+    workers behind), or when :func:`map_sharded` exits on an exception —
+    never on the healthy path.
     """
     for process in list((pool._processes or {}).values()):
         process.terminate()
     pool.shutdown(cancel_futures=True)
 
 
-class ShardedExecutor:
-    """A run-scoped, fault-tolerant process pool sharing read-only state.
+def map_sharded(
+    state: Any,
+    worker: Callable[[int, int], Any],
+    num_items: int,
+    *,
+    num_workers: int,
+    task_timeout: float | None = None,
+    max_shard_retries: int = DEFAULT_MAX_SHARD_RETRIES,
+    serial_fallback: bool = True,
+) -> list[Any]:
+    """Run ``worker(start, stop)`` over every shard of ``range(num_items)``.
+
+    The one entry point of the sharded stages: each passes its read-only
+    *state* (a plain tuple) and a module-level worker that unpacks it via
+    :func:`worker_state`, then merges the shard results itself.  Results
+    are returned in shard order regardless of completion order.  The pool
+    starts with the call and is gone when it returns, its workers killed
+    if the call raises.
 
     Parameters
     ----------
-    state:
-        Read-only object worker functions reach via :func:`worker_state`.
     num_workers:
         Pool size (already resolved; must be >= 1).  With exactly one
         worker no pool is started — the shards run inline in this process
-        (the small-input fast path; see :func:`tuned_num_workers`).
-    start_method:
-        Defaults to :func:`default_start_method`.
+        against the same state (the small-input fast path; see
+        :func:`tuned_num_workers`).
     task_timeout:
-        Optional wall-clock budget in seconds for one whole ``map_shards``
-        call, fixed as a monotonic deadline at submission; expiry fails
-        every shard not delivered with ``ShardTimeoutError``.
+        Optional wall-clock budget in seconds for the whole call, fixed as
+        a monotonic deadline at submission; expiry fails every shard not
+        delivered with ``ShardTimeoutError``.
     max_shard_retries:
         How many *additional* pool rounds failed shards get before the
-        executor falls back (or raises).  Timeouts are never retried.
-    retry_backoff_s:
-        Base sleep before pool retry *n* (``retry_backoff_s * 2**(n-1)``),
-        clamped to the remaining deadline.
+        call falls back (or raises).  Timeouts are never retried.
     serial_fallback:
         When True (the default), a shard the pool cannot produce is
         recomputed serially inline, preserving the byte-identical merged
         result.  When False the typed error is raised instead.
     """
-
-    def __init__(
-        self,
-        state: Any,
-        *,
-        num_workers: int,
-        start_method: str | None = None,
-        task_timeout: float | None = None,
-        max_shard_retries: int = DEFAULT_MAX_SHARD_RETRIES,
-        retry_backoff_s: float = DEFAULT_RETRY_BACKOFF_S,
-        serial_fallback: bool = True,
-    ) -> None:
-        if num_workers < 1:
-            raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-        check_execution_settings(
-            num_workers=None,
-            min_rows_per_worker=None,
-            shard_retries=max_shard_retries,
-            task_timeout=task_timeout,
-        )
-        if retry_backoff_s < 0:
-            raise ValueError(f"retry_backoff_s must be >= 0, got {retry_backoff_s}")
-        self._state = state
-        self._num_workers = num_workers
-        self._start_method = start_method or default_start_method()
-        self._task_timeout = task_timeout
-        self._max_shard_retries = max_shard_retries
-        self._retry_backoff_s = retry_backoff_s
-        self._serial_fallback = serial_fallback
-        self._pool: ProcessPoolExecutor | None = None
-        self._entered = False
-        self._closed = False
-        self._degraded = False
-
-    @property
-    def num_workers(self) -> int:
-        """The pool size."""
-        return self._num_workers
-
-    @property
-    def start_method(self) -> str:
-        """The start method the pool is created with."""
-        return self._start_method
-
-    @property
-    def degraded(self) -> bool:
-        """Whether any shard needed a retry or the serial fallback."""
-        return self._degraded
-
-    def __enter__(self) -> "ShardedExecutor":
-        if self._closed:
-            raise RuntimeError(_SINGLE_USE)
-        if self._entered:
-            raise RuntimeError("ShardedExecutor is already entered")
-        self._entered = True
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self._entered = False
-        self._closed = True
-        pool, self._pool = self._pool, None
-        if pool is not None and exc_type is None:
-            pool.shutdown()
-        elif pool is not None:
-            # A failed run must not leave workers grinding through shards
-            # nobody will collect.
-            _terminate_workers(pool)
-
-    def map_shards(self, worker: Callable[[int, int], Any], num_items: int) -> list[Any]:
-        """Run ``worker(start, stop)`` over every shard of ``range(num_items)``.
-
-        Results are returned in shard order regardless of completion order,
-        so callers can merge deterministically.  With one worker the shards
-        run inline against the same shared state.  Failed shards are
-        retried and recovered as the module docstring describes.
-        """
-        if self._closed:
-            raise RuntimeError(_SINGLE_USE)
-        if not self._entered:
-            raise RuntimeError("ShardedExecutor must be entered before use")
-        shards = shard_plan(num_items, self._num_workers)
-        if self._num_workers == 1:
-            # Small-input fast path: one worker needs no pool at all.
-            return [
-                self._run_inline(worker, index, shard)
-                for index, shard in enumerate(shards)
-            ]
-        timeout = self._task_timeout
-        deadline = None if timeout is None else time.monotonic() + timeout
-        results: dict[int, Any] = {}
-        errors: dict[int, ShardError] = {}  # latest, per undelivered shard
-        pending = list(range(len(shards)))
-        attempts = 0
+    if num_workers < 1:
+        raise ValueError(f"num_workers must be >= 1, got {num_workers}")
+    check_execution_settings(shard_retries=max_shard_retries, task_timeout=task_timeout)
+    shards = shard_plan(num_items, num_workers)
+    if num_workers == 1:
+        return [
+            _run_inline(state, worker, index, shard)
+            for index, shard in enumerate(shards)
+        ]
+    context = multiprocessing.get_context(default_start_method())
+    deadline = None if task_timeout is None else time.monotonic() + task_timeout
+    results: dict[int, Any] = {}
+    errors: dict[int, ShardError] = {}  # latest, per undelivered shard
+    pending = list(range(len(shards)))
+    attempts = 0
+    pool: ProcessPoolExecutor | None = None
+    try:
         while pending:
             attempts += 1
-            self._run_round(
-                worker, shards, pending, attempts, deadline, results, errors
-            )
-            if errors:
-                self._degraded = True
+            if pool is None:
+                pool = ProcessPoolExecutor(
+                    num_workers,
+                    mp_context=context,
+                    initializer=_pool_initializer,
+                    initargs=(state, os.environ.get(_FAULT_ENV, "")),
+                )
+            if not _run_round(
+                pool, worker, shards, pending, attempts, task_timeout, deadline,
+                results, errors,
+            ):
+                # A broken or timed-out pool is dropped for a fresh one.
+                pool, broken = None, pool
+                _terminate_workers(broken)
             # Only crashes and worker exceptions get another round: the map
             # deadline, or one the worker itself hit, cannot un-expire.
             pending = [
@@ -443,159 +395,129 @@ class ShardedExecutor:
                 and not isinstance(errors[index], ShardTimeoutError)
                 and not isinstance(errors[index].cause, DeadlineExceededError)
             ]
-            if not pending or attempts > self._max_shard_retries:
+            if not pending or attempts > max_shard_retries:
                 break
-            backoff = self._retry_backoff_s * 2 ** (attempts - 1)
+            backoff = RETRY_BACKOFF_S * 2 ** (attempts - 1)
             if deadline is not None:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     break
                 backoff = min(backoff, remaining)
             time.sleep(backoff)
-        for index in sorted(errors):
-            if not self._serial_fallback:
-                raise errors[index]
-            results[index] = self._run_inline(
-                worker, index, shards[index], errors[index].attempts
-            )
-        return [results[index] for index in range(len(shards))]
-
-    def _run_round(
-        self,
-        worker: Callable[[int, int], Any],
-        shards: list[tuple[int, int]],
-        indices: list[int],
-        attempts: int,
-        deadline: float | None,
-        results: dict[int, Any],
-        errors: dict[int, ShardError],
-    ) -> None:
-        """One round: submit the shards *indices*, collect them in order.
-
-        Fills *results*, or *errors* with each undelivered shard's typed
-        error.  A broken or timed-out pool is dropped for a fresh one.
-        """
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                self._num_workers,
-                mp_context=multiprocessing.get_context(self._start_method),
-                initializer=_pool_initializer,
-                initargs=(self._state, os.environ.get(_FAULT_ENV, "")),
-            )
-        pool = self._pool
-        futures: dict[int, Future] = {}
-        broken = timed_out = False
-        for index in indices:
-            start, stop = shards[index]
-            try:
-                futures[index] = pool.submit(_run_shard, worker, index, start, stop)
-            except BrokenProcessPool:
-                broken = True  # a worker already died
-                break
-        for index in indices:
-            shard = shards[index]
-            label = f"shard {shard[0]}:{shard[1]}"
-            future = futures.get(index)
-            try:
-                if future is None or (broken and not future.done()):
-                    # A broken pool delivers nothing more, and a shard submitted
-                    # while it broke can stay pending forever (Python 3.11 marks
-                    # a pool broken without submit()'s lock): it is lost now.
-                    raise BrokenProcessPool(label)
-                results[index] = future.result(
-                    None if deadline is None else max(deadline - time.monotonic(), 0)
-                )
-                errors.pop(index, None)
-                continue
-            except BrokenProcessPool:
-                broken = True
-                error = WorkerCrashError(
-                    f"a pool worker died before {label} was delivered"
-                )
-            except TimeoutError:
-                timed_out = True
-                error = ShardTimeoutError(
-                    f"{label} missed the {self._task_timeout}s map deadline"
-                )
-            except Exception as exc:  # noqa: BLE001 — the worker's own exception
-                error = ShardError(
-                    f"{label} worker raised {type(exc).__name__}: {exc}", cause=exc
-                )
-                error.__cause__ = exc
-            error.shard, error.attempts = shard, attempts
-            errors[index] = error
-        if broken or timed_out:
-            self._pool = None
+    except BaseException:
+        # A failed run must not leave workers grinding through shards
+        # nobody will collect.
+        if pool is not None:
             _terminate_workers(pool)
+        raise
+    if pool is not None:
+        pool.shutdown()
+    for index in sorted(errors):
+        if not serial_fallback:
+            raise errors[index]
+        results[index] = _run_inline(
+            state, worker, index, shards[index], errors[index].attempts
+        )
+    return [results[index] for index in range(len(shards))]
 
-    def _run_inline(
-        self,
-        worker: Callable[[int, int], Any],
-        index: int,
-        shard: tuple[int, int],
-        attempts: int = 0,
-    ) -> Any:
-        """Run one shard in this process, after *attempts* failed pool rounds.
 
-        The previous ``_WORKER_STATE`` is always restored, so nested
-        executors are unaffected even when the worker raises; an inline
-        failure is terminal and surfaces as :class:`ShardError`.
-        """
-        global _WORKER_STATE
-        previous = _WORKER_STATE
-        _WORKER_STATE = self._state
+def _run_round(
+    pool: ProcessPoolExecutor,
+    worker: Callable[[int, int], Any],
+    shards: list[tuple[int, int]],
+    indices: list[int],
+    attempts: int,
+    task_timeout: float | None,
+    deadline: float | None,
+    results: dict[int, Any],
+    errors: dict[int, ShardError],
+) -> bool:
+    """One round: submit the shards *indices* to *pool*, collect them in order.
+
+    Fills *results*, or *errors* with each undelivered shard's typed error.
+    Returns whether *pool* can run another round (False once it broke or
+    timed out).
+    """
+    futures: dict[int, Future] = {}
+    broken = timed_out = False
+    for index in indices:
+        start, stop = shards[index]
         try:
-            return _run_shard(worker, index, shard[0], shard[1])
-        except Exception as exc:
-            raise ShardError(
-                f"shard {shard[0]}:{shard[1]} failed inline after "
-                f"{attempts} pool attempt(s): {type(exc).__name__}: {exc}",
-                shard=shard,
-                attempts=attempts,
-                cause=exc,
-            ) from exc
-        finally:
-            _WORKER_STATE = previous
+            futures[index] = pool.submit(_run_shard, worker, index, start, stop)
+        except BrokenProcessPool:
+            broken = True  # a worker already died
+            break
+    for index in indices:
+        shard = shards[index]
+        label = f"shard {shard[0]}:{shard[1]}"
+        future = futures.get(index)
+        try:
+            if future is None or (broken and not future.done()):
+                # A broken pool delivers nothing more, and a shard submitted
+                # while it broke can stay pending forever (Python 3.11 marks
+                # a pool broken without submit()'s lock): it is lost now.
+                raise BrokenProcessPool(label)
+            results[index] = future.result(
+                None if deadline is None else max(deadline - time.monotonic(), 0)
+            )
+            errors.pop(index, None)
+            continue
+        except BrokenProcessPool:
+            broken = True
+            error = WorkerCrashError(
+                f"a pool worker died before {label} was delivered"
+            )
+        except TimeoutError:
+            timed_out = True
+            error = ShardTimeoutError(
+                f"{label} missed the {task_timeout}s map deadline"
+            )
+        except Exception as exc:  # noqa: BLE001 — the worker's own exception
+            error = ShardError(
+                f"{label} worker raised {type(exc).__name__}: {exc}", cause=exc
+            )
+            error.__cause__ = exc
+        error.shard, error.attempts = shard, attempts
+        errors[index] = error
+    return not (broken or timed_out)
 
 
-def map_sharded(
+def _run_inline(
     state: Any,
     worker: Callable[[int, int], Any],
-    num_items: int,
-    *,
-    num_workers: int,
-    start_method: str | None = None,
-    task_timeout: float | None = None,
-    max_shard_retries: int = DEFAULT_MAX_SHARD_RETRIES,
-    retry_backoff_s: float = DEFAULT_RETRY_BACKOFF_S,
-    serial_fallback: bool = True,
-) -> list[Any]:
-    """Pool up, map ``worker`` over the shards, tear the pool down.
+    index: int,
+    shard: tuple[int, int],
+    attempts: int = 0,
+) -> Any:
+    """Run one shard in this process, after *attempts* failed pool rounds.
 
-    The one entry point of the sharded stages: each passes its read-only
-    *state* (a plain tuple) and a module-level worker that unpacks it via
-    :func:`worker_state`, then merges the in-order shard results itself.
+    The previous ``_WORKER_STATE`` is always restored, so nested calls are
+    unaffected even when the worker raises; an inline failure is terminal
+    and surfaces as :class:`ShardError`.
     """
-    executor = ShardedExecutor(
-        state,
-        num_workers=num_workers,
-        start_method=start_method,
-        task_timeout=task_timeout,
-        max_shard_retries=max_shard_retries,
-        retry_backoff_s=retry_backoff_s,
-        serial_fallback=serial_fallback,
-    )
-    with executor:
-        return executor.map_shards(worker, num_items)
+    global _WORKER_STATE
+    previous = _WORKER_STATE
+    _WORKER_STATE = state
+    try:
+        return _run_shard(worker, index, shard[0], shard[1])
+    except Exception as exc:
+        raise ShardError(
+            f"shard {shard[0]}:{shard[1]} failed inline after "
+            f"{attempts} pool attempt(s): {type(exc).__name__}: {exc}",
+            shard=shard,
+            attempts=attempts,
+            cause=exc,
+        ) from exc
+    finally:
+        _WORKER_STATE = previous
 
 
 __all__: Sequence[str] = (
     "DEFAULT_MAX_SHARD_RETRIES",
     "DEFAULT_MIN_ITEMS_PER_WORKER",
-    "DEFAULT_RETRY_BACKOFF_S",
+    "RETRY_BACKOFF_S",
     "ShardError",
     "ShardTimeoutError",
-    "ShardedExecutor",
     "WorkerCrashError",
     "check_execution_settings",
     "default_start_method",

@@ -33,8 +33,8 @@ DEFAULT_MAX_INFLIGHT = 32
 #: Default wait-queue bound on top of the in-flight bound.
 DEFAULT_MAX_QUEUE = 64
 
-#: Default ``Retry-After`` hint on a shed request, in seconds.
-DEFAULT_RETRY_AFTER_S = 1.0
+#: ``Retry-After`` hint on a shed request, in seconds.
+RETRY_AFTER_S = 1.0
 
 
 class AdmissionController:
@@ -49,17 +49,13 @@ class AdmissionController:
         *,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         max_queue: int = DEFAULT_MAX_QUEUE,
-        retry_after_s: float = DEFAULT_RETRY_AFTER_S,
     ) -> None:
         if max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         if max_queue < 0:
             raise ValueError(f"max_queue must be >= 0, got {max_queue}")
-        if retry_after_s < 0:
-            raise ValueError(f"retry_after_s must be >= 0, got {retry_after_s}")
         self._max_inflight = max_inflight
         self._max_queue = max_queue
-        self._retry_after_s = retry_after_s
         self._condition = threading.Condition()
         self._in_flight = 0
         self._queued = 0
@@ -92,7 +88,7 @@ class AdmissionController:
                 raise OverloadedError(
                     f"server is at capacity ({self._in_flight} in flight, "
                     f"{self._queued} queued)",
-                    retry_after_s=self._retry_after_s,
+                    retry_after_s=RETRY_AFTER_S,
                 )
             self._queued += 1
             self._peak_queued = max(self._peak_queued, self._queued)
@@ -139,6 +135,6 @@ class AdmissionController:
 __all__ = [
     "DEFAULT_MAX_INFLIGHT",
     "DEFAULT_MAX_QUEUE",
-    "DEFAULT_RETRY_AFTER_S",
+    "RETRY_AFTER_S",
     "AdmissionController",
 ]

@@ -98,11 +98,6 @@ class CircuitBreaker:
         if cooldown_s < 0:
             raise ValueError(f"cooldown_s must be >= 0, got {cooldown_s}")
 
-    @property
-    def state(self) -> str:
-        """``closed`` / ``open`` / ``half_open`` (no lock: advisory read)."""
-        return self._state
-
     def acquire(self) -> None:
         """Admit this request or raise :class:`CircuitOpenError`.
 

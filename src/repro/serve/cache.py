@@ -39,11 +39,6 @@ class LRUCache:
         self._misses = 0
         self._evictions = 0
 
-    @property
-    def capacity(self) -> int:
-        """Maximum number of entries held."""
-        return self._capacity
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)

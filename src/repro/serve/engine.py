@@ -38,6 +38,9 @@ from repro.serve.registry import ModelRegistry
 #: needs no import when injection is off (same pattern as the executor).
 _FAULT_ENV = "REPRO_FAULT_INJECT"
 
+#: Most requests one micro-batch takes off a key's queue.
+MAX_BATCH_SIZE = 32
+
 
 def _maybe_inject(site: str, deadline: float | None) -> None:
     """Consult the serve-scoped fault hook (near-zero cost when unset)."""
@@ -127,7 +130,7 @@ class MicroBatcher:
     ``execute(key, requests)`` returns one ``(result, warm)`` per request.
     While that execution runs, later requests for the same key queue.  When
     it finishes, its leader wakes its members and hands up to
-    ``max_batch_size`` queued requests to the first of them, which leads
+    :data:`MAX_BATCH_SIZE` queued requests to the first of them, which leads
     that next batch; a leader never runs a later batch.  So batches form
     only behind a running batch, and nobody holds a batch open waiting for
     company.  An execution error propagates to every request of its batch.
@@ -137,11 +140,8 @@ class MicroBatcher:
     a live leader.  A key's state is dropped as soon as the key goes idle.
     """
 
-    def __init__(self, execute, *, max_batch_size: int = 32) -> None:
-        if max_batch_size <= 0:
-            raise ValueError(f"max_batch_size must be positive, got {max_batch_size}")
+    def __init__(self, execute) -> None:
         self._execute = execute
-        self._max_batch_size = max_batch_size
         # Busy keys only: each maps to the requests queued behind its
         # running batch.
         self._queues: dict = {}
@@ -234,8 +234,8 @@ class MicroBatcher:
             with self._lock:
                 queue = self._queues[key]
                 if queue:
-                    following = queue[: self._max_batch_size]
-                    del queue[: self._max_batch_size]
+                    following = queue[:MAX_BATCH_SIZE]
+                    del queue[:MAX_BATCH_SIZE]
                     following[0].batch = following
                     self._count(following)
                 else:
@@ -260,7 +260,7 @@ class MicroBatcher:
                 "batches_executed": self._batches,
                 "coalesced_requests": self._coalesced_requests,
                 "largest_batch": self._largest_batch,
-                "max_batch_size": self._max_batch_size,
+                "max_batch_size": MAX_BATCH_SIZE,
             }
 
 
@@ -279,7 +279,6 @@ class ServeEngine:
         registry: ModelRegistry,
         *,
         micro_batch: bool = True,
-        max_batch_size: int = 32,
         breaker_threshold: int = DEFAULT_FAILURE_THRESHOLD,
         breaker_cooldown_s: float = DEFAULT_COOLDOWN_S,
     ) -> None:
@@ -288,9 +287,7 @@ class ServeEngine:
         )
         self._registry = registry
         self._micro_batch = micro_batch
-        self._batcher = MicroBatcher(
-            self._execute_batch, max_batch_size=max_batch_size
-        )
+        self._batcher = MicroBatcher(self._execute_batch)
         self._breaker_threshold = breaker_threshold
         self._breaker_cooldown_s = breaker_cooldown_s
         # Per-model breakers, created lazily on the first *countable*

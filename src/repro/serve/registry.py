@@ -86,8 +86,7 @@ class ModelRegistry:
         ``(name, file key)``, target indexes keyed by the target values
         themselves).  Eviction is safe — the artifact is rebuilt on the
         next request — so small bounds just trade latency for memory.
-    num_workers / min_rows_per_worker / task_timeout_s / shard_retries /
-    serial_fallback:
+    num_workers / task_timeout_s / shard_retries / serial_fallback:
         Apply-stage knobs threaded into every joiner the registry builds
         (see :class:`~repro.join.joiner.TransformationJoiner`).  They are
         checked here, so an out-of-range value fails when the registry is
@@ -101,14 +100,12 @@ class ModelRegistry:
         joiner_cache_capacity: int = 16,
         index_cache_capacity: int = 32,
         num_workers: int | None = None,
-        min_rows_per_worker: int | None = None,
         task_timeout_s: float = 0.0,
         shard_retries: int = 2,
         serial_fallback: bool = True,
     ) -> None:
         TransformationJoiner.check_settings(
             num_workers=num_workers,
-            min_rows_per_worker=min_rows_per_worker,
             task_timeout_s=task_timeout_s,
             shard_retries=shard_retries,
         )
@@ -119,7 +116,6 @@ class ModelRegistry:
         self._joiners = LRUCache(joiner_cache_capacity)
         self._indexes = LRUCache(index_cache_capacity)
         self._num_workers = num_workers
-        self._min_rows_per_worker = min_rows_per_worker
         self._task_timeout_s = task_timeout_s
         self._shard_retries = shard_retries
         self._serial_fallback = serial_fallback
@@ -242,7 +238,6 @@ class ModelRegistry:
                 num_candidate_pairs=model.num_candidate_pairs,
                 case_insensitive=model.case_insensitive,
                 num_workers=self._num_workers,
-                min_rows_per_worker=self._min_rows_per_worker,
                 task_timeout_s=self._task_timeout_s,
                 shard_retries=self._shard_retries,
                 serial_fallback=self._serial_fallback,

@@ -16,10 +16,12 @@ fitted models warm and exposes:
 ``GET /models``
     The registry catalogue, per-model load errors included inline.
 ``GET /stats``
-    Uptime, request/error totals, shed/deadline counters, admission gauges
-    (in-flight, queue depth, peaks), per-model circuit-breaker states,
-    per-model latency quantiles (p50/p99 over a sliding window) split
-    warm/cold, registry cache counters, and micro-batcher counters.
+    Uptime, request totals, ``errors`` (the answers with status 500 or
+    above; a client's mistake, 4xx, is not an error), shed/deadline
+    counters, admission gauges (in-flight, queue depth, peaks), per-model
+    circuit-breaker states, per-model latency quantiles (p50/p99 over a
+    sliding window) split warm/cold, registry cache counters, and
+    micro-batcher counters.
 ``GET /healthz``
     ``200 {"status": "ok"}`` while serving, ``503 {"status": "overloaded"}``
     while every execution slot is busy, ``503 {"status": "draining"}`` once
@@ -61,7 +63,6 @@ from repro.serve.engine import ServeEngine
 from repro.serve.errors import (
     BadRequestError,
     DeadlineExceededError,
-    OverloadedError,
     PayloadTooLargeError,
     ServeError,
 )
@@ -98,11 +99,11 @@ class LatencyStats:
     the warm path is measured against.
     """
 
-    def __init__(self, window: int = _LATENCY_WINDOW) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         # deque(maxlen=...) evicts from the front in O(1) per append; the
         # old list-trim paid O(window) on every request past capacity.
-        self._recent: deque[float] = deque(maxlen=window)
+        self._recent: deque[float] = deque(maxlen=_LATENCY_WINDOW)
         self._count = 0
         self._warm_count = 0
         self._total_s = 0.0
@@ -171,7 +172,6 @@ class _JoinHTTPServer(ThreadingHTTPServer):
         self.started_at = time.monotonic()
         self.request_count = 0
         self.error_count = 0
-        self.shed_count = 0
         self.deadline_count = 0
         self.latency: dict[str, LatencyStats] = {}
         self.stats_lock = threading.Lock()
@@ -183,18 +183,16 @@ class _JoinHTTPServer(ThreadingHTTPServer):
                 stats = self.latency[model] = LatencyStats()
             return stats
 
-    def count_request(self, *, error: bool) -> None:
+    def count_request(self, status: int) -> None:
+        """Count one answered request; ``errors`` counts the 5xx answers.
+
+        A shed request (429) is counted in the admission controller's
+        ``shed``, and an expired deadline (504) also in ``deadline_count``.
+        """
         with self.stats_lock:
             self.request_count += 1
-            self.error_count += 1 if error else 0
-
-    def count_resilience(self, error: BaseException) -> None:
-        """Fold a failed request into the shed/deadline counters."""
-        with self.stats_lock:
-            if isinstance(error, OverloadedError):
-                self.shed_count += 1
-            elif isinstance(error, DeadlineExceededError):
-                self.deadline_count += 1
+            self.error_count += 1 if status >= 500 else 0
+            self.deadline_count += 1 if status == DeadlineExceededError.status else 0
 
 
 class _JoinRequestHandler(BaseHTTPRequestHandler):
@@ -331,19 +329,19 @@ class _JoinRequestHandler(BaseHTTPRequestHandler):
         with server.stats_lock:
             requests = server.request_count
             errors = server.error_count
-            shed = server.shed_count
             deadline_exceeded = server.deadline_count
             latencies = {
                 name: stats for name, stats in server.latency.items()
             }
+        admission = server.admission.snapshot()
         return {
             "uptime_s": time.monotonic() - server.started_at,
             "requests": requests,
             "errors": errors,
             "draining": server.draining,
-            "admission": server.admission.snapshot(),
+            "admission": admission,
             "resilience": {
-                "shed": shed,
+                "shed": admission["shed"],
                 "deadline_exceeded": deadline_exceeded,
                 "request_timeout_s": server.request_timeout_s,
                 "max_body_bytes": server.max_body_bytes,
@@ -374,26 +372,25 @@ class _JoinRequestHandler(BaseHTTPRequestHandler):
             # The parallel layer's typed failures (crash, timeout with the
             # serial fallback disabled) are server-side: 500, with the
             # precise type preserved for the client.
-            self.server.count_request(error=True)
+            self.server.count_request(500)
             self._respond(
                 500,
                 {"error": {"type": type(error).__name__, "message": str(error)}},
             )
             return
         except Exception as error:  # noqa: BLE001 - must answer, not hang
-            self.server.count_request(error=True)
+            self.server.count_request(500)
             self._respond(
                 500,
                 {"error": {"type": type(error).__name__, "message": str(error)}},
             )
             return
-        self.server.count_request(error=False)
+        self.server.count_request(status)
         self._respond(status, payload)
 
     def _respond_error(self, error: ServeError) -> None:
         """Answer one typed serving failure, updating the counters."""
-        self.server.count_request(error=True)
-        self.server.count_resilience(error)
+        self.server.count_request(error.status)
         self._respond(
             error.status,
             error.payload(),
@@ -437,11 +434,9 @@ class JoinServer:
         host: str = "127.0.0.1",
         port: int = 8080,
         num_workers: int | None = None,
-        min_rows_per_worker: int | None = None,
         joiner_cache_capacity: int = 16,
         index_cache_capacity: int = 32,
         micro_batch: bool = True,
-        max_batch_size: int = 32,
         task_timeout_s: float = 0.0,
         shard_retries: int = 2,
         serial_fallback: bool = True,
@@ -465,7 +460,6 @@ class JoinServer:
             joiner_cache_capacity=joiner_cache_capacity,
             index_cache_capacity=index_cache_capacity,
             num_workers=num_workers,
-            min_rows_per_worker=min_rows_per_worker,
             task_timeout_s=task_timeout_s,
             shard_retries=shard_retries,
             serial_fallback=serial_fallback,
@@ -473,7 +467,6 @@ class JoinServer:
         self.engine = ServeEngine(
             self.registry,
             micro_batch=micro_batch,
-            max_batch_size=max_batch_size,
             breaker_threshold=breaker_threshold,
             breaker_cooldown_s=breaker_cooldown_s,
         )
@@ -489,6 +482,7 @@ class JoinServer:
         )
         self._serve_thread: threading.Thread | None = None
         self._shutdown_started = threading.Event()
+        self._serving = threading.Event()
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -506,7 +500,9 @@ class JoinServer:
 
     def serve_forever(self) -> None:
         """Serve until :meth:`request_shutdown` (or a handled signal)."""
-        self._http.serve_forever(poll_interval=0.05)
+        self._serving.set()
+        if not self._shutdown_started.is_set():
+            self._http.serve_forever(poll_interval=0.05)
 
     def start_background(self) -> None:
         """Serve from a background thread (tests, in-process benchmarks)."""
@@ -522,12 +518,16 @@ class JoinServer:
 
         Safe to call from any thread and from signal handlers; idempotent.
         ``shutdown()`` must not run on the serve_forever thread itself, so
-        it is dispatched to a helper thread.
+        it is dispatched to a helper thread.  It waits until the accept loop
+        stops, so it is not started for a server that never served: that
+        helper thread would wait forever.
         """
         if self._shutdown_started.is_set():
             return
         self._shutdown_started.set()
         self._http.draining = True
+        if not self._serving.is_set():
+            return
         threading.Thread(
             target=self._http.shutdown, name="repro-serve-shutdown", daemon=True
         ).start()

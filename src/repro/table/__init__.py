@@ -16,16 +16,13 @@ the join semantics used by the experiments are explicit and testable.
 
 from repro.table.io import TableReadError, read_csv, write_csv
 from repro.table.ops import equi_join
-from repro.table.schema import ColumnSchema, TableSchema
 from repro.table.table import Column, Row, Table
 
 __all__ = [
     "Column",
-    "ColumnSchema",
     "Row",
     "Table",
     "TableReadError",
-    "TableSchema",
     "equi_join",
     "read_csv",
     "write_csv",

@@ -10,11 +10,7 @@ the file and, where known, the line of the defect: invalid UTF-8, ragged
 rows, CSV structure errors, empty files, and a header with an empty or
 repeated column name all map to it instead of leaking
 ``UnicodeDecodeError`` or ``csv.Error`` with no file context.  A leading
-byte-order mark (Excel's "CSV UTF-8") is not part of the first name.  For
-data that is dirty but usable, ``errors="replace"`` switches
-:func:`read_csv` to a lenient mode: undecodable bytes become U+FFFD
-replacement characters and ragged rows are padded/truncated to the header
-arity.
+byte-order mark (Excel's "CSV UTF-8") is not part of the first name.
 """
 
 from __future__ import annotations
@@ -37,42 +33,20 @@ class TableReadError(ValueError):
     """
 
 
-def read_csv(
-    path: str | Path,
-    *,
-    name: str | None = None,
-    errors: str = "strict",
-) -> Table:
+def read_csv(path: str | Path) -> Table:
     """Read a CSV file (with a header row) into a :class:`Table`.
 
-    All cells are read as strings.  ``errors`` selects how malformed input
-    is handled:
-
-    * ``"strict"`` (default): raise :class:`TableReadError` (a
-      ``ValueError``) with file/line context for an empty file, invalid
-      UTF-8, rows whose arity differs from the header, or CSV structure
-      errors.
-    * ``"replace"``: decode invalid bytes to U+FFFD replacement characters
-      and coerce ragged rows to the header arity (short rows padded with
-      empty cells, long rows truncated) — for dirty-but-usable data.
-
-    A file that cannot be opened or read (missing, a directory, no
-    permission), or whose header has an empty or repeated column name,
-    raises :class:`TableReadError` under either setting.  A leading UTF-8
+    All cells are read as strings, and the table is named after the file's
+    stem.  Malformed input raises :class:`TableReadError` (a
+    ``ValueError``) with file/line context: a file that cannot be opened or
+    read (missing, a directory, no permission), an empty file, a header
+    with an empty or repeated column name, invalid UTF-8, rows whose arity
+    differs from the header, or CSV structure errors.  A leading UTF-8
     byte-order mark is skipped.
     """
-    if errors not in ("strict", "replace"):
-        raise ValueError(
-            f'errors must be "strict" or "replace", got {errors!r}'
-        )
-    lenient = errors == "replace"
     path = Path(path)
     try:
-        with path.open(
-            newline="",
-            encoding="utf-8-sig",
-            errors="replace" if lenient else "strict",
-        ) as handle:
+        with path.open(newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             try:
                 header = next(reader)
@@ -94,26 +68,21 @@ def read_csv(
             arity = len(header)
             for line_number, row in enumerate(reader, start=2):
                 if len(row) != arity:
-                    if lenient:
-                        row = row[:arity] + [""] * (arity - len(row))
-                    else:
-                        raise TableReadError(
-                            f"{path}:{line_number}: expected {arity} cells, "
-                            f"got {len(row)}"
-                        )
+                    raise TableReadError(
+                        f"{path}:{line_number}: expected {arity} cells, "
+                        f"got {len(row)}"
+                    )
                 for column, cell in zip(header, row):
                     columns[column].append(cell)
     except UnicodeDecodeError as error:
         raise TableReadError(
-            f"{path}: not valid UTF-8 at byte {error.start} "
-            f'({error.reason}); pass errors="replace" to substitute '
-            "replacement characters"
+            f"{path}: not valid UTF-8 at byte {error.start} ({error.reason})"
         ) from error
     except csv.Error as error:
         raise TableReadError(f"{path}: malformed CSV: {error}") from error
     except OSError as error:
         raise TableReadError(f"{path}: cannot read: {error.strerror or error}") from error
-    return Table(columns, name=name or path.stem)
+    return Table(columns, name=path.stem)
 
 
 def write_csv(table: Table, path: str | Path) -> None:

@@ -11,8 +11,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
-from repro.table.schema import ColumnSchema, TableSchema
-
 
 @dataclass(frozen=True)
 class Row:
@@ -101,7 +99,7 @@ class Table:
         if len(names) != len(set(names)):
             raise ValueError(f"duplicate column names: {names}")
         self._columns: dict[str, Column] = {col.name: col for col in built}
-        self._schema = TableSchema(tuple(ColumnSchema(col.name) for col in built))
+        self._column_names = tuple(names)
         self._name = name
         self._num_rows = len(built[0])
 
@@ -116,7 +114,7 @@ class Table:
     @property
     def column_names(self) -> tuple[str, ...]:
         """Column names, in order."""
-        return self._schema.names
+        return self._column_names
 
     @property
     def num_rows(self) -> int:

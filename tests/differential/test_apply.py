@@ -7,6 +7,7 @@ is given *within*, every output not in it.
 
 from __future__ import annotations
 
+import os
 from unittest import mock
 
 import pytest
@@ -21,9 +22,12 @@ def transformed(workers, block_rows=model_apply._BLOCK_ROWS, reload=False):
     def route(transformations, values, within):
         if reload:
             transformations = reloaded(transformations).transformations
-        with mock.patch.object(model_apply, "_BLOCK_ROWS", block_rows):
+        # No small-input fast path: tiny inputs shard too.
+        with mock.patch.object(model_apply, "_BLOCK_ROWS", block_rows), mock.patch.dict(
+            os.environ, {"REPRO_MIN_ROWS_PER_WORKER": "0"}
+        ):
             return TransformationApplier(transformations).transform_rows(
-                values, num_workers=workers, min_rows_per_worker=0, within=within
+                values, num_workers=workers, within=within
             )
 
     return route

@@ -38,10 +38,16 @@ def computed(workers, *, batched=True, cache=True, warm=False, expired=False):
             # change what the walk reports.
             computer.coverage_of_all(transformations, batched=False)
             computer.stats = DiscoveryStats()
-        deadline = monotonic() - 1.0 if expired else None
-        results = computer.coverage_of_all(
-            transformations, batched=batched, deadline=deadline
-        )
+        if expired:
+            # coverage_of_all's trie, walked under a deadline that passed.
+            trie = None
+            if transformations and pairs:
+                trie = coverage._build_unit_trie(transformations)
+            results = computer.coverage_of_trie(
+                trie, transformations, deadline=monotonic() - 1.0
+            )
+        else:
+            results = computer.coverage_of_all(transformations, batched=batched)
         rows = computer.rows_processed
         assert computer.budget_exhausted == (rows < len(pairs))
         stats = computer.stats

@@ -6,8 +6,10 @@ and, for each pair, the ``repr`` of the first transformation that made it.
 
 from __future__ import annotations
 
+import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import strategies as st
@@ -36,7 +38,9 @@ def labelled(result):
 
 def joined(joiner_of):
     def route(transformations, sources, targets):
-        return labelled(joiner_of(transformations).join_values(sources, targets))
+        # No small-input fast path: tiny inputs shard too.
+        with mock.patch.dict(os.environ, {"REPRO_MIN_ROWS_PER_WORKER": "0"}):
+            return labelled(joiner_of(transformations).join_values(sources, targets))
 
     return route
 
@@ -50,9 +54,7 @@ def served(transformations, sources, targets):
 
 
 def joiner(workers):
-    return lambda ts: TransformationJoiner(
-        ts, num_workers=workers, min_rows_per_worker=0
-    )
+    return lambda ts: TransformationJoiner(ts, num_workers=workers)
 
 
 ROUTES = [

@@ -15,7 +15,7 @@ from differential.strategies import CELL, run_examples
 from repro.datasets.synthetic import SyntheticConfig, generate_table_pair
 from repro.datasets.web_tables import TOPICS, generate_pair
 from repro.matching.row_matcher import MatchingConfig, NGramRowMatcher
-from repro.parallel.executor import ShardedExecutor
+from repro.parallel import executor
 
 # A 3-symbol alphabet makes most n-grams collide, so representative
 # selection comes down to tie-breaking.
@@ -58,7 +58,7 @@ def test_packed_matches_reference(family, workers, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("NGramRowMatcher built a process pool")
 
-    monkeypatch.setattr(ShardedExecutor, "__init__", refuse)
+    monkeypatch.setattr(executor, "ProcessPoolExecutor", refuse)
 
     def check(case):
         source, target, options = case

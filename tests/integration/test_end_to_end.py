@@ -274,7 +274,7 @@ class TestFitApplySessions:
         assert applied.applied_transformations
         assert set(applied.applied_transformations) <= set(model.transformations)
 
-    def test_saved_model_applies_to_a_held_out_batch(self, tmp_path):
+    def test_saved_model_applies_to_a_held_out_batch(self, tmp_path, monkeypatch):
         # Fit on one open-data batch, persist, reload, and join a *different*
         # batch (same fixed address-formatting rules, fresh addresses) — the
         # joined pairs must equal a one-shot run on the held-out batch
@@ -308,7 +308,8 @@ class TestFitApplySessions:
         )
         assert applied.join.pairs == expected.pairs
 
-        sharded = loaded.joiner(num_workers=2, min_rows_per_worker=0).join(
+        monkeypatch.setenv("REPRO_MIN_ROWS_PER_WORKER", "0")
+        sharded = loaded.joiner(num_workers=2).join(
             held_out.source,
             held_out.target,
             source_column=held_out.source_column,
@@ -383,7 +384,8 @@ class TestPinnedSyntheticRung:
         return list(pair.source["value"]), list(pair.target["value"])
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_matching_discovery_and_join(self, columns, workers):
+    def test_matching_discovery_and_join(self, columns, workers, monkeypatch):
+        monkeypatch.setenv("REPRO_MIN_ROWS_PER_WORKER", "0")
         source, target = columns
         pairs = NGramRowMatcher(MatchingConfig()).match_values(source, target)
         result = TransformationDiscovery(
@@ -393,7 +395,7 @@ class TestPinnedSyntheticRung:
         ).discover(pairs)
         stats = result.stats
         joined = TransformationJoiner(
-            result.transformations, num_workers=workers, min_rows_per_worker=0
+            result.transformations, num_workers=workers
         ).join_values(source, target)
         assert len(pairs) == 1007
         assert stats.unique_transformations == 11_881

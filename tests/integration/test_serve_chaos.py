@@ -170,6 +170,9 @@ def test_saturation_sheds_429_with_retry_after_and_zero_5xx(
         _, stats = get(server, "/stats")
         assert stats["admission"]["shed"] == statuses.count(429)
         assert stats["resilience"]["shed"] == statuses.count(429)
+        # A shed request is counted once, as shed, and is no server error.
+        assert stats["requests"] == clients + 1
+        assert stats["errors"] == 0
         assert stats["admission"]["in_flight"] == 0
 
 

@@ -70,14 +70,15 @@ def get(server: JoinServer, path: str) -> tuple[int, dict]:
     "server_kwargs",
     [
         pytest.param({"num_workers": 1}, id="serial"),
-        # min_rows_per_worker=0 disables the small-input serial fallback so
-        # 200 rows genuinely shard across the two worker processes.
-        pytest.param({"num_workers": 2, "min_rows_per_worker": 0}, id="sharded"),
+        pytest.param({"num_workers": 2}, id="sharded"),
     ],
 )
 def test_served_join_is_byte_identical_to_offline_apply(
-    fitted, model_dir, server_kwargs
+    fitted, model_dir, server_kwargs, monkeypatch
 ):
+    # No small-input fast path, so 200 rows genuinely shard across the two
+    # worker processes, started from a server thread.
+    monkeypatch.setenv("REPRO_MIN_ROWS_PER_WORKER", "0")
     pair, model = fitted
     offline = JoinPipeline().apply(
         model,
@@ -224,8 +225,8 @@ def test_error_mapping_and_introspection_endpoints(model_dir):
 
         status, payload = get(server, "/stats")
         assert status == 200
-        assert payload["requests"] >= 1
-        assert payload["errors"] >= 3  # the 404 and the two 400s above
+        assert payload["requests"] == 5  # /models, the four joins above
+        assert payload["errors"] == 0  # a 404 or 400 is the client's mistake
         assert "registry" in payload["engine"]
         snapshot = payload["models"]["synth"]
         assert snapshot["count"] >= 1
@@ -240,4 +241,23 @@ def test_drain_stops_the_serve_loop_and_flips_healthz(model_dir):
     server.request_shutdown()
     thread.join(timeout=10)
     assert not thread.is_alive()
+    server.close()
+
+
+def test_closing_a_server_that_never_served_leaves_no_thread(model_dir):
+    # A thread left waiting for an accept loop that never ran would make
+    # every later pool of this process start without fork.
+    before = set(threading.enumerate())
+    with JoinServer(model_dir, port=0):
+        pass
+    assert set(threading.enumerate()) <= before
+
+
+def test_shutdown_requested_before_serving_stops_the_loop_at_once(model_dir):
+    server = JoinServer(model_dir, port=0)
+    server.request_shutdown()
+    loop = threading.Thread(target=server.serve_forever, daemon=True)
+    loop.start()
+    loop.join(timeout=10)
+    assert not loop.is_alive()
     server.close()

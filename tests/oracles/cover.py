@@ -16,13 +16,12 @@ def greedy_minimal_cover_reference(
     results: Sequence[CoverageResult],
     *,
     min_support: int = 1,
-    max_transformations: int | None = None,
 ) -> list[CoverageResult]:
     """The plain set-based greedy scan — the executable spec of
     :func:`greedy_minimal_cover`.
 
     Rescores every remaining candidate each round with Python-set
-    arithmetic.  Kept verbatim from the pre-CELF engine so the equivalence
+    arithmetic.  Kept from the pre-CELF engine so the equivalence
     property tests can assert the lazy engine reproduces it tie for tie.
     """
     if min_support < 1:
@@ -33,8 +32,6 @@ def greedy_minimal_cover_reference(
     selected: list[CoverageResult] = []
 
     while remaining:
-        if max_transformations is not None and len(selected) >= max_transformations:
-            break
         best_index = -1
         best_gain = 0
         best_key: tuple = ()

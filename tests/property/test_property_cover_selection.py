@@ -3,8 +3,8 @@
 The coverage-v3 selection engine replaces the plain greedy scan of
 ``greedy_minimal_cover`` with a CELF lazy-greedy over packed bitmasks.  Its
 contract is exact: across every instance — including ties on gain,
-placeholder count, unit count and rendering, duplicate transformations,
-support thresholds, and selection caps — the selected sequence must be
+placeholder count, unit count and rendering, duplicate transformations
+and support thresholds — the selected sequence must be
 *identical* to ``greedy_minimal_cover_reference`` (``tests/oracles/cover.py``),
 which keeps the original set-arithmetic implementation as the executable
 spec.  The bitset helpers and set-ops are checked against their frozenset
@@ -65,12 +65,6 @@ class TestCelfMatchesReferenceGreedy:
         assert greedy_minimal_cover(
             results, min_support=min_support
         ) == greedy_minimal_cover_reference(results, min_support=min_support)
-
-    @given(results=RESULTS, cap=st.integers(min_value=0, max_value=5))
-    def test_identical_under_selection_cap(self, results, cap):
-        assert greedy_minimal_cover(
-            results, max_transformations=cap
-        ) == greedy_minimal_cover_reference(results, max_transformations=cap)
 
     @given(results=RESULTS)
     def test_identical_with_duplicate_candidates(self, results):
@@ -161,12 +155,10 @@ class TestLazyKeysOnWideInputs:
 
     def test_full_tie_breaking_on_the_same_input(self):
         results = _wide_input(tail=40)
-        for min_support, cap in ((1, None), (2, None), (2, 4), (3, 2)):
+        for min_support in (1, 2, 3):
             assert greedy_minimal_cover(
-                results, min_support=min_support, max_transformations=cap
-            ) == greedy_minimal_cover_reference(
-                results, min_support=min_support, max_transformations=cap
-            )
+                results, min_support=min_support
+            ) == greedy_minimal_cover_reference(results, min_support=min_support)
         full_sort = sorted(
             results,
             key=lambda r: (

@@ -286,11 +286,6 @@ class TestGreedyCover:
         cover = greedy_minimal_cover([a, b], min_support=2)
         assert [r.transformation for r in cover] == [a.transformation]
 
-    def test_max_transformations_bound(self):
-        results = [self.make_result({i}, str(i)) for i in range(5)]
-        cover = greedy_minimal_cover(results, max_transformations=2)
-        assert len(cover) == 2
-
     def test_no_progress_stops(self):
         a = self.make_result({0, 1}, "a")
         duplicate = self.make_result({0, 1}, "b")
@@ -326,13 +321,11 @@ class TestCelfAgainstReference:
             results
         )
 
-    def test_matches_reference_with_support_and_cap(self):
+    def test_matches_reference_with_support(self):
         results = [self.make_result(set(range(i)), str(i)) for i in range(6)]
         assert greedy_minimal_cover(
-            results, min_support=2, max_transformations=2
-        ) == greedy_minimal_cover_reference(
-            results, min_support=2, max_transformations=2
-        )
+            results, min_support=2
+        ) == greedy_minimal_cover_reference(results, min_support=2)
 
     def test_reference_validates_min_support(self):
         with pytest.raises(ValueError):

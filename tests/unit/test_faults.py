@@ -19,8 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.parallel import ShardError, ShardTimeoutError, WorkerCrashError
-from repro.parallel.executor import ShardedExecutor, shard_plan, worker_state
+from repro.parallel import ShardError, ShardTimeoutError, WorkerCrashError, executor
+from repro.parallel.executor import map_sharded, shard_plan, worker_state
 from repro.testing.faults import (
     FAULT_ENV,
     FaultInjected,
@@ -53,6 +53,20 @@ def _alive(pid: int) -> bool:
     except ProcessLookupError:
         return False
     return True
+
+
+@pytest.fixture
+def fallbacks(monkeypatch) -> list[int]:
+    """The shard indices map_sharded re-runs inline after failed pool rounds."""
+    recovered: list[int] = []
+    run_inline = executor._run_inline
+
+    def spy(state, worker, index, shard, attempts=0):
+        recovered.append(index)
+        return run_inline(state, worker, index, shard, attempts)
+
+    monkeypatch.setattr(executor, "_run_inline", spy)
+    return recovered
 
 
 def _expected_sums(num_workers: int) -> list[int]:
@@ -120,31 +134,34 @@ class TestParseFaultSpec:
 
 
 class TestCrashRecovery:
-    def test_crashed_shard_recovers_byte_identical(self, monkeypatch):
+    def test_crashed_shard_recovers_byte_identical(self, monkeypatch, fallbacks):
         monkeypatch.setenv(FAULT_ENV, "crash:shard=1")
-        with ShardedExecutor(VALUES, num_workers=2) as executor:
-            sums = executor.map_shards(_shard_sum, len(VALUES))
-            assert executor.degraded
+        sums = map_sharded(VALUES, _shard_sum, len(VALUES), num_workers=2)
+        # Each crash also loses the shards the broken pool had not delivered.
+        assert 1 in fallbacks
         assert sums == _expected_sums(2)
 
-    def test_all_shards_crashing_recover_byte_identical(self, monkeypatch):
+    def test_all_shards_crashing_recover_byte_identical(self, monkeypatch, fallbacks):
         # Every pool attempt dies; every shard must come back through the
         # serial inline fallback (where the pool-targeted fault never fires).
         monkeypatch.setenv(FAULT_ENV, "crash")
-        with ShardedExecutor(
-            VALUES, num_workers=2, max_shard_retries=0
-        ) as executor:
-            sums = executor.map_shards(_shard_sum, len(VALUES))
-            assert executor.degraded
+        sums = map_sharded(
+            VALUES, _shard_sum, len(VALUES), num_workers=2, max_shard_retries=0
+        )
+        assert fallbacks == list(range(len(shard_plan(len(VALUES), 2))))
         assert sums == _expected_sums(2)
 
     def test_crash_without_fallback_raises_typed_error(self, monkeypatch):
         monkeypatch.setenv(FAULT_ENV, "crash:shard=0")
-        with ShardedExecutor(
-            VALUES, num_workers=2, max_shard_retries=0, serial_fallback=False
-        ) as executor:
-            with pytest.raises(WorkerCrashError) as excinfo:
-                executor.map_shards(_shard_sum, len(VALUES))
+        with pytest.raises(WorkerCrashError) as excinfo:
+            map_sharded(
+                VALUES,
+                _shard_sum,
+                len(VALUES),
+                num_workers=2,
+                max_shard_retries=0,
+                serial_fallback=False,
+            )
         error = excinfo.value
         assert error.shard == shard_plan(len(VALUES), 2)[0]
         assert error.attempts >= 1
@@ -165,10 +182,11 @@ class TestCrashRecovery:
         outcome = []
 
         def run():
-            with ShardedExecutor(
-                VALUES, num_workers=2, max_shard_retries=0
-            ) as executor:
-                outcome.append(executor.map_shards(_shard_sum, len(VALUES)))
+            outcome.append(
+                map_sharded(
+                    VALUES, _shard_sum, len(VALUES), num_workers=2, max_shard_retries=0
+                )
+            )
 
         thread = threading.Thread(target=run, daemon=True)
         thread.start()
@@ -178,33 +196,37 @@ class TestCrashRecovery:
 
 
 class TestHangRecovery:
-    def test_hung_shards_fall_back_within_the_map_deadline(self, monkeypatch):
+    def test_hung_shards_fall_back_within_the_map_deadline(
+        self, monkeypatch, fallbacks
+    ):
         # Every shard hangs, but task_timeout bounds the *whole map*: one
         # deadline at submission, so the run finishes in ~timeout, not
         # num_shards * timeout, and the fallback recomputes every shard.
         monkeypatch.setenv(FAULT_ENV, "hang:seconds=30")
         started = time.monotonic()
-        with ShardedExecutor(
-            VALUES, num_workers=2, task_timeout=0.5
-        ) as executor:
-            sums = executor.map_shards(_shard_sum, len(VALUES))
-            assert executor.degraded
+        sums = map_sharded(
+            VALUES, _shard_sum, len(VALUES), num_workers=2, task_timeout=0.5
+        )
         elapsed = time.monotonic() - started
         assert sums == _expected_sums(2)
         num_shards = len(shard_plan(len(VALUES), 2))
+        assert fallbacks == list(range(num_shards))
         assert elapsed < 0.5 * num_shards / 2
         assert elapsed < 5.0
 
-    def test_no_worker_outlives_a_map_whose_shards_hung(self, tmp_path):
-        # Hung workers never finish their shard, so the executor must kill
+    def test_no_worker_outlives_a_map_whose_shards_hung(self, tmp_path, fallbacks):
+        # Hung workers never finish their shard, so map_sharded must kill
         # them rather than wait: once the map returns, none is left.  The
         # deadline leaves spawned workers time to start and hang.
         started = time.monotonic()
-        with ShardedExecutor(
-            (os.getpid(), str(tmp_path)), num_workers=2, task_timeout=2.0
-        ) as executor:
-            sums = executor.map_shards(_record_pid_then_hang, len(VALUES))
-            assert executor.degraded
+        sums = map_sharded(
+            (os.getpid(), str(tmp_path)),
+            _record_pid_then_hang,
+            len(VALUES),
+            num_workers=2,
+            task_timeout=2.0,
+        )
+        assert fallbacks
         assert time.monotonic() - started < 10.0
         assert sums == _expected_sums(2)
         pids = {int(path.name) for path in tmp_path.iterdir()}
@@ -215,21 +237,24 @@ class TestHangRecovery:
 
     def test_hang_without_fallback_raises_timeout(self, monkeypatch):
         monkeypatch.setenv(FAULT_ENV, "hang:seconds=30")
-        with ShardedExecutor(
-            VALUES, num_workers=2, task_timeout=0.3, serial_fallback=False
-        ) as executor:
-            with pytest.raises(ShardTimeoutError):
-                executor.map_shards(_shard_sum, len(VALUES))
+        with pytest.raises(ShardTimeoutError):
+            map_sharded(
+                VALUES,
+                _shard_sum,
+                len(VALUES),
+                num_workers=2,
+                task_timeout=0.3,
+                serial_fallback=False,
+            )
 
 
 class TestRaiseRecovery:
-    def test_raising_shards_retry_then_recover_inline(self, monkeypatch):
+    def test_raising_shards_retry_then_recover_inline(self, monkeypatch, fallbacks):
         monkeypatch.setenv(FAULT_ENV, "raise")
-        with ShardedExecutor(
-            VALUES, num_workers=2, max_shard_retries=1, retry_backoff_s=0.0
-        ) as executor:
-            sums = executor.map_shards(_shard_sum, len(VALUES))
-            assert executor.degraded
+        sums = map_sharded(
+            VALUES, _shard_sum, len(VALUES), num_workers=2, max_shard_retries=1
+        )
+        assert fallbacks == list(range(len(shard_plan(len(VALUES), 2))))
         assert sums == _expected_sums(2)
 
     def test_raise_everywhere_surfaces_shard_error_with_cause(self, monkeypatch):
@@ -237,30 +262,29 @@ class TestRaiseRecovery:
         # impossible and the terminal ShardError must carry the injected
         # exception as its cause.
         monkeypatch.setenv(FAULT_ENV, "raise:shard=0:where=any")
-        with ShardedExecutor(
-            VALUES, num_workers=2, max_shard_retries=0
-        ) as executor:
-            with pytest.raises(ShardError) as excinfo:
-                executor.map_shards(_shard_sum, len(VALUES))
+        with pytest.raises(ShardError) as excinfo:
+            map_sharded(
+                VALUES, _shard_sum, len(VALUES), num_workers=2, max_shard_retries=0
+            )
         assert isinstance(excinfo.value.cause, FaultInjected)
         assert isinstance(excinfo.value.__cause__, FaultInjected)
 
-    def test_inline_targeted_fault_leaves_the_pool_unharmed(self, monkeypatch):
+    def test_inline_targeted_fault_leaves_the_pool_unharmed(
+        self, monkeypatch, fallbacks
+    ):
         # The converse of the recovery tests: a where=inline fault never
-        # fires in pool workers, so a healthy pool run is not degraded.
+        # fires in pool workers, so a healthy pool run needs no fallback.
         monkeypatch.setenv(FAULT_ENV, "raise:where=inline")
-        with ShardedExecutor(VALUES, num_workers=2) as executor:
-            sums = executor.map_shards(_shard_sum, len(VALUES))
-            assert not executor.degraded
+        sums = map_sharded(VALUES, _shard_sum, len(VALUES), num_workers=2)
+        assert not fallbacks
         assert sums == _expected_sums(2)
 
 
 class TestNoInjection:
-    def test_unset_env_means_clean_run(self, monkeypatch):
+    def test_unset_env_means_clean_run(self, monkeypatch, fallbacks):
         monkeypatch.delenv(FAULT_ENV, raising=False)
-        with ShardedExecutor(VALUES, num_workers=2) as executor:
-            sums = executor.map_shards(_shard_sum, len(VALUES))
-            assert not executor.degraded
+        sums = map_sharded(VALUES, _shard_sum, len(VALUES), num_workers=2)
+        assert not fallbacks
         assert sums == _expected_sums(2)
 
 
@@ -336,9 +360,8 @@ class TestEngineRecovery:
         )
         values = [source for source, _ in name_initial_pairs] * 4
         monkeypatch.setenv(FAULT_ENV, "crash:shard=0")
+        monkeypatch.setenv("REPRO_MIN_ROWS_PER_WORKER", "0")
         serial = applier.transform_rows(values)
         assert serial
-        sharded = applier.transform_rows(
-            values, num_workers=2, min_rows_per_worker=0
-        )
+        sharded = applier.transform_rows(values, num_workers=2)
         assert sharded == serial

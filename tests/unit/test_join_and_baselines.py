@@ -7,7 +7,7 @@ from oracles.discovery import NaiveConfig, NaiveDiscovery
 from oracles.join import join_values_reference
 
 from repro.baselines.autojoin import AutoJoin, AutoJoinConfig
-from repro.baselines.fuzzyjoin import AutoFuzzyJoin, FuzzyJoinConfig
+from repro.baselines.fuzzyjoin import AutoFuzzyJoin
 from repro.core.coverage import CoverageResult
 from repro.core.transformation import Transformation
 from repro.core.units import Literal, Split, SplitSubstr, Substr
@@ -265,7 +265,7 @@ class TestAutoFuzzyJoinBaseline:
         assert (1, 1) in result.as_set()
 
     def test_returns_no_pairs_for_dissimilar_columns(self):
-        fuzzy = AutoFuzzyJoin(FuzzyJoinConfig(thresholds=(0.6,)))
+        fuzzy = AutoFuzzyJoin()
         result = fuzzy.join_values(["aaaa", "bbbb"], ["cccc", "dddd"])
         assert result.pairs == []
 
@@ -282,13 +282,3 @@ class TestAutoFuzzyJoinBaseline:
         )
         assert result.similarity in ("token_jaccard", "ngram_jaccard", "containment")
         assert 0.0 <= result.threshold <= 1.0
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            FuzzyJoinConfig(ngram_size=0)
-        with pytest.raises(ValueError):
-            FuzzyJoinConfig(thresholds=())
-        with pytest.raises(ValueError):
-            FuzzyJoinConfig(thresholds=(1.5,))
-        with pytest.raises(ValueError):
-            FuzzyJoinConfig(similarities=("bogus",))

@@ -9,6 +9,7 @@ import pytest
 from oracles.join import join_values_reference
 
 from repro.core.config import DiscoveryConfig
+from repro.core.coverage import _build_unit_trie
 from repro.core.discovery import TransformationDiscovery
 from repro.core.transformation import Transformation
 from repro.core.units import Literal, Split, SplitSubstr, Substr, TwoCharSplitSubstr
@@ -372,13 +373,14 @@ class TestTransformationApplier:
         outputs = applier.transform_rows(["a,b", "nope"])
         assert outputs == {0: [(0, "a!")], 1: [(0, "a?")]}
 
-    def test_sharded_deadline_reaches_the_workers(self):
+    def test_sharded_deadline_reaches_the_workers(self, monkeypatch):
         # The deadline travels to the workers in the shards' state: expired,
         # every shard refuses to run (complete-or-error, never a prefix);
         # generous, the outputs equal the serial walk's.
         applier = TransformationApplier([Transformation([Split(",", 2)])])
         values = [f"a{i},b{i}" for i in range(40)]
-        sharded = {"num_workers": 2, "min_rows_per_worker": 0}
+        monkeypatch.setenv("REPRO_MIN_ROWS_PER_WORKER", "0")
+        sharded = {"num_workers": 2}
         with pytest.raises(ShardError) as raised:
             applier.transform_rows(values, deadline=monotonic() - 1.0, **sharded)
         assert isinstance(raised.value.cause, DeadlineExceededError)
@@ -424,7 +426,7 @@ class TestColumnWalker:
         # 1,024 rows per block: a partial block, one exact block, one row
         # over, and two full blocks plus one row.
         values = _walker_values(rows)
-        trie = TransformationApplier(WALKER_TRANSFORMATIONS).trie
+        trie = _build_unit_trie(WALKER_TRANSFORMATIONS)
         expected = _oracle(WALKER_TRANSFORMATIONS, values, 7)
         assert model_apply.transform_trie_rows(values, 7, trie) == expected
         # Each transformation's first and last outputs: the first and the
@@ -448,7 +450,7 @@ class TestColumnWalker:
             "_walk_block",
             lambda block, *args: walked.append(len(block)) or walk_block(block, *args),
         )
-        trie = TransformationApplier(WALKER_TRANSFORMATIONS).trie
+        trie = _build_unit_trie(WALKER_TRANSFORMATIONS)
         with pytest.raises(DeadlineExceededError, match="after 1024 of 2049 rows"):
             model_apply.transform_trie_rows(
                 _walker_values(2049), 0, trie, deadline=50.0

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import threading
 
 import pytest
 
@@ -13,9 +15,9 @@ from repro.core.transformation import Transformation
 from repro.core.units import Substr
 from repro.matching.row_matcher import MatchingConfig
 from repro.model import TransformationApplier
+from repro.parallel import executor
 from repro.parallel.executor import (
     DEFAULT_MIN_ITEMS_PER_WORKER,
-    ShardedExecutor,
     default_start_method,
     env_default_workers,
     env_min_items_per_worker,
@@ -41,12 +43,19 @@ def _shard_boom(start: int, stop: int) -> int:
     raise ValueError(f"boom in {start}:{stop}")
 
 
+def _shard_pid(start: int, stop: int) -> int:
+    return os.getpid()
+
+
+def _refuse_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
 def _shard_nested_sum(start: int, stop: int) -> int:
-    """Run a second, inline executor over different state mid-shard."""
+    """Run a second, inline map over different state mid-shard."""
     outer = worker_state()
-    with ShardedExecutor([100, 200], num_workers=1) as inner:
-        inner_sums = inner.map_shards(_shard_sum, 2)
-    # The inner executor must restore this (outer) shard's state on exit.
+    inner_sums = map_sharded([100, 200], _shard_sum, 2, num_workers=1)
+    # The inner map must restore this (outer) shard's state on exit.
     return sum(inner_sums) + sum(outer[start:stop])
 
 
@@ -68,7 +77,6 @@ class TestEnvDefaultWorkers:
     def test_unset_means_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_NUM_WORKERS", raising=False)
         assert env_default_workers() == 1
-        assert env_default_workers(default=3) == 3
 
     def test_env_overrides_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_NUM_WORKERS", "4")
@@ -85,11 +93,43 @@ class TestEnvDefaultWorkers:
 
 class TestDefaultStartMethod:
     def test_prefers_fork_where_available(self, monkeypatch):
+        # Threads an earlier test left running must not change the answer.
         monkeypatch.delenv("REPRO_START_METHOD", raising=False)
+        monkeypatch.setattr(threading, "active_count", lambda: 1)
         import multiprocessing
 
         expected = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         assert default_start_method() == expected
+
+    def test_never_forks_a_process_running_other_threads(self, monkeypatch):
+        # A forked child inherits the locks other threads hold, and can
+        # deadlock on one: the server's handler threads start pools.
+        monkeypatch.delenv("REPRO_START_METHOD", raising=False)
+        import multiprocessing
+
+        available = multiprocessing.get_all_start_methods()
+        expected = "forkserver" if "forkserver" in available else "spawn"
+        release = threading.Event()
+        helper = threading.Thread(target=release.wait, daemon=True)
+        helper.start()
+        try:
+            assert default_start_method() == expected
+            monkeypatch.setenv("REPRO_START_METHOD", "spawn")
+            assert default_start_method() == "spawn"
+        finally:
+            release.set()
+            helper.join(timeout=5)
+        assert not helper.is_alive()
+
+    def test_threads_fall_back_to_spawn_without_forkserver(self, monkeypatch):
+        import multiprocessing
+
+        monkeypatch.delenv("REPRO_START_METHOD", raising=False)
+        monkeypatch.setattr(threading, "active_count", lambda: 2)
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["fork", "spawn"]
+        )
+        assert default_start_method() == "spawn"
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_START_METHOD", "spawn")
@@ -127,50 +167,64 @@ class TestShardPlan:
             shard_plan(10, 0)
 
 
-class TestShardedExecutor:
+class TestMapSharded:
     def test_rejects_non_positive_workers(self):
         with pytest.raises(ValueError):
-            ShardedExecutor(None, num_workers=0)
-
-    def test_must_be_entered_before_use(self):
-        executor = ShardedExecutor([1, 2, 3], num_workers=2)
-        with pytest.raises(RuntimeError):
-            executor.map_shards(_shard_sum, 3)
+            map_sharded(None, _shard_sum, 3, num_workers=0)
 
     def test_workers_see_shared_state(self):
         values = list(range(100))
-        with ShardedExecutor(values, num_workers=2) as executor:
-            shard_sums = executor.map_shards(_shard_sum, len(values))
+        shard_sums = map_sharded(values, _shard_sum, len(values), num_workers=2)
         assert sum(shard_sums) == sum(values)
 
     def test_results_come_back_in_shard_order(self):
-        with ShardedExecutor(None, num_workers=3) as executor:
-            shard_results = executor.map_shards(_shard_range, 57)
+        shard_results = map_sharded(None, _shard_range, 57, num_workers=3)
         flattened = [item for shard in shard_results for item in shard]
         assert flattened == list(range(57))
 
-    def test_map_sharded_one_shot(self):
-        values = list(range(40))
-        shard_sums = map_sharded(values, _shard_sum, len(values), num_workers=2)
-        assert sum(shard_sums) == sum(values)
+    @pytest.mark.parametrize("num_workers", [1, 2])
+    def test_no_items_start_no_pool(self, monkeypatch, num_workers):
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", _refuse_pool)
+        assert map_sharded(None, _shard_range, 0, num_workers=num_workers) == []
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"max_shard_retries": -1}, "shard_retries must be >= 0"),
+            ({"task_timeout": 0.0}, "task_timeout must be > 0"),
+            ({"task_timeout": -1.0}, "task_timeout must be > 0"),
+        ],
+    )
+    def test_settings_are_checked_before_any_work(
+        self, monkeypatch, settings, message
+    ):
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", _refuse_pool)
+        with pytest.raises(ValueError, match=message):
+            map_sharded([1, 2], _shard_sum, 2, num_workers=2, **settings)
+
+    def test_no_worker_outlives_a_healthy_map(self):
+        # The pool is shut down, its workers joined, before the call returns.
+        pids = set(map_sharded(None, _shard_pid, 40, num_workers=2))
+        assert pids and os.getpid() not in pids
+        assert not pids & {child.pid for child in multiprocessing.active_children()}
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
     def test_worker_state_outside_pool_raises(self):
         with pytest.raises(RuntimeError):
             worker_state()
 
-    def test_single_worker_runs_inline_without_pool(self):
-        # The small-input fast path: one worker spawns no pool at all — the
+    def test_single_worker_runs_inline_without_pool(self, monkeypatch):
+        # The small-input fast path: one worker starts no pool at all — the
         # shards run in-process against the same shared state.
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", _refuse_pool)
         values = list(range(30))
-        executor = ShardedExecutor(values, num_workers=1)
-        with executor:
-            assert executor._pool is None
-            shard_sums = executor.map_shards(_shard_sum, len(values))
+        shard_sums = map_sharded(values, _shard_sum, len(values), num_workers=1)
         assert sum(shard_sums) == sum(values)
 
-    def test_inline_executor_restores_outer_state(self):
-        with ShardedExecutor([1], num_workers=1) as executor:
-            executor.map_shards(_shard_sum, 1)
+    def test_inline_run_restores_outer_state(self):
+        map_sharded([1], _shard_sum, 1, num_workers=1)
         # The state installed for the inline run must not leak.
         with pytest.raises(RuntimeError):
             worker_state()
@@ -180,9 +234,8 @@ class TestShardedExecutor:
         # its shard's state installed as the process-global worker state.
         from repro.parallel import ShardError
 
-        with ShardedExecutor([1, 2], num_workers=1) as executor:
-            with pytest.raises(ShardError) as excinfo:
-                executor.map_shards(_shard_boom, 2)
+        with pytest.raises(ShardError) as excinfo:
+            map_sharded([1, 2], _shard_boom, 2, num_workers=1)
         assert isinstance(excinfo.value.__cause__, ValueError)
         with pytest.raises(RuntimeError):
             worker_state()
@@ -190,9 +243,8 @@ class TestShardedExecutor:
     def test_inline_failure_names_its_shard(self):
         from repro.parallel import ShardError
 
-        with ShardedExecutor([1, 2], num_workers=1) as executor:
-            with pytest.raises(ShardError, match=r"shard 0:1 failed inline") as excinfo:
-                executor.map_shards(_shard_boom, 2)
+        with pytest.raises(ShardError, match=r"shard 0:1 failed inline") as excinfo:
+            map_sharded([1, 2], _shard_boom, 2, num_workers=1)
         error = excinfo.value
         assert error.shard == (0, 1)
         assert error.attempts == 0
@@ -214,35 +266,14 @@ class TestShardedExecutor:
         bare = ShardError("failed")
         assert (bare.shard, bare.attempts, bare.cause) == (None, 0, None)
 
-    def test_nested_inline_executors_restore_outer_state(self):
+    def test_nested_inline_maps_restore_outer_state(self):
         values = [1, 2, 3]
-        with ShardedExecutor(values, num_workers=1) as executor:
-            shard_sums = executor.map_shards(_shard_nested_sum, len(values))
+        shard_sums = map_sharded(values, _shard_nested_sum, len(values), num_workers=1)
         # Every shard saw the inner sum (300) plus its own slice of the
         # *outer* state — proof the nesting restored state between shards.
         assert sum(shard_sums) == 300 * len(shard_sums) + sum(values)
         with pytest.raises(RuntimeError):
             worker_state()
-
-    @pytest.mark.parametrize("num_workers", [1, 2])
-    def test_executor_is_single_use(self, num_workers):
-        # Both the inline and the pool-backed executor refuse reuse after
-        # exit: the pool is gone (or terminated, if the run degraded), so
-        # silently re-entering would rebuild state the caller thinks is
-        # shared.
-        values = list(range(10))
-        executor = ShardedExecutor(values, num_workers=num_workers)
-        with executor:
-            executor.map_shards(_shard_sum, len(values))
-        with pytest.raises(RuntimeError, match="single-use"):
-            executor.__enter__()
-        with pytest.raises(RuntimeError):
-            executor.map_shards(_shard_sum, len(values))
-
-    def test_reentering_an_entered_executor_rejected(self):
-        with ShardedExecutor(None, num_workers=1) as executor:
-            with pytest.raises(RuntimeError):
-                executor.__enter__()
 
 
 class TestTunedNumWorkers:
@@ -345,10 +376,17 @@ class TestWorkerKnobs:
         ],
     )
     def test_fault_settings_fail_before_any_work(self, name, value):
-        # Serial as well as sharded: the computer refuses to be built, and
-        # transform_rows refuses to start, with the shared checks' message.
+        # Serial as well as sharded: the computer refuses to be built, with
+        # the shared checks' message.
         with pytest.raises(ValueError, match=f"^{name} must be"):
             CoverageComputer([], num_workers=1, **{name: value})
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("shard_retries", -1), ("task_timeout", -1.0), ("task_timeout", 0.0)],
+    )
+    def test_apply_fault_settings_fail_before_any_work(self, name, value):
+        # transform_rows refuses to start, serial as well as sharded.
         applier = TransformationApplier([Transformation([Substr(0, 1)])])
         with pytest.raises(ValueError, match=f"^{name} must be"):
             applier.transform_rows(["a"], num_workers=1, **{name: value})

@@ -11,6 +11,7 @@ import time
 import pytest
 
 import repro.join.joiner as joiner_module
+import repro.serve.engine as engine_module
 from repro.core.discovery import TransformationDiscovery
 from repro.core.transformation import Transformation
 from repro.model.artifact import TransformationModel
@@ -235,7 +236,7 @@ class TestMicroBatcher:
         assert batcher.stats()["requests"] == 100
         assert batcher._queues == {}
 
-    def test_stress_every_request_runs_once_or_expires(self):
+    def test_stress_every_request_runs_once_or_expires(self, monkeypatch):
         """Many threads on few keys, with deadlines short enough to expire
         while queued, inside a batch, or just as a batch is handed over."""
         executed: list[str] = []
@@ -247,7 +248,9 @@ class TestMicroBatcher:
             time.sleep(0.0005)
             return [((key, request.source_values[0]), True) for request in requests]
 
-        batcher = MicroBatcher(execute, max_batch_size=4)
+        # A cap below the thread count, so full batches leave some queued.
+        monkeypatch.setattr(engine_module, "MAX_BATCH_SIZE", 4)
+        batcher = MicroBatcher(execute)
         succeeded: list[str] = []
         expired: list[str] = []
         failures: list[tuple] = []
@@ -291,10 +294,6 @@ class TestMicroBatcher:
         batcher = MicroBatcher(execute)
         with pytest.raises(RuntimeError, match="boom"):
             batcher.submit("k", ["a"], ["t"])
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            MicroBatcher(lambda key, requests: [], max_batch_size=0)
 
 
 class TestServeEngine:

@@ -365,7 +365,7 @@ class TestModelRegistry:
 
     @pytest.mark.parametrize(
         "setting",
-        ["num_workers", "min_rows_per_worker", "task_timeout_s", "shard_retries"],
+        ["num_workers", "task_timeout_s", "shard_retries"],
     )
     def test_apply_settings_checked_when_built(self, tmp_path, setting):
         # Unchecked, the registry would build and then fail every join with
@@ -375,13 +375,13 @@ class TestModelRegistry:
 
     @pytest.mark.parametrize(
         "setting",
-        ["num_workers", "min_rows_per_worker", "task_timeout_s", "shard_retries"],
+        ["num_workers", "task_timeout_s", "shard_retries"],
     )
     def test_apply_setting_zero_is_accepted(
         self, tmp_path, model, name_initial_pairs, setting
     ):
-        # 0 is in range for each (all cores, no small-input threshold, no
-        # deadline, no retries): the registry builds, and its joiner joins
+        # 0 is in range for each (all cores, no deadline, no retries): the
+        # registry builds, and its joiner joins
         # like the model's own.
         model.save(tmp_path / "names.json")
         joiner, _, _ = ModelRegistry(tmp_path, **{setting: 0}).joiner_for("names")

@@ -25,6 +25,7 @@ from repro.datasets.synthetic import SyntheticConfig, generate_table_pair
 from repro.join.pipeline import JoinPipeline
 from repro.parallel.errors import DeadlineExceededError as CoreDeadlineExceededError
 from repro.parallel.errors import ShardError, ShardTimeoutError
+import repro.serve.server as server_module
 from repro.serve import JoinServer, LatencyStats
 from repro.serve.admission import AdmissionController
 from repro.serve.breaker import CircuitBreaker
@@ -56,6 +57,10 @@ def fitted_model():
         pair.source, pair.target, source_column="value", target_column="value"
     )
     return pair, model
+
+
+def _state(breaker: CircuitBreaker) -> str:
+    return breaker.snapshot()["state"]
 
 
 # --------------------------------------------------------------------- #
@@ -97,10 +102,10 @@ class TestCircuitBreaker:
         for _ in range(2):
             breaker.acquire()
             breaker.record_failure()
-        assert breaker.state == "closed"
+        assert _state(breaker) == "closed"
         breaker.acquire()
         breaker.record_failure()
-        assert breaker.state == "open"
+        assert _state(breaker) == "open"
         with pytest.raises(CircuitOpenError) as excinfo:
             breaker.acquire()
         assert excinfo.value.status == 503
@@ -115,10 +120,10 @@ class TestCircuitBreaker:
         breaker.acquire()
         breaker.record_failure()
         # The earlier failure was cleared: one more is still below threshold.
-        assert breaker.state == "closed"
+        assert _state(breaker) == "closed"
 
     def _trip(self, breaker: CircuitBreaker) -> None:
-        while breaker.state == "closed":
+        while _state(breaker) == "closed":
             breaker.acquire()
             breaker.record_failure()
 
@@ -127,9 +132,9 @@ class TestCircuitBreaker:
         self._trip(breaker)
         time.sleep(0.06)
         breaker.acquire()  # admitted as the probe
-        assert breaker.state == "half_open"
+        assert _state(breaker) == "half_open"
         breaker.record_success()
-        assert breaker.state == "closed"
+        assert _state(breaker) == "closed"
         breaker.acquire()  # healthy again
 
     def test_half_open_probe_failure_reopens(self):
@@ -138,7 +143,7 @@ class TestCircuitBreaker:
         time.sleep(0.06)
         breaker.acquire()
         breaker.record_failure()
-        assert breaker.state == "open"
+        assert _state(breaker) == "open"
         # The cool-down restarted: immediately rejected again.
         with pytest.raises(CircuitOpenError):
             breaker.acquire()
@@ -149,12 +154,12 @@ class TestCircuitBreaker:
         time.sleep(0.06)
         breaker.acquire()
         breaker.record_abort()
-        assert breaker.state == "open"
+        assert _state(breaker) == "open"
         # A later request can still become the probe once the (restarted)
         # cool-down elapses — the slot did not stay wedged.
         time.sleep(0.06)
         breaker.acquire()
-        assert breaker.state == "half_open"
+        assert _state(breaker) == "half_open"
 
     def test_half_open_admits_exactly_one_probe_under_concurrency(self):
         breaker = CircuitBreaker("m", failure_threshold=1, cooldown_s=0.05)
@@ -198,9 +203,9 @@ class TestCircuitBreaker:
             breaker.acquire()
         file_key["value"] = (1, 10, 200)  # the operator shipped a fixed artifact
         breaker.acquire()  # probe admitted immediately, no cool-down wait
-        assert breaker.state == "half_open"
+        assert _state(breaker) == "half_open"
         breaker.record_success()
-        assert breaker.state == "closed"
+        assert _state(breaker) == "closed"
 
     def test_replaced_file_with_the_same_mtime_admits_a_probe(self):
         file_key = {"value": (1, 10, 100)}
@@ -215,7 +220,7 @@ class TestCircuitBreaker:
             breaker.acquire()
         file_key["value"] = (2, 10, 100)  # moved into place, old mtime kept
         breaker.acquire()
-        assert breaker.state == "half_open"
+        assert _state(breaker) == "half_open"
 
     def test_missing_file_does_not_admit_a_probe(self):
         file_key = {"value": (1, 10, 100)}
@@ -229,7 +234,7 @@ class TestCircuitBreaker:
         file_key["value"] = None  # deleted mid-deploy: nothing new to probe
         with pytest.raises(CircuitOpenError):
             breaker.acquire()
-        assert breaker.state == "open"
+        assert _state(breaker) == "open"
 
     def test_snapshot_counters(self):
         breaker = CircuitBreaker("m", failure_threshold=1, cooldown_s=3600.0)
@@ -335,7 +340,7 @@ def test_micro_batch_follower_times_out_individually():
             release_second.wait(30)  # held until the follower gave up
         return [("result", True) for _ in requests]
 
-    batcher = MicroBatcher(execute, max_batch_size=8)
+    batcher = MicroBatcher(execute)
     outcomes: dict[str, object] = {}
 
     def first() -> None:
@@ -587,8 +592,6 @@ def small_server(fitted_model, tmp_path):
 def test_server_checks_settings_before_binding(
     tmp_path, monkeypatch, settings, message
 ):
-    import repro.serve.server as server_module
-
     def bind(*args, **kwargs):
         raise AssertionError("the port was bound before the settings were checked")
 
@@ -652,24 +655,50 @@ class TestRequestParsing:
     def test_stats_exposes_admission_and_resilience_sections(
         self, small_server
     ):
-        host, port = small_server.address
-        connection = HTTPConnection(host, port, timeout=30)
-        try:
-            connection.request("GET", "/stats")
-            payload = json.loads(connection.getresponse().read())
-        finally:
-            connection.close()
+        payload = _stats(small_server)
         assert payload["admission"]["max_inflight"] >= 1
         assert payload["resilience"]["shed"] == 0
         assert payload["resilience"]["deadline_exceeded"] == 0
         assert "breakers" in payload["engine"]
 
 
+def _stats(server: JoinServer) -> dict:
+    host, port = server.address
+    connection = HTTPConnection(host, port, timeout=30)
+    try:
+        connection.request("GET", "/stats")
+        return json.loads(connection.getresponse().read())
+    finally:
+        connection.close()
+
+
+class TestStatsErrors:
+    def test_client_mistakes_are_not_server_errors(self, small_server):
+        join = json.dumps({"source": ["a"], "target": ["a"]}).encode()
+        oversized = json.dumps({"source": ["x" * 4096], "target": ["a"]}).encode()
+        assert _post(small_server, "synth", b"not json")[0] == 400
+        assert _post(small_server, "missing", join)[0] == 404
+        assert _post(small_server, "synth", oversized)[0] == 413
+        stats = _stats(small_server)
+        assert (stats["requests"], stats["errors"]) == (3, 0)
+
+    def test_a_failure_of_the_server_is_an_error(self, small_server, monkeypatch):
+        join = json.dumps({"source": ["a"], "target": ["a"]}).encode()
+        monkeypatch.setenv("REPRO_FAULT_INJECT", "raise:where=server")
+        status, payload, _ = _post(small_server, "synth", join)
+        monkeypatch.delenv("REPRO_FAULT_INJECT")
+        assert status == 500
+        assert payload["error"]["type"] == "FaultInjected"
+        stats = _stats(small_server)
+        assert (stats["requests"], stats["errors"]) == (1, 1)
+
+
 # --------------------------------------------------------------------- #
 # Latency window stays bounded
 # --------------------------------------------------------------------- #
-def test_latency_stats_window_is_bounded_but_totals_are_exact():
-    stats = LatencyStats(window=16)
+def test_latency_stats_window_is_bounded_but_totals_are_exact(monkeypatch):
+    monkeypatch.setattr(server_module, "_LATENCY_WINDOW", 16)
+    stats = LatencyStats()
     for index in range(100):
         stats.record(index / 1000.0, warm=index > 0)
     snapshot = stats.snapshot()

@@ -16,7 +16,7 @@ from time import monotonic
 import pytest
 
 from repro.core.config import DiscoveryConfig
-from repro.core.coverage import CoverageComputer
+from repro.core.coverage import CoverageComputer, _build_unit_trie
 from repro.core.discovery import TransformationDiscovery
 from repro.core.pairs import pairs_from_strings
 from repro.core.stats import DiscoveryStats
@@ -77,8 +77,10 @@ class TestBudgetedCoverageWalk:
         )
         transformation = Transformation([Split(",", 2)])
         computer = CoverageComputer(pairs)
-        results = computer.coverage_of_all(
-            [transformation], batched=True, deadline=monotonic() - 1.0
+        results = computer.coverage_of_trie(
+            _build_unit_trie([transformation]),
+            [transformation],
+            deadline=monotonic() - 1.0,
         )
         assert computer.budget_exhausted
         assert computer.rows_processed == 1024
@@ -90,8 +92,10 @@ class TestBudgetedCoverageWalk:
         pairs = pairs_from_strings([(f"a{i},b{i}", f"b{i}") for i in range(50)])
         transformation = Transformation([Split(",", 2)])
         computer = CoverageComputer(pairs)
-        results = computer.coverage_of_all(
-            [transformation], batched=True, deadline=monotonic() + 3600.0
+        results = computer.coverage_of_trie(
+            _build_unit_trie([transformation]),
+            [transformation],
+            deadline=monotonic() + 3600.0,
         )
         assert not computer.budget_exhausted
         assert computer.rows_processed == len(pairs)

@@ -75,7 +75,6 @@ class TestValueSemantics:
 class TestQualityMeasures:
     def test_num_placeholders_counts_non_constant_units(self, paper_transformation):
         assert paper_transformation.num_placeholders == 2
-        assert paper_transformation.num_literals == 1
 
     def test_constant_detection(self):
         assert Transformation([Literal("a"), Literal("b")]).is_constant
