@@ -46,17 +46,18 @@ pair.  Four observations make this cheap in practice:
 * **Literal-anchored candidate pruning** (the coverage-v3 prefilter) — a
   :class:`~repro.core.units.Literal` unit emits its text unconditionally, so
   a transformation containing one can only cover rows whose target contains
-  that text.  At trie-build time every edge records the set of anchor
-  literals required by *every* transformation below it (interned into a
-  posting table of distinct anchor texts, with an Aho-Corasick automaton
-  over the table); per row, one automaton scan of the target materializes
-  the complete anchor-presence table, each required set is then evaluated
-  at most once per row against it, and a failed set skips the whole subtree
-  before any unit is applied.  Literal-first root subtrees are dispatched
-  *sparsely*: only the ones whose anchor the scan actually found are
-  visited, the pruned remainder is accounted in O(1).  Transformations
-  without literal units carry no anchors — for them the prefilter is a
-  no-op and the walk behaves exactly as before.  The trie edges
+  that text.  At trie-build time every edge records the anchor texts (ids
+  into a table of distinct anchor texts, with an Aho-Corasick automaton
+  over the table) that every transformation below it needs, minus those
+  that every edge of its parent node needs: a row reaches an edge only
+  through the parent node's own edge, whose check already proved those.
+  Per row, one automaton scan of the target collects the set of anchors it
+  contains, and an edge whose anchors are not all in that set skips its
+  whole subtree before any unit is applied; most edges check none.
+  Literal-first root subtrees are dispatched *sparsely*: only the ones
+  whose anchor the scan actually found are visited, the pruned remainder
+  is accounted in O(1).  Transformations without literal units carry no
+  anchors, so for them the prefilter is a no-op.  The trie edges
   additionally carry *specialized* unit opcodes: split-family units share
   one ``str.split`` per (delimiter, row) via a per-row split cache instead
   of re-splitting per unit, root ``SplitSubstr`` edges sharing a
@@ -72,7 +73,7 @@ their exact values can differ from the unbatched order of evaluation.
 Rows are mutually independent (every structure above is per-row), which makes
 the batch engine embarrassingly parallel: with ``num_workers > 1`` the rows
 are sharded across a process pool that shares the frozen trie — including the
-anchor posting table, so the prefilter shards exactly
+anchor table, so the prefilter shards exactly
 (:func:`_walk_shard`), and covered rows and cache statistics are
 byte-identical to the serial walk.  Every batch walk starts from empty
 per-row caches: it neither reads nor writes the persistent non-covering
@@ -238,7 +239,6 @@ _OP_SUBSTR = 1
 _OP_SPLIT = 2
 _OP_SPLITSUBSTR = 3
 _OP_TWOCHAR = 4
-_OP_APPLY = 5  # fallback: unknown unit subclasses keep their apply() semantics
 
 
 def _unit_op(
@@ -246,10 +246,10 @@ def _unit_op(
 ) -> tuple[int, tuple]:
     """The (opcode, args) specialization of *unit* for the batch walker.
 
-    Exact-type checks, not isinstance: a subclass overriding ``apply`` must
-    fall back to :data:`_OP_APPLY` so its semantics are preserved.
-    Split-family delimiters are interned into *delimiter_ids*, the index of
-    the per-row split-cache slot the op reads.
+    Exact-type checks, not isinstance: a subclass may override ``apply``,
+    and the walkers evaluate opcodes, never ``apply``, so any other unit
+    class raises ``TypeError``.  Split-family delimiters are interned into
+    *delimiter_ids*, the index of the per-row split-cache slot the op reads.
 
     Two walkers consume these opcodes: the per-row coverage kernel below
     and the column walker in :mod:`repro.model.apply` (same evaluation
@@ -287,18 +287,21 @@ def _unit_op(
         else:
             mode = 0
         return _OP_TWOCHAR, (first, second, unit.index - 1, unit.start, unit.end, mode)
-    return _OP_APPLY, (unit.apply,)
+    raise TypeError(
+        f"cannot compile unit class {kind.__qualname__}: "
+        "the trie walks know only the built-in unit classes"
+    )
 
 
 def _build_anchor_automaton(
     texts: Sequence[str],
 ) -> tuple[list[dict[str, int]], list[int], list[tuple[int, ...]]]:
-    """Aho-Corasick automaton over the anchor posting table.
+    """Aho-Corasick automaton over the anchor texts.
 
     One scan of a row's target through the automaton finds *every* anchor
-    text the target contains — the per-row materialization of the unit→row
-    posting table — in O(len(target) + matches) instead of one substring
-    search per anchor.  Returns ``(goto, fail, outputs)`` where ``goto`` is
+    text the target contains — the set that the row's edge checks read —
+    in O(len(target) + matches) instead of one substring search per
+    anchor.  Returns ``(goto, fail, outputs)`` where ``goto`` is
     one transition dict per state, ``fail`` the failure links and
     ``outputs[state]`` the anchor text ids recognized on reaching *state*
     (suffix outputs pre-flattened).
@@ -335,14 +338,13 @@ class PackedTrie:
     """A frozen unit-prefix trie plus the literal-anchor posting metadata.
 
     ``root_edges``/``root_terminals`` hold the flat edge tuples the walker
-    consumes; ``anchor_texts`` is the posting table of distinct non-empty
-    literal texts (indexed by the text ids stored in edge required-sets) and
-    ``req_sets`` the interned tuples of text ids required by every
-    transformation below an edge.  Three derived structures make the walk
+    consumes (see :meth:`TrieBuilder.freeze`); ``anchor_texts`` is the table
+    of distinct non-empty literal texts, indexed by the text ids in the
+    edges' anchor sets.  Three derived structures make the walk
     sparse in the (usual) case where most anchors are absent from most
     targets: ``automaton`` is an Aho-Corasick machine over the anchor texts
-    (one target scan yields the row's complete presence table), and the root
-    level is split three ways: ``root_literal_by_text`` (anchored
+    (one target scan yields every anchor the row's target contains), and
+    the root level is split three ways: ``root_literal_by_text`` (anchored
     literal-first subtrees, dispatched per row only for anchors the scan
     actually found, with ``root_literal_total`` covering the pruned
     remainder in O(1)), ``root_slice_groups`` (SplitSubstr/Substr-first
@@ -360,7 +362,6 @@ class PackedTrie:
         "root_edges",
         "root_terminals",
         "anchor_texts",
-        "req_sets",
         "num_units",
         "num_delimiters",
         "seeds",
@@ -376,7 +377,6 @@ class PackedTrie:
         root_edges: list,
         root_terminals: list[int],
         anchor_texts: list[str],
-        req_sets: list[tuple[int, ...]],
         num_units: int,
         num_delimiters: int,
         seeds: dict[int, list[int]],
@@ -384,7 +384,6 @@ class PackedTrie:
         self.root_edges = root_edges
         self.root_terminals = root_terminals
         self.anchor_texts = anchor_texts
-        self.req_sets = req_sets
         self.num_units = num_units
         self.num_delimiters = num_delimiters
         self.seeds = seeds
@@ -427,7 +426,7 @@ class PackedTrie:
                 starts = tuple(edge[2][2] for edge in group)
                 ends = tuple(edge[2][3] for edge in group)
             unit_ids = tuple(edge[0] for edge in group)
-            req_ids = tuple(edge[6] for edge in group)
+            anchor_sets = tuple(edge[6] for edge in group)
             subtrees = tuple(edge[5] for edge in group)
             owners = tuple(edge[7] for edge in group)
             # suffix_totals[i] = transformations below members i.. — the
@@ -443,7 +442,7 @@ class PackedTrie:
                     starts,
                     ends,
                     unit_ids,
-                    req_ids,
+                    anchor_sets,
                     subtrees,
                     owners,
                     tuple(suffix_totals),
@@ -456,7 +455,6 @@ class PackedTrie:
             self.root_edges,
             self.root_terminals,
             self.anchor_texts,
-            self.req_sets,
             self.num_units,
             self.num_delimiters,
             self.seeds,
@@ -644,48 +642,50 @@ class TrieBuilder:
         no more.
 
         Each edge is a flat tuple ``(unit_id, op, args, child_edges,
-        child_terminals, subtree_size, req_id, owner)``.  ``unit_id``
+        child_terminals, subtree_size, anchors, owner)``.  ``unit_id``
         indexes the per-row unit-output memo directly; ``subtree_size``
         counts the transformations below the edge, letting the walker
-        account for a whole skipped subtree in O(1); ``req_id`` indexes the
-        interned set of anchor-literal text ids that *every* transformation
-        below the edge requires (-1 when the set is empty, i.e. when the
-        prefilter has nothing to check); ``owner`` is the child node's
-        owner row (-1 for none).
+        account for a whole skipped subtree in O(1); ``owner`` is the child
+        node's owner row (-1 for none).  ``anchors`` is the frozenset of
+        anchor text ids the walk checks at the edge: those that every
+        transformation below the edge needs, minus those that every edge of
+        its parent node needs.  A row reaches an edge only through the
+        parent node's own edge, whose check proved the latter, so a row
+        that passes the check has every anchor below the edge in its
+        target.  Root edges, and edges under a node where a transformation
+        ends, keep their whole set.  Equal sets are one object.
         """
         units = self.units
+        root = self._root
         anchor_texts: list[str] = []
         text_ids: dict[str, int] = {}
-        req_sets: list[tuple[int, ...]] = []
         delimiter_ids: dict[str, int] = {}
         # unit id -> (op, args, anchor text id or -1), filled on first use
         infos: list[tuple[int, tuple, int] | None] = [None] * len(units)
-        no_requirement: frozenset[int] = frozenset()
-        # required set -> (its id, the one frozenset that stands for it)
-        interned: dict[frozenset[int], tuple[int, frozenset[int]]] = {
-            no_requirement: (-1, no_requirement)
-        }
-        # (required set, anchor text id) -> their union, interned
-        extended: dict[tuple[frozenset[int], int], tuple[int, frozenset[int]]] = {}
+        no_anchors: frozenset[int] = frozenset()
+        distinct = {no_anchors: no_anchors}
 
-        def intern_req(required: frozenset[int]) -> tuple[int, frozenset[int]]:
-            entry = interned.get(required)
-            if entry is None:
-                entry = interned[required] = (len(req_sets), required)
-                req_sets.append(tuple(sorted(required)))
-            return entry
+        def canonical(anchors: frozenset[int]) -> frozenset[int]:
+            return distinct.setdefault(anchors, anchors)
+
+        # (anchors every edge of a node needs, anchor text id) -> their union
+        extended: dict[tuple[frozenset[int], int], frozenset[int]] = {}
 
         def freeze(node: list) -> tuple[list, list[int], int, frozenset[int]]:
+            # The node's edges, its terminals, the number of transformations
+            # below it and the anchors that every edge of it needs.
             children, terminals, _ = node
             subtree = len(terminals)
+            # The rule below, without building the edge twice, for an only
+            # edge under a node where no transformation ends: it checks none.
+            proved = len(children) == 1 and not terminals and node is not root
             edges = []
-            edge_requirements: list[frozenset[int]] = []
             for unit_id, child in children.items():
                 if child[0]:
-                    child_edges, child_terminals, child_size, required = freeze(child)
+                    child_edges, child_terminals, child_size, needed = freeze(child)
                 else:  # a leaf, the common case: no call
                     child_edges, child_terminals = (), child[1]
-                    child_size, required = len(child_terminals), no_requirement
+                    child_size, needed = len(child_terminals), no_anchors
                 subtree += child_size
                 info = infos[unit_id]
                 if info is None:
@@ -700,13 +700,11 @@ class TrieBuilder:
                     info = infos[unit_id] = (op, args, text_id)
                 op, args, text_id = info
                 if text_id >= 0:
-                    key = (required, text_id)
-                    entry = extended.get(key)
-                    if entry is None:
-                        entry = extended[key] = intern_req(required | {text_id})
-                else:
-                    entry = intern_req(required)
-                req_id, required = entry
+                    key = (needed, text_id)
+                    anchors = extended.get(key)
+                    if anchors is None:
+                        anchors = extended[key] = canonical(needed | {text_id})
+                    needed = anchors
                 edges.append(
                     (
                         unit_id,
@@ -715,24 +713,28 @@ class TrieBuilder:
                         child_edges,
                         child_terminals,
                         child_size,
-                        req_id,
+                        no_anchors if proved else needed,
                         child[2],
                     )
                 )
-                edge_requirements.append(required)
             children.clear()
-            if terminals or not edge_requirements:
-                # A transformation ends here: nothing below this node is common
-                # to every transformation passing through it.
-                node_required = no_requirement
-            elif len(edge_requirements) == 1:
-                node_required = edge_requirements[0]
-            else:
-                node_required = frozenset.intersection(*edge_requirements)
-            return edges, terminals, subtree, node_required
+            if proved:
+                return edges, terminals, subtree, needed
+            if terminals or not edges:
+                # A transformation ends here: no anchor below this node is
+                # needed by every transformation passing through it.
+                return edges, terminals, subtree, no_anchors
+            # Each edge holds the whole set it needs until here.
+            shared = canonical(frozenset.intersection(*[edge[6] for edge in edges]))
+            if shared and node is not root:
+                edges = [
+                    edge[:6] + (canonical(edge[6] - shared), edge[7])
+                    for edge in edges
+                ]
+            return edges, terminals, subtree, shared
 
         try:
-            root_edges, root_terminals, _, _ = freeze(self._root)
+            root_edges, root_terminals, _, _ = freeze(root)
         finally:
             del freeze  # the cycle through its own cell, as in expand
         seeds: dict[int, list[int]] = {}
@@ -743,7 +745,6 @@ class TrieBuilder:
             root_edges,
             root_terminals,
             anchor_texts,
-            req_sets,
             len(units),
             len(delimiter_ids),
             seeds,
@@ -780,13 +781,15 @@ def _walk_trie_rows(
 
     The traversal is *edge-major over row blocks*: each trie edge is visited
     once per block with the list of rows that survived the path to it, so
-    the edge's required-set id, opcode and arguments are unpacked once and a
+    the edge's anchor set, opcode and arguments are unpacked once and a
     tight per-row loop does the remaining work.  Row-major or edge-major,
     the same (edge, row) classifications happen — the per-row caches (unit
-    memo, split caches, lazy anchor presence and required-set viability) are
-    consulted identically — so covered rows *and* statistics are equal to a
-    row-at-a-time walk, and therefore identical however the rows are sharded
-    or blocked.
+    memo and split caches) and the set of anchors each row's target
+    contains are consulted identically — so covered rows *and* statistics
+    are equal to a row-at-a-time walk, and therefore identical however the
+    rows are sharded or blocked.  An edge prunes a row whose target lacks
+    one of the edge's anchors, which are those its path has not proved (see
+    :meth:`TrieBuilder.freeze`).
 
     A row never enters a node it owns (see :class:`TrieBuilder`): it covers
     every transformation below, so the walk would classify each of them as
@@ -819,10 +822,8 @@ def _walk_trie_rows(
     root_literal_total = trie.root_literal_total
     root_slice_groups = trie.root_slice_groups
     seeds = trie.seeds
-    req_sets = trie.req_sets
     goto, fail, outputs = trie.automaton
     num_texts = len(trie.anchor_texts)
-    num_reqs = len(req_sets)
     num_units = trie.num_units
     num_delimiters = trie.num_delimiters
     num_rows = len(pairs)
@@ -833,17 +834,13 @@ def _walk_trie_rows(
     # are flat arrays indexed by the ordinals the trie build interned —
     # a C-speed list index on the hottest consults of the walk.  Allocated
     # once at the first block and *reused* across blocks (template slice
-    # assignment resets lists and bytearrays at C speed; reallocating the
-    # tables per block measurably showed up in profiles).
+    # assignment resets lists at C speed; reallocating the tables per block
+    # measurably showed up in profiles).
     memos: list[list] = []
     split_caches: list[list] = []
     tsplit_caches: list[dict] = []
-    presences: list[bytearray] = []
-    req_states: list[bytearray] = []
     memo_template: list = [False] * num_units
     none_template: list = [None] * num_delimiters
-    zero_texts = bytes(num_texts)
-    zero_reqs = bytes(num_reqs)
     first_block = True
 
     for block_start in range(0, num_rows, _WALK_BLOCK_ROWS):
@@ -873,14 +870,6 @@ def _walk_trie_rows(
             memos = [list(memo_template) for _ in range(block_n)]
             split_caches = [list(none_template) for _ in range(block_n)]
             tsplit_caches = [{} for _ in range(block_n)]
-            # Prefilter tables, one row each.  The Aho-Corasick scan below
-            # fills the complete anchor-presence table per row (1 = target
-            # contains the anchor, 0 = it does not), so required-set checks
-            # never search strings; required-set viability (0 unknown /
-            # 1 holds / 2 fails) is still evaluated lazily, at most once
-            # per row.
-            presences = [bytearray(num_texts) for _ in range(block_n)]
-            req_states = [bytearray(num_reqs) for _ in range(block_n)]
         else:
             for memo in memos:
                 memo[:] = memo_template
@@ -888,10 +877,8 @@ def _walk_trie_rows(
                 cache[:] = none_template
             for tcache in tsplit_caches:
                 tcache.clear()
-            for presence in presences:
-                presence[:] = zero_texts
-            for states in req_states:
-                states[:] = zero_reqs
+        # The anchors each row's target contains, filled by the scan below.
+        presents: list[set[int]] = [set() for _ in range(block_n)]
 
         all_slots = list(range(block_n))
         stack = [(root_other_edges, root_terminals, all_slots, [0] * block_n)]
@@ -912,9 +899,7 @@ def _walk_trie_rows(
             owned_root = 0  # accounted for their owner row
             for slot in all_slots:
                 target = targets[slot]
-                presence = presences[slot]
-                matched: list[int] = []
-                matched_append = matched.append
+                present = presents[slot]
                 state = 0
                 for char in target:
                     next_state = goto[state].get(char)
@@ -922,26 +907,11 @@ def _walk_trie_rows(
                         state = fail[state]
                         next_state = goto[state].get(char)
                     state = next_state if next_state is not None else 0
-                    for text_id in outputs[state]:
-                        if not presence[text_id]:
-                            presence[text_id] = 1
-                            matched_append(text_id)
+                    present.update(outputs[state])
                 viable_subtree = 0
-                states = req_states[slot]
-                for text_id in matched:
+                for text_id in present:
                     edge = root_literal_by_text.get(text_id)
-                    if edge is None:
-                        continue
-                    req_id = edge[6]
-                    req_state = states[req_id]
-                    if not req_state:
-                        req_state = 1
-                        for required_id in req_sets[req_id]:
-                            if not presence[required_id]:
-                                req_state = 2
-                                break
-                        states[req_id] = req_state
-                    if req_state == 2:
+                    if edge is None or not edge[6] <= present:
                         continue
                     viable_subtree += edge[5]
                     text = edge[2][0]
@@ -981,7 +951,7 @@ def _walk_trie_rows(
             member_starts,
             member_ends,
             member_unit_ids,
-            member_req_ids,
+            member_anchor_sets,
             member_subtrees,
             member_owners,
             suffix_totals,
@@ -1021,22 +991,12 @@ def _walk_trie_rows(
                         continue
                 target = targets[slot]
                 memo = memos[slot]
-                states = req_states[slot]
-                presence = presences[slot]
+                present = presents[slot]
                 for position in range(cut):
-                    req_id = member_req_ids[position]
-                    if req_id >= 0:
-                        state = states[req_id]
-                        if not state:
-                            state = 1
-                            for required_id in req_sets[req_id]:
-                                if not presence[required_id]:
-                                    state = 2
-                                    break
-                            states[req_id] = state
-                        if state == 2:
-                            skipped_units += member_subtrees[position]
-                            continue
+                    anchors = member_anchor_sets[position]
+                    if anchors and not anchors <= present:
+                        skipped_units += member_subtrees[position]
+                        continue
                     output = piece[member_starts[position] : member_ends[position]]
                     found_at = target.find(output)
                     if found_at < 0:
@@ -1079,10 +1039,9 @@ def _walk_trie_rows(
                             block_covered[index] = block_covered.get(index, 0) | bit
             for edge in edges:
                 subtree = edge[5]
-                req_id = edge[6]
+                anchors = edge[6]
                 owner_slot = edge[7] - base  # negative or past the block: none
                 owned = False
-                req_set = req_sets[req_id] if req_id >= 0 else None
                 op = edge[1]
                 args = edge[2]
                 skipped = 0  # unit known non-covering (or prefilter-pruned)
@@ -1092,28 +1051,17 @@ def _walk_trie_rows(
                 descend_slot = child_slots.append
                 descend_prefix = child_prefixes.append
                 if op == _OP_LITERAL and args[0]:
-                    # A non-empty literal always carries its own anchor in
-                    # the required set, so the prefilter consult below has
-                    # already proved the text present for surviving rows —
+                    # A non-empty literal's own anchor is proved present for
+                    # every row that passes the prefilter, here or above —
                     # neither application nor the memo consult can change
                     # the outcome, and only the positional check remains.
                     text = args[0]
                     text_length = len(text)
                     for slot, prefix in zip(slots, prefixes):
-                        states = req_states[slot]
-                        state = states[req_id]
-                        if not state:
-                            state = 1
-                            presence = presences[slot]
-                            for text_id in req_set:
-                                if not presence[text_id]:
-                                    state = 2
-                                    break
-                            states[req_id] = state
-                        if state == 2:
-                            # Literal prefilter: an anchor required by every
-                            # transformation below is absent from this
-                            # row's target — the subtree is provably
+                        if anchors and not anchors <= presents[slot]:
+                            # Literal prefilter: an anchor every
+                            # transformation below needs is absent from
+                            # this row's target — the subtree is provably
                             # uncovered for it.
                             skipped += 1
                         elif not targets[slot].startswith(text, prefix):
@@ -1126,27 +1074,15 @@ def _walk_trie_rows(
                 elif op == _OP_LITERAL:
                     # Empty literal: a pure pass-through (it always applies
                     # and adds nothing to the prefix) — only a deeper
-                    # required set can prune here.
-                    if req_id < 0 and owner_slot < 0:
+                    # anchor can prune here.
+                    if not anchors and owner_slot < 0:
                         child_slots = slots
                         child_prefixes = prefixes
                     else:
                         for slot, prefix in zip(slots, prefixes):
-                            if req_set is not None:
-                                states = req_states[slot]
-                                state = states[req_id]
-                                if not state:
-                                    state = 1
-                                    presence = presences[slot]
-                                    for text_id in req_set:
-                                        if not presence[text_id]:
-                                            state = 2
-                                            break
-                                    states[req_id] = state
-                                if state == 2:
-                                    skipped += 1
-                                    continue
-                            if slot == owner_slot:
+                            if anchors and not anchors <= presents[slot]:
+                                skipped += 1
+                            elif slot == owner_slot:
                                 owned = True
                             else:
                                 descend_slot(slot)
@@ -1159,20 +1095,9 @@ def _walk_trie_rows(
                     unit_id = edge[0]
                     delimiter, piece_index, start, end, delimiter_id = args
                     for slot, prefix in zip(slots, prefixes):
-                        if req_set is not None:
-                            states = req_states[slot]
-                            state = states[req_id]
-                            if not state:
-                                state = 1
-                                presence = presences[slot]
-                                for text_id in req_set:
-                                    if not presence[text_id]:
-                                        state = 2
-                                        break
-                                states[req_id] = state
-                            if state == 2:
-                                skipped += 1
-                                continue
+                        if anchors and not anchors <= presents[slot]:
+                            skipped += 1
+                            continue
                         memo = memos[slot]
                         output = memo[unit_id]
                         if output is False:
@@ -1206,20 +1131,9 @@ def _walk_trie_rows(
                 else:
                     unit_id = edge[0]
                     for slot, prefix in zip(slots, prefixes):
-                        if req_set is not None:
-                            states = req_states[slot]
-                            state = states[req_id]
-                            if not state:
-                                state = 1
-                                presence = presences[slot]
-                                for text_id in req_set:
-                                    if not presence[text_id]:
-                                        state = 2
-                                        break
-                                states[req_id] = state
-                            if state == 2:
-                                skipped += 1
-                                continue
+                        if anchors and not anchors <= presents[slot]:
+                            skipped += 1
+                            continue
                         memo = memos[slot]
                         output = memo[unit_id]
                         if output is False:
@@ -1240,7 +1154,7 @@ def _walk_trie_rows(
                                     if args[1] <= len(source)
                                     else None
                                 )
-                            elif op == _OP_TWOCHAR:
+                            else:  # _OP_TWOCHAR
                                 key = (args[0], args[1])
                                 cache = tsplit_caches[slot]
                                 pieces = cache.get(key, False)
@@ -1269,8 +1183,6 @@ def _walk_trie_rows(
                                         if args[4] <= len(piece)
                                         else None
                                     )
-                            else:
-                                output = args[0](source)
                             if (
                                 output is not None
                                 and output

@@ -56,9 +56,9 @@ class TransformationUnit(ABC):
         A transformation covers a row only if every unit's output is a
         substring of the row's target, so a non-empty anchor restricts the
         rows a transformation can possibly cover to those whose target
-        contains the anchor.  The batched coverage engine indexes anchors in
-        a per-run unit→row posting table and skips provably-uncovered rows
-        (the literal-anchored candidate prefilter); units without an anchor
+        contains the anchor.  The batched coverage engine finds the anchors
+        each row's target contains and skips provably-uncovered rows (the
+        literal-anchored candidate prefilter); units without an anchor
         (everything but :class:`Literal`) contribute nothing to the
         prefilter, which degrades to a no-op for transformations built
         entirely from such units.

@@ -280,22 +280,17 @@ class ValueIndex:
     target rows without any copying.
     """
 
-    __slots__ = ("_postings", "_num_rows", "_lowercase")
+    __slots__ = ("_postings", "_num_rows")
 
-    def __init__(self, *, lowercase: bool = False) -> None:
+    def __init__(self) -> None:
         self._postings: dict[str, array] = {}
         self._num_rows = 0
-        self._lowercase = lowercase
 
     @classmethod
-    def build(
-        cls, values: Sequence[str], *, lowercase: bool = False
-    ) -> "ValueIndex":
+    def build(cls, values: Sequence[str]) -> "ValueIndex":
         """Index every value of *values* (row ids are their positions)."""
-        index = cls(lowercase=lowercase)
+        index = cls()
         postings = index._postings
-        if lowercase:
-            values = [value.lower() for value in values]
         for row_id, value in enumerate(values):
             arr = postings.get(value)
             if arr is None:
@@ -317,13 +312,9 @@ class ValueIndex:
 
     def rows_for(self, value: str) -> Sequence[int]:
         """Row ids holding exactly *value* (sorted; the stored array, no copy)."""
-        if self._lowercase:
-            value = value.lower()
         return self._postings.get(value, _EMPTY_POSTINGS)
 
     def __contains__(self, value: object) -> bool:
         if not isinstance(value, str):
             return False
-        if self._lowercase:
-            value = value.lower()
         return value in self._postings

@@ -47,7 +47,6 @@ from repro.core.coverage import (
     _OP_SPLIT,
     _OP_SPLITSUBSTR,
     _OP_SUBSTR,
-    _OP_TWOCHAR,
     PackedTrie,
     _build_unit_trie,
 )
@@ -253,7 +252,7 @@ def _unit_column(
                 delimiter, piece_index, delimiter_id, block, shared
             )
         ]
-    elif op == _OP_TWOCHAR:
+    else:  # _OP_TWOCHAR
         first, second, piece_index, start, end, mode = args
         key = (first, second)
         split_rows = shared.get(key)
@@ -269,9 +268,6 @@ def _unit_column(
             else part[start:end]
             for pieces in split_rows
         ]
-    else:  # _OP_APPLY: unknown unit subclasses keep apply()
-        apply = args[0]
-        column = [apply(source) for source in block]
     return column, None in column
 
 

@@ -39,10 +39,10 @@ def read_csv(path: str | Path) -> Table:
     All cells are read as strings, and the table is named after the file's
     stem.  Malformed input raises :class:`TableReadError` (a
     ``ValueError``) with file/line context: a file that cannot be opened or
-    read (missing, a directory, no permission), an empty file, a header
-    with an empty or repeated column name, invalid UTF-8, rows whose arity
-    differs from the header, or CSV structure errors.  A leading UTF-8
-    byte-order mark is skipped.
+    read (missing, a directory, no permission), an empty file, an empty
+    header row, a header with an empty or repeated column name, invalid
+    UTF-8, rows whose arity differs from the header, or CSV structure
+    errors.  A leading UTF-8 byte-order mark is skipped.
     """
     path = Path(path)
     try:
@@ -54,6 +54,9 @@ def read_csv(path: str | Path) -> Table:
                 raise TableReadError(
                     f"{path} is empty; expected a header row"
                 ) from None
+            if not header:
+                # csv.reader yields no cells for a blank line.
+                raise TableReadError(f"{path}:1: the header row is empty")
             columns: dict[str, list[str]] = {}
             for position, column in enumerate(header, start=1):
                 if not column:

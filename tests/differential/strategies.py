@@ -1,16 +1,14 @@
 """The inputs every differential route runs over, and how examples run.
 
 One unit strategy feeds every coverage, apply and join route: all five
-unit classes, the four split modes of ``TwoCharSplitSubstr`` and
-:class:`UpperSubstr`, a subclass the trie cannot specialise.  Targets are
-random cells or what some transformation makes of the source, so covers
-and joins are common rather than chance.
+unit classes and the four split modes of ``TwoCharSplitSubstr``.  Targets
+are random cells or what some transformation makes of the source, so
+covers and joins are common rather than chance.
 """
 
 from __future__ import annotations
 
 import string
-from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +18,6 @@ from repro.core.pairs import pairs_from_strings
 from repro.core.skeletons import SkeletonBuilder
 from repro.core.transformation import Transformation
 from repro.core.units import (
-    UNIT_CLASSES,
     Literal,
     Split,
     SplitSubstr,
@@ -40,19 +37,6 @@ WORDS = st.lists(
 SOURCE = st.one_of(
     CELL, st.builds(str.join, st.sampled_from([" ", ",", "-", ", "]), WORDS)
 )
-
-
-class UpperSubstr(Substr):
-    """A unit subclass the trie cannot specialise: it keeps its apply()."""
-
-    __slots__ = ()
-
-    def apply(self, source: str) -> str | None:
-        output = super().apply(source)
-        return None if output is None else output.upper()
-
-    def describe(self) -> str:
-        return "Upper" + super().describe()
 
 
 UNITS = st.one_of(
@@ -76,7 +60,6 @@ UNITS = st.one_of(
         st.integers(0, 1),
         st.integers(2, 4),
     ),
-    st.builds(UpperSubstr, st.integers(0, 3), st.integers(4, 8)),
 )
 TRANSFORMATIONS = st.lists(
     st.builds(Transformation, st.lists(UNITS, min_size=1, max_size=4)), max_size=12
@@ -101,8 +84,8 @@ def _coverage_case(draw, family):
 
 
 def _anchored(draw, transformations):
-    # Literal anchors around every transformation make the prefilter's
-    # required-set pruning fire on every trie edge.
+    # Literal anchors around every transformation give the prefilter
+    # anchors to check at the root and below it.
     anchor = st.text(alphabet="ab, ", min_size=1, max_size=4)
     anchors = draw(st.lists(anchor, min_size=1, max_size=4))
     return [
@@ -116,7 +99,7 @@ def _anchored(draw, transformations):
 
 
 def _anchorless(draw, transformations):
-    # No literal anywhere: no anchors and no required sets to prune with.
+    # No literal anywhere: no anchors to prune with.
     kept = [[u for u in t.units if u.anchor_text is None] for t in transformations]
     return [Transformation(units) for units in kept if units]
 
@@ -153,17 +136,10 @@ def model_of(transformations):
     )
 
 
-def custom_unit_registered():
-    """The artifact format stores registered unit classes only: register
-    :class:`UpperSubstr` for a round trip, the way a plugin would."""
-    return mock.patch.dict(UNIT_CLASSES, {"UpperSubstr": UpperSubstr})
-
-
 def reloaded(transformations):
     """The model of *transformations*, saved and loaded back."""
     model = model_of(transformations)
-    with custom_unit_registered():
-        loaded = TransformationModel.loads(model.dumps())
+    loaded = TransformationModel.loads(model.dumps())
     assert loaded == model
     return loaded
 

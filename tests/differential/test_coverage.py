@@ -10,6 +10,10 @@ The generation routes build the trie the way discovery does, from the
 family's row pairs, with owner rows and seeds; their counts must equal the
 walk of a trie built from the list of the same transformations, which has
 neither.
+
+The literal prefilter moves the counts but never a covered row, so the
+anchor sets it checks have a test of their own: each edge's set against
+the transformations below the edge and the sets checked above it.
 """
 
 from __future__ import annotations
@@ -18,13 +22,16 @@ from time import monotonic
 from unittest import mock
 
 import pytest
+from hypothesis import strategies as st
 
-from differential.strategies import COVERAGE_FAMILIES, run_examples
+from differential.strategies import COVERAGE_FAMILIES, TRANSFORMATIONS, run_examples
 from repro.core import coverage
 from repro.core.config import DiscoveryConfig
 from repro.core.coverage import CoverageComputer, rows_from_mask
 from repro.core.discovery import TransformationDiscovery
 from repro.core.stats import DiscoveryStats
+from repro.core.transformation import Transformation
+from repro.core.units import Literal
 from repro.utils.timing import StageTimer
 
 
@@ -188,3 +195,43 @@ def test_generation_route_matches_covers_and_the_list_walk(
             assert counts == tuple(list_counts)
 
     run_examples(COVERAGE_FAMILIES[family], check, pooled=workers > 1)
+
+
+def _terminals_below(edge):
+    indices = list(edge[4])
+    for child in edge[3]:
+        indices += _terminals_below(child)
+    return indices
+
+
+def test_each_edge_checks_the_anchors_its_path_has_not_proved():
+    # (a) Every anchor an edge checks is a literal of every transformation
+    # below it, and (b) every anchor they all have is checked at the edge or
+    # above it, so the walk prunes a row at an edge exactly when one of those
+    # anchors is missing from its target.  Equal sets are one object.
+    def check(transformations):
+        trie = coverage._build_unit_trie(transformations)
+        anchors = [
+            {unit.anchor_text for unit in t.units} - {None} for t in transformations
+        ]
+        canonical = {}
+        stack = [(edge, set()) for edge in trie.root_edges]
+        while stack:
+            edge, proved = stack.pop()
+            assert canonical.setdefault(edge[6], edge[6]) is edge[6]
+            checked = {trie.anchor_texts[text_id] for text_id in edge[6]}
+            needed = set.intersection(*(anchors[i] for i in _terminals_below(edge)))
+            assert checked <= needed
+            assert needed <= proved | checked
+            stack.extend((child, proved | checked) for child in edge[3])
+
+    anchored = COVERAGE_FAMILIES["anchored"].map(lambda case: case[1])
+    # One literal ending every transformation: anchors shared at every node.
+    suffixed = st.builds(
+        lambda ts, text: [Transformation(t.units + (Literal(text),)) for t in ts],
+        TRANSFORMATIONS,
+        st.text(alphabet="ab, ", min_size=1, max_size=3),
+    )
+    run_examples(
+        st.one_of(TRANSFORMATIONS, anchored, suffixed), check, pooled=False
+    )

@@ -19,7 +19,6 @@ from differential.strategies import (
     CELL,
     SOURCE,
     TRANSFORMATIONS,
-    custom_unit_registered,
     model_of,
     reloaded,
     run_examples,
@@ -46,7 +45,7 @@ def joined(joiner_of):
 
 
 def served(transformations, sources, targets):
-    with tempfile.TemporaryDirectory() as directory, custom_unit_registered():
+    with tempfile.TemporaryDirectory() as directory:
         model_of(transformations).save(Path(directory) / "model.json")
         engine = ServeEngine(ModelRegistry(directory, num_workers=1))
         response = engine.join("model", sources, targets)

@@ -317,6 +317,31 @@ class TestErrorContract:
         assert captured.err.startswith("error: ")
         assert "expected 2 cells" in captured.err
 
+    @pytest.mark.parametrize(
+        "text", ["\n", "\nName\nAnn\n"], ids=["newline-only", "blank-first-line"]
+    )
+    def test_blank_header_row_maps_to_one_error_line(
+        self, text, staff_csvs, tmp_path, capsys
+    ):
+        source_path, target_path = staff_csvs
+        source_path.write_text(text)
+        exit_code = main(
+            [
+                "fit",
+                str(source_path),
+                str(target_path),
+                "--source-column",
+                "Name",
+                "--target-column",
+                "Name",
+                "--save",
+                str(tmp_path / "model.json"),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert exit_code == 1
+        assert captured.err == f"error: {source_path}:1: the header row is empty\n"
+
     @pytest.mark.parametrize("command", ["discover", "join", "fit", "apply"])
     def test_missing_csv_maps_to_one_error_line(
         self, command, staff_csvs, tmp_path, capsys

@@ -180,12 +180,6 @@ class TestValueIndex:
         assert "b" in index
         assert 7 not in index
 
-    def test_lowercase_mode(self):
-        from repro.matching.index import ValueIndex
-
-        index = ValueIndex.build(["Ada", "ada"], lowercase=True)
-        assert list(index.rows_for("ADA")) == [0, 1]
-
 
 class TestScoring:
     def test_irf_is_inverse_of_row_count(self):

@@ -9,8 +9,9 @@ import pytest
 from oracles.join import join_values_reference
 
 from repro.core.config import DiscoveryConfig
-from repro.core.coverage import _build_unit_trie
+from repro.core.coverage import CoverageComputer, _build_unit_trie
 from repro.core.discovery import TransformationDiscovery
+from repro.core.pairs import pairs_from_strings
 from repro.core.transformation import Transformation
 from repro.core.units import Literal, Split, SplitSubstr, Substr, TwoCharSplitSubstr
 from repro.join.joiner import TransformationJoiner
@@ -28,7 +29,6 @@ from repro.model import (
     unit_from_dict,
     unit_to_dict,
 )
-from repro.matching.index import ValueIndex
 from repro.model import apply as model_apply
 from repro.parallel import ShardError
 from repro.parallel.errors import DeadlineExceededError
@@ -373,6 +373,27 @@ class TestTransformationApplier:
         outputs = applier.transform_rows(["a,b", "nope"])
         assert outputs == {0: [(0, "a!")], 1: [(0, "a?")]}
 
+    @pytest.mark.parametrize(
+        "compile_transformations",
+        [
+            TransformationApplier,
+            CoverageComputer(pairs_from_strings([("ab", "<AB")])).coverage_of_all,
+        ],
+        ids=["applier", "coverage"],
+    )
+    def test_unit_subclass_does_not_compile(self, compile_transformations):
+        # The trie walks evaluate opcodes, never apply(): an overriding
+        # subclass must fail loudly, not walk as its base class.
+        class UpperSubstr(Substr):
+            def apply(self, source: str) -> str | None:
+                output = super().apply(source)
+                return None if output is None else output.upper()
+
+        with pytest.raises(TypeError, match="UpperSubstr"):
+            compile_transformations(
+                [Transformation([Literal("<"), UpperSubstr(0, 2)])]
+            )
+
     def test_sharded_deadline_reaches_the_workers(self, monkeypatch):
         # The deadline travels to the workers in the shards' state: expired,
         # every shard refuses to run (complete-or-error, never a prefix);
@@ -459,36 +480,24 @@ class TestColumnWalker:
 
 
 class TestLowercaseTargetIndex:
-    def test_lowercase_caller_index_joins_like_the_reference(self):
-        # A caller-built lowercasing index: the walker must keep every
-        # output rows_for matches after lower-casing, not only exact ones.
+    def test_case_insensitive_prebuilt_index_joins_like_the_reference(self):
+        # A case-insensitive joiner's own prebuilt index: the walker must
+        # keep every output that matches a target once both are lower-cased.
         transformations = [
             Transformation([Split(" ", 1)]),
             Transformation([Substr(0, 1), Literal("."), Split(" ", 2)]),
         ]
-        joiner = TransformationJoiner(transformations)
         sources = ["Ann Lee", "bob KAY", "Carl Moe", "dee"] * 20
         targets = ["ann", "B.KAY", "carl", "C.Moe", "Dee", "x"]
-        index = ValueIndex.build(targets, lowercase=True)
-        result = joiner.join_values(sources, targets, target_index=index)
-        expected, seen = [], set()
-        for transformation in joiner.transformations:
-            for row, value in enumerate(sources):
-                output = transformation.apply(value)
-                if output is None:
-                    continue
-                for target_row in index.rows_for(output):
-                    if (row, target_row) not in seen:
-                        seen.add((row, target_row))
-                        expected.append((row, target_row))
-        assert expected and result.pairs == expected
-        assert (1, 1) in result.pairs and (0, 0) in result.pairs
-        # The case-sensitive reference joins fewer rows on the same input,
-        # and a case-insensitive joiner's reference joins exactly these.
-        reference = join_values_reference(joiner, sources, targets)
-        assert set(reference.pairs) < set(result.pairs)
         folded = TransformationJoiner(transformations, case_insensitive=True)
+        index = folded.build_target_index(targets)
         result = folded.join_values(sources, targets, target_index=index)
         reference = join_values_reference(folded, sources, targets)
+        assert (1, 1) in result.pairs and (0, 0) in result.pairs
         assert result.pairs == reference.pairs
         assert result.matched_by == reference.matched_by
+        # The case-sensitive reference joins fewer rows on the same input.
+        exact = join_values_reference(
+            TransformationJoiner(transformations), sources, targets
+        )
+        assert set(exact.pairs) < set(result.pairs)

@@ -18,10 +18,12 @@ included, is set by no call.  A call sets it when the call lies outside the
 definition's own body, its callee is a ``Name`` or ``Attribute`` of the
 definition's name (for ``__init__``, of the class name or ``cls``), and it
 passes the parameter by keyword, reaches its position with positional
-arguments, or passes ``*args`` or ``**kwargs``.
+arguments, or passes ``*args`` or ``**kwargs``.  A callee ``C.name`` where
+``C`` is the name of a ``src/`` class reaches only the methods of classes
+named ``C``.
 
-The match is by name alone, so a definition that shares its name with a
-reachable one (``load``, ``summary``) passes unseen.  The walk uses
+Otherwise the match is by name alone, so a definition that shares its name
+with a reachable one (``load``, ``summary``) passes unseen.  The walk uses
 :mod:`ast` because on Python 3.11 :mod:`tokenize` does not see the
 expressions inside f-strings.
 """
@@ -177,10 +179,14 @@ def unreached_definitions() -> list[str]:
 
 def _functions(
     node: ast.AST, prefix: str, class_name: str | None = None
-) -> Iterator[tuple[str, ast.AST, list[tuple[str, int | None]], set[str]]]:
-    """``(qualified name, node, defaulted parameters, callee names)`` of each
-    function under *node*; a parameter is ``(name, position)``, the position
-    counted without ``self`` or ``cls`` and ``None`` when keyword-only."""
+) -> Iterator[
+    tuple[str, ast.AST, list[tuple[str, int | None]], set[str], str | None]
+]:
+    """``(qualified name, node, defaulted parameters, callee names, class
+    name)`` of each function under *node*; a parameter is ``(name,
+    position)``, the position counted without ``self`` or ``cls`` and
+    ``None`` when keyword-only, and the class name is ``None`` for a
+    function that is not a method."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.ClassDef):
             yield from _functions(child, f"{prefix}.{child.name}", child.name)
@@ -207,7 +213,7 @@ def _functions(
                 if child.name == "__init__" and class_name
                 else {child.name}
             )
-            yield key, child, params, callees
+            yield key, child, params, callees, class_name
             yield from _functions(child, key)
         else:
             yield from _functions(child, prefix, class_name)
@@ -225,29 +231,42 @@ def _sets(call: ast.Call, name: str, position: int | None) -> bool:
 def unset_parameters() -> list[str]:
     """``<function>.<parameter>`` of each defaulted ``src/`` parameter that
     no call outside the tests sets."""
-    calls: dict[str, list[ast.Call]] = defaultdict(list)
+    # callee name -> (call, the src/ class it is called through or None)
+    calls: dict[str, list[tuple[ast.Call, str | None]]] = defaultdict(list)
     sources = list(_src_trees())
     functions = [
         function for module, _, tree in sources for function in _functions(tree, module)
     ]
+    classes = {
+        node.name
+        for _, _, tree in sources
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
     for tree in [tree for _, _, tree in sources] + list(_driver_trees()):
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 callee = node.func
                 if isinstance(callee, ast.Name):
-                    calls[callee.id].append(node)
+                    calls[callee.id].append((node, None))
                 elif isinstance(callee, ast.Attribute):
-                    calls[callee.attr].append(node)
+                    receiver = callee.value
+                    through = (
+                        receiver.id
+                        if isinstance(receiver, ast.Name) and receiver.id in classes
+                        else None
+                    )
+                    calls[callee.attr].append((node, through))
     unset = []
-    for key, node, params, callees in functions:
+    for key, node, params, callees, class_name in functions:
         if key in ALLOWLIST:
             continue
         own = {id(inner) for inner in ast.walk(node)}
         outside = [
             call
             for callee in callees
-            for call in calls[callee]
-            if id(call) not in own
+            for call, through in calls[callee]
+            if id(call) not in own and through in (None, class_name)
         ]
         unset.extend(
             f"{key}.{name}"

@@ -279,6 +279,21 @@ class TestTableReadErrors:
             read_csv(path)
         assert issubclass(TableReadError, ValueError)
 
+    @pytest.mark.parametrize(
+        "text", ["\n", "\nname\nAnn\n"], ids=["newline-only", "blank-first-line"]
+    )
+    def test_blank_header_row_is_a_typed_error(self, tmp_path, text):
+        # csv.reader reads a blank line as a row of no cells: not a table
+        # without columns, nor a ragged second line.
+        from repro.table.io import TableReadError, read_csv
+
+        path = tmp_path / "blank.csv"
+        path.write_text(text)
+        with pytest.raises(
+            TableReadError, match=r"blank\.csv:1: the header row is empty"
+        ):
+            read_csv(path)
+
     def test_missing_file_error_is_typed(self, tmp_path):
         from repro.table.io import TableReadError, read_csv
 
