@@ -9,25 +9,35 @@ Two problem variants:
   problem; the paper (and this module) uses the classic greedy algorithm with
   its ``H(n) <= ln(n) + 1`` approximation guarantee.
 
-Two coverage-v3 accelerations apply here:
+Both are *index-level engines*, :func:`top_k_indices` and
+:func:`greedy_cover_indices`: they take each candidate's covered rows as a
+packed integer bitmask (bit r = row r) and a callable giving a candidate's
+tie-breaking key by its index, and return indices.  Discovery runs them on
+the masks the coverage walk returns, one per trie terminal, so a candidate
+becomes a :class:`~repro.core.transformation.Transformation` only when its
+key is asked for or it is returned; :func:`top_k_by_coverage` and
+:func:`greedy_minimal_cover` are the same engines over a list of
+:class:`~repro.core.coverage.CoverageResult`.  Three accelerations apply:
 
-* **Bitset row sets** — covered-row sets are packed integer bitmasks
-  (:attr:`~repro.core.coverage.CoverageResult.covered_mask`), so the greedy
-  marginal gain is one ``(mask & ~covered).bit_count()`` over machine words
-  instead of a Python-level set difference, and unions are single ``|`` ops.
+* **Bitset row sets** — the greedy marginal gain is one
+  ``(mask & ~covered).bit_count()`` over machine words instead of a
+  Python-level set difference, and unions are single ``|`` ops.
 * **CELF lazy-greedy selection** — coverage gain is submodular (covering
   more rows first can never *increase* another transformation's marginal
-  gain), so :func:`greedy_minimal_cover` keeps candidates in a max-heap of
-  stale upper bounds and re-evaluates only those whose bound still wins,
-  instead of rescoring every candidate every round (Leskovec et al.'s
-  lazy-greedy / CELF).  Tie-breaking is byte-identical to the plain greedy
-  scan: the heap key ends with the candidate's input index, which is exactly
-  the order the scan's strict ``key < best_key`` comparison preserves.
+  gain), so the cover keeps candidates in a max-heap of stale upper bounds
+  and re-evaluates only those whose bound still wins, instead of rescoring
+  every candidate every round (Leskovec et al.'s lazy-greedy / CELF).
+  Tie-breaking is byte-identical to the plain greedy scan: the heap key
+  ends with the candidate's index, which is exactly the order the scan's
+  strict ``key < best_key`` comparison preserves.
+* **The floor pass** — once the top pending bound is stale and equal to
+  ``min_support``, every pending bound is, so one pass rescores them all.
+  On a wide input that is most candidates: each covers a row or two, which
+  the wide rules chosen first mostly cover.
 
 Both selections rank by coverage (or gain) first and compute the rest of
 the key — placeholders, length and the ``repr`` of the transformation, by
 far the costliest part — only for candidates whose coverage reaches the top.
-On a wide input most candidates cover a single row and never get there.
 
 The plain set-based scan survives as the test oracle
 ``greedy_minimal_cover_reference`` in ``tests/oracles/cover.py`` — the
@@ -38,130 +48,125 @@ for tie.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
-from repro.core.coverage import (
-    CoverageResult,
-    mask_from_rows,
-    rows_from_mask,
-)
+from repro.core.coverage import CoverageResult, mask_from_rows, rows_from_mask
+from repro.core.transformation import Transformation
 
 __all__ = [
     "cover_fraction",
     "covered_mask",
     "covered_rows",
+    "greedy_cover_indices",
     "greedy_minimal_cover",
+    "selection_key",
     "top_k_by_coverage",
+    "top_k_indices",
 ]
 
 
-def top_k_by_coverage(
-    results: Sequence[CoverageResult], k: int = 1
-) -> list[CoverageResult]:
-    """Return the *k* transformations with the largest coverage.
+def selection_key(transformation: Transformation) -> tuple[int, int, str]:
+    """The gain-independent part of both selections' ranking key.
 
-    Ties are broken in favour of shorter transformations (fewer placeholders,
-    then fewer units overall) so the reported transformation is the most
-    readable among equally-covering ones, per the paper's length criterion.
-    ``coverage`` is a bitmask popcount, so ranking never materializes row
-    sets.  Only the results that reach the k-th largest coverage are ranked
-    in full; the stable sort keeps them in input order on equal keys,
-    exactly as a sort of every result would.
+    Fewer placeholders, then fewer units (the paper's length criterion),
+    then the rendering, which makes the order total.
+    """
+    return (transformation.num_placeholders, len(transformation), repr(transformation))
+
+
+def top_k_indices(
+    coverages: Sequence[int],
+    k: int,
+    key_of: Callable[[int], tuple[int, int, str]],
+    *,
+    min_coverage: int,
+) -> list[int]:
+    """The indices of the *k* best candidates, best first.
+
+    Candidates rank by coverage, then by ``key_of(index)``, then by index.
+    Only those covering at least *min_coverage* rows and reaching the k-th
+    largest coverage are ranked, so ``key_of`` is called for those alone.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    coverages = [result.coverage for result in results]
+    threshold = min_coverage
     if len(coverages) > k:
-        threshold = heapq.nlargest(k, coverages)[-1]
-        results = [
-            result
-            for result, coverage in zip(results, coverages)
-            if coverage >= threshold
-        ]
-    return sorted(results, key=lambda r: (-r.coverage, *_selection_key(r)))[:k]
+        threshold = max(threshold, heapq.nlargest(k, coverages)[-1])
+    ranked = [index for index, coverage in enumerate(coverages) if coverage >= threshold]
+    # A stable sort of ascending indices: equal keys stay in index order.
+    ranked.sort(key=lambda index: (-coverages[index], *key_of(index)))
+    return ranked[:k]
 
 
-def _selection_key(result: CoverageResult) -> tuple[int, int, str]:
-    """The gain-independent part of both selections' tie-breaking key."""
-    return (
-        result.transformation.num_placeholders,
-        len(result.transformation),
-        repr(result.transformation),
-    )
-
-
-def greedy_minimal_cover(
-    results: Sequence[CoverageResult],
+def greedy_cover_indices(
+    masks: Sequence[int],
+    key_of: Callable[[int], tuple[int, int, str]],
     *,
-    min_support: int = 1,
-) -> list[CoverageResult]:
-    """Greedy set cover over the transformations' covered-row bitmasks.
+    min_support: int,
+) -> list[int]:
+    """Greedy set cover over covered-row bitmasks; selected indices in order.
 
-    At each step the transformation covering the most *not yet covered* rows
-    is selected; transformations whose marginal gain falls below *min_support*
-    are never selected (this implements the support threshold used for noisy
-    data such as the open-data benchmark).
+    Each step selects the candidate covering the most *not yet covered*
+    rows, ties broken by ``key_of(index)``, then by index; a marginal gain
+    below *min_support* (the support threshold for noisy data such as the
+    open-data benchmark) is never selected.
 
-    This is the CELF lazy-greedy engine: a max-heap of stale gain upper
-    bounds, re-evaluating only the candidates whose bound still tops the
-    heap.  Selection order — including every tie — is identical to the
-    plain greedy scan (``tests/oracles/cover.py``), which remains the
-    executable spec.  Two facts make the laziness sound:
-
-    * marginal gain is submodular, so a recomputed gain can only shrink —
-      a stale bound is always an upper bound, and a candidate whose *fresh*
-      gain tops the heap beats every other candidate's true gain;
-    * once a candidate's fresh gain drops below ``min_support`` it can never
-      recover, so it is dropped from the heap permanently (the reference
-      scan keeps skipping it each round, with the same outcome).
-
-    The tie-breakers cost far more than the gain — ``repr`` renders every
-    unit — so candidates wait in a second heap keyed on the gain alone
-    until their gain reaches the top of the ranked heap; only then is their
-    full key computed, once.  Until then every ranked candidate beats them
-    whatever their tie-breakers.  The loop stops as soon as every row an
-    eligible candidate covers is covered, since every gain left is then 0.
-
-    Returns the selected transformations in selection order.
+    The CELF engine, identical to the plain scan (``tests/oracles/cover.py``)
+    tie for tie.  Gain is submodular, so a stale bound is an upper bound and
+    a *fresh* gain on top of the heap wins; a gain below ``min_support``
+    never recovers, so its candidate leaves.  ``key_of`` costs far more than
+    a gain, so candidates wait in a gain-only heap until their gain reaches
+    the ranked heap's top, and only then get their key, once.  When that
+    pending heap's top is stale at the floor, ``min_support``, every pending
+    bound and the ranked top are at the floor, and one pass rescores every
+    pending candidate, ranking those whose gain is still ``min_support``.
+    The loop stops once every row an eligible candidate covers is covered.
     """
     if min_support < 1:
         raise ValueError(f"min_support must be >= 1, got {min_support}")
 
-    masks = [result.covered_mask for result in results]
-    # Round-0 gain bounds: each candidate's whole coverage.
-    gains = [mask.bit_count() for mask in masks]
     # Entries of both heaps end with (index, round): the index is unique per
-    # entry, so the round is never compared, and equal keys pop in input
+    # entry, so the round is never compared, and equal keys pop in index
     # order — the reference scan's first-wins tie-breaking.
-    # pending: (-gain, index, round)
+    # pending: (-gain, index, round), the round-0 bound being the coverage
     # ranked:  (-gain, placeholders, length, repr, index, round)
     pending: list[tuple[int, int, int]] = []
     ranked: list[tuple[int, int, int, str, int, int]] = []
     reachable = 0
-    for index, gain in enumerate(gains):
+    for index, mask in enumerate(masks):
+        gain = mask.bit_count()
         if gain >= min_support:
             pending.append((-gain, index, 0))
-            reachable |= masks[index]
+            reachable |= mask
     heapq.heapify(pending)
 
+    floor = -min_support
     covered = 0
     selection_round = 0
-    selected: list[CoverageResult] = []
+    selected: list[int] = []
     while covered != reachable:
         if pending and (not ranked or pending[0][0] <= ranked[0][0]):
-            # A pending gain bound reaches the top: rescore it if stale
-            # (dropping it when the support threshold is out of reach), rank
-            # it once its gain is fresh.
-            neg_gain, index, scored_round = heapq.heappop(pending)
-            if scored_round != selection_round:
+            # A pending gain bound reaches the top: rank it once its gain is
+            # fresh, else rescore it (dropping it when the support threshold
+            # is out of reach), or rescore all of them at the floor.
+            neg_gain, index, scored_round = pending[0]
+            if scored_round == selection_round:
+                heapq.heappop(pending)
+                heapq.heappush(
+                    ranked, (neg_gain, *key_of(index), index, selection_round)
+                )
+            elif neg_gain == floor:
+                uncovered = ~covered
+                for _, index, _ in pending:
+                    if (masks[index] & uncovered).bit_count() >= min_support:
+                        ranked.append((floor, *key_of(index), index, selection_round))
+                pending.clear()
+                heapq.heapify(ranked)
+            else:
+                heapq.heappop(pending)
                 gain = (masks[index] & ~covered).bit_count()
                 if gain >= min_support:
                     heapq.heappush(pending, (-gain, index, selection_round))
-                continue
-            heapq.heappush(
-                ranked,
-                (neg_gain, *_selection_key(results[index]), index, selection_round),
-            )
             continue
         if not ranked:
             break
@@ -177,9 +182,41 @@ def greedy_minimal_cover(
         # every other candidate's true key is bounded by its (lazier) key, so
         # this is the reference scan's argmin — select it.
         covered |= masks[entry[4]]
-        selected.append(results[entry[4]])
+        selected.append(entry[4])
         selection_round += 1
     return selected
+
+
+def top_k_by_coverage(
+    results: Sequence[CoverageResult], k: int = 1
+) -> list[CoverageResult]:
+    """The *k* results with the largest coverage, by :func:`top_k_indices`.
+
+    Ties go to the most readable transformation (:func:`selection_key`),
+    then to input order.
+    """
+    indices = top_k_indices(
+        [result.coverage for result in results],
+        k,
+        lambda index: selection_key(results[index].transformation),
+        min_coverage=0,
+    )
+    return [results[index] for index in indices]
+
+
+def greedy_minimal_cover(
+    results: Sequence[CoverageResult],
+    *,
+    min_support: int = 1,
+) -> list[CoverageResult]:
+    """The greedy cover of *results* in selection order, by
+    :func:`greedy_cover_indices` over their covered-row bitmasks."""
+    indices = greedy_cover_indices(
+        [result.covered_mask for result in results],
+        lambda index: selection_key(results[index].transformation),
+        min_support=min_support,
+    )
+    return [results[index] for index in indices]
 
 
 def covered_mask(results: Sequence[CoverageResult]) -> int:

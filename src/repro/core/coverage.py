@@ -353,14 +353,16 @@ class PackedTrie:
     ``root_other_edges`` (everything else, walked normally).  ``seeds``
     maps each generating row to the transformations it generated first
     (empty for a trie built from a list): the walk starts their masks with
-    that row's bit.  The object is read-only after construction and pickles
-    cheaply, so the process-sharded engine ships it to workers once per
-    run.
+    that row's bit.  The transformations' terminal indices run from 0 to
+    ``num_terminals - 1``.  The object is read-only after construction and
+    pickles cheaply, so the process-sharded engine ships it to workers once
+    per run.
     """
 
     __slots__ = (
         "root_edges",
         "root_terminals",
+        "num_terminals",
         "anchor_texts",
         "num_units",
         "num_delimiters",
@@ -376,6 +378,7 @@ class PackedTrie:
         self,
         root_edges: list,
         root_terminals: list[int],
+        num_terminals: int,
         anchor_texts: list[str],
         num_units: int,
         num_delimiters: int,
@@ -383,6 +386,7 @@ class PackedTrie:
     ) -> None:
         self.root_edges = root_edges
         self.root_terminals = root_terminals
+        self.num_terminals = num_terminals
         self.anchor_texts = anchor_texts
         self.num_units = num_units
         self.num_delimiters = num_delimiters
@@ -454,6 +458,7 @@ class PackedTrie:
         return (
             self.root_edges,
             self.root_terminals,
+            self.num_terminals,
             self.anchor_texts,
             self.num_units,
             self.num_delimiters,
@@ -744,6 +749,7 @@ class TrieBuilder:
         return PackedTrie(
             root_edges,
             root_terminals,
+            len(self.terminal_units),
             anchor_texts,
             len(units),
             len(delimiter_ids),
@@ -1361,25 +1367,28 @@ class CoverageComputer:
         therefore the exact cache hit/miss tallies) differs.
         """
         transformations = list(transformations)
-        trie = None
         if batched and self.use_unit_cache and transformations and self.pairs:
-            trie = _build_unit_trie(transformations)
-        return self.coverage_of_trie(trie, transformations)
+            masks = self.coverage_of_trie(_build_unit_trie(transformations))
+            return [
+                CoverageResult(transformation, covered_mask=mask)
+                for transformation, mask in zip(transformations, masks)
+            ]
+        self.budget_exhausted = False
+        self.rows_processed = len(self.pairs)
+        return [self.coverage_of(t) for t in transformations]
 
     def coverage_of_trie(
         self,
-        trie: PackedTrie | None,
-        transformations: Sequence[Transformation],
+        trie: PackedTrie,
         *,
         deadline: float | None = None,
-    ) -> list[CoverageResult]:
-        """Coverage of the transformations frozen into *trie*, in order.
+    ) -> list[int]:
+        """The covered-row mask of every transformation frozen into *trie*.
 
-        Terminal *i* of *trie* must be ``transformations[i]``.  Discovery
-        passes the trie its generation built, whose owners and seeds the
-        walk uses.  Without a trie, without the unit cache, or with no
-        transformation or row, every transformation takes
-        :meth:`coverage_of` instead.
+        One mask per terminal, by terminal index (bit *r* = row *r*).
+        Discovery passes the trie its generation built, whose owners and
+        seeds the walk uses.  The walk is the unit cache in batched form:
+        without the cache, :meth:`coverage_of_all` takes :meth:`coverage_of`.
 
         When ``num_workers`` resolves above 1 (after the small-input fast
         path — see ``min_rows_per_worker``), the walk shards the rows
@@ -1390,14 +1399,14 @@ class CoverageComputer:
         cooperatively: rows past the deadline are left unwalked and the
         call degrades to the coverage of the rows it finished, with
         :attr:`budget_exhausted` set and :attr:`rows_processed` recording
-        the cut.  Only the walk honours it (the per-transformation path has
-        no row loop to cut); an already-expired deadline still walks the
-        first block.
+        the cut.  An already-expired deadline still walks the first block;
+        with no transformation or no row there is no walk to cut.
         """
         self.budget_exhausted = False
         self.rows_processed = len(self.pairs)
-        if trie is None or not (self.use_unit_cache and transformations and self.pairs):
-            return [self.coverage_of(t) for t in transformations]
+        masks = [0] * trie.num_terminals
+        if not (masks and self.pairs):
+            return masks
         num_workers = tuned_num_workers(
             self.num_workers,
             len(self.pairs),
@@ -1421,7 +1430,6 @@ class CoverageComputer:
             )
         else:
             shards = [_walk_trie_rows(self.pairs, 0, trie, deadline)]
-        masks = [0] * len(transformations)
         rows_processed = 0
         for shard_covered, hits, misses, applications, shard_rows in shards:
             self.stats.cache_hits += hits
@@ -1433,7 +1441,4 @@ class CoverageComputer:
         self.rows_processed = rows_processed
         if rows_processed < len(self.pairs):
             self.budget_exhausted = True
-        return [
-            CoverageResult(transformation, covered_mask=mask)
-            for transformation, mask in zip(transformations, masks)
-        ]
+        return masks

@@ -12,12 +12,17 @@
    already has a terminal (``duplicate_removal``),
 5. coverage computation over all input pairs: the trie is frozen and
    walked with the non-covering-unit cache, each generating row skipping
-   the subtrees it owns (``applying_transformations``; see
-   :mod:`repro.core.coverage`),
-6. maximum-coverage / greedy-minimal-cover selection (``cover_selection``) —
+   the subtrees it owns, into one covered-row mask per candidate
+   (``applying_transformations``; see :mod:`repro.core.coverage`),
+6. maximum-coverage / greedy-minimal-cover selection on those masks
+   (``cover_selection``; see :mod:`repro.core.cover`) —
 
 and reports both the discovered transformations and the statistics (Table 4,
 Figures 3–4) of the run.
+
+Candidates stay unit tuples and masks until selection builds a
+:class:`~repro.core.transformation.Transformation` for the few it ranks or
+returns: about 150 of the 18,000 candidates of a 300-row wide fit.
 """
 
 from __future__ import annotations
@@ -31,8 +36,9 @@ from time import monotonic
 from repro.core.config import DiscoveryConfig
 from repro.core.cover import (
     cover_fraction,
-    greedy_minimal_cover,
-    top_k_by_coverage,
+    greedy_cover_indices,
+    selection_key,
+    top_k_indices,
 )
 from repro.core.coverage import CoverageComputer, CoverageResult, TrieBuilder
 from repro.core.generation import (
@@ -145,8 +151,8 @@ class TransformationDiscovery:
 
         Automatic cyclic garbage collection is off for the duration of the
         call and re-enabled afterwards if it was on.  A run allocates
-        hundreds of thousands of long-lived containers (transformations,
-        trie nodes and edges, coverage results), enough to trigger several
+        hundreds of thousands of long-lived containers (candidates' unit
+        tuples, trie nodes and edges), enough to trigger several
         full collections that find almost nothing: the run makes next to no
         cyclic garbage, and reference counting still frees the rest.  The
         switch is process-wide, so other threads run without automatic
@@ -199,22 +205,19 @@ class TransformationDiscovery:
             serial_fallback=self._config.serial_fallback,
         )
         with timer.stage("applying_transformations"):
-            batched = self._config.use_batched_coverage and self._config.use_unit_cache
-            trie = builder.freeze() if batched else None
-            results = computer.coverage_of_trie(
-                trie, builder.transformations(), deadline=deadline
-            )
+            if self._config.use_batched_coverage and self._config.use_unit_cache:
+                masks = computer.coverage_of_trie(builder.freeze(), deadline=deadline)
+            else:
+                transformations = builder.transformations()
+                results = computer.coverage_of_all(transformations, batched=False)
+                masks = [result.covered_mask for result in results]
         if computer.budget_exhausted and not stats.budget_exhausted:
             stats.budget_exhausted = True
             stats.budget_stage = "applying_transformations"
             stats.rows_fully_processed = computer.rows_processed
 
         with timer.stage("cover_selection"):
-            results = [r for r in results if r.coverage > 0]
-            top = top_k_by_coverage(results, self._config.top_k) if results else []
-            cover = greedy_minimal_cover(
-                results, min_support=self._config.min_support
-            )
+            top, cover = self._select(builder, masks)
 
         stats.stage_seconds = timer.as_dict()
         return DiscoveryResult(pairs=pairs, top=top, cover=cover, stats=stats)
@@ -222,6 +225,29 @@ class TransformationDiscovery:
     # ------------------------------------------------------------------ #
     # Pipeline stages
     # ------------------------------------------------------------------ #
+    def _select(
+        self, builder: TrieBuilder, masks: list[int]
+    ) -> tuple[list[CoverageResult], list[CoverageResult]]:
+        """The top-k and the greedy cover of the builder's terminals, whose
+        covered-row masks are *masks*.  A terminal becomes a result, once,
+        only when a selection computes its key or returns it; one that
+        covers no row is neither ranked nor selected."""
+        made: dict[int, CoverageResult] = {}
+
+        def result(index: int) -> CoverageResult:
+            if index not in made:
+                transformation = Transformation(builder.terminal_units[index])
+                made[index] = CoverageResult(transformation, covered_mask=masks[index])
+            return made[index]
+
+        def key_of(index: int) -> tuple[int, int, str]:
+            return selection_key(result(index).transformation)
+
+        coverages = [mask.bit_count() for mask in masks]
+        top = top_k_indices(coverages, self._config.top_k, key_of, min_coverage=1)
+        cover = greedy_cover_indices(masks, key_of, min_support=self._config.min_support)
+        return [result(index) for index in top], [result(index) for index in cover]
+
     def _sample(self, num_pairs: int) -> list[int]:
         """The rows candidate generation runs on, in generation order.
 

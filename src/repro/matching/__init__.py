@@ -27,7 +27,7 @@ Inverse Row Frequency (IRF) and the representative score (Rscore) that
 """
 
 from repro.matching.index import InvertedIndex, ValueIndex
-from repro.matching.ngrams import unique_ngrams_by_size
+from repro.matching.ngrams import ngram_set
 from repro.matching.row_matcher import (
     MATCHER_ENGINES,
     SETSIM_SIMILARITIES,
@@ -58,8 +58,8 @@ __all__ = [
     "TOKENIZERS",
     "ValueIndex",
     "create_row_matcher",
+    "ngram_set",
     "qgram_tokens",
     "tokenizer_for",
-    "unique_ngrams_by_size",
     "whitespace_tokens",
 ]

@@ -5,9 +5,13 @@ is organized as a hash with every n-gram of size n0 <= n <= nmax as a key"),
 but the postings are stored *packed*:
 
 * **Postings** are sorted ``array('i')`` row-id arrays.  Rows are indexed in
-  increasing row-id order and deduplicated per row, so every posting array is
-  born sorted and never needs a per-query sort or copy —
+  increasing row-id order, each as the one set of its n-grams of every size
+  (:func:`~repro.matching.ngrams.ngram_set`), so every posting array is
+  born sorted and duplicate-free and never needs a per-query sort or copy —
   :meth:`InvertedIndex.rows_containing` returns the stored array itself.
+  A set yields its grams in an order that follows the string hash seed, so
+  the postings dict's insertion order varies between interpreters; no
+  posting array, frequency or representative does.
 * **Row frequencies** live in a parallel ``dict[str, int]`` table, so
   :meth:`InvertedIndex.row_frequency` (the building block of IRF / Rscore)
   is a single O(1) lookup.  The table survives stop-gram pruning, keeping
@@ -22,11 +26,14 @@ but the postings are stored *packed*:
 
 On top of the packed layout, :meth:`InvertedIndex.representatives` fuses
 Algorithm 1's scoring loop into a single build-style pass over the source
-column: source-side row frequencies are only counted for n-grams that also
-occur in the target (all others have Rscore 0 and can never be
-representatives), and each row's representative n-gram per size is computed
-once, up front — eliminating the per-row re-tokenisation, sorting and
-per-gram hash lookups of the original matcher.
+column: each source row's n-gram set is cut to the n-grams that also occur
+in the target (all others have Rscore 0 and can never be representatives)
+with one set intersection, and counted with one ``Counter.update``; each
+row's representative n-gram per size is then computed once, up front — a
+maximum of the reference's float score with a lexicographic tie-break, so
+the order the set yields its grams in does not matter.  This eliminates the
+per-row re-tokenisation, sorting and per-gram hash lookups of the original
+matcher.
 
 :class:`ValueIndex` applies the same packed-postings idea to exact values
 (whole cells instead of n-grams); the transformation joiner uses it as its
@@ -36,10 +43,11 @@ equi-join target map.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from collections.abc import Sequence
 from typing import Final
 
-from repro.matching.ngrams import unique_ngrams_by_size
+from repro.matching.ngrams import ngram_set
 
 #: Shared empty posting list returned for unknown (or pruned) n-grams.
 _EMPTY_POSTINGS: Final = array("i")
@@ -130,22 +138,23 @@ class InvertedIndex:
         self._last_row_id = row_id
         postings = self._postings
         frequency = self._frequency
-        for grams in unique_ngrams_by_size(
+        # Most grams are new; copying a one-row array beats building one.
+        first = array("i", (row_id,))
+        for gram in ngram_set(
             text, self._min_size, self._max_size, lowercase=self._lowercase
         ):
-            for gram in grams:
-                count = frequency.get(gram)
-                if count is None:
-                    frequency[gram] = 1
-                    postings[gram] = array("i", (row_id,))
-                else:
-                    # The frequency table is authoritative: keep counting even
-                    # for grams whose postings were pruned as stop-grams
-                    # (which must stay pruned, not resurrect partial lists).
-                    frequency[gram] = count + 1
-                    arr = postings.get(gram)
-                    if arr is not None:
-                        arr.append(row_id)
+            count = frequency.get(gram)
+            if count is None:
+                frequency[gram] = 1
+                postings[gram] = first[:]
+            else:
+                # The frequency table is authoritative: keep counting even
+                # for grams whose postings were pruned as stop-grams
+                # (which must stay pruned, not resurrect partial lists).
+                frequency[gram] = count + 1
+                arr = postings.get(gram)
+                if arr is not None:
+                    arr.append(row_id)
         self._num_rows += 1
 
     def prune_stop_grams(self) -> int:
@@ -225,49 +234,46 @@ class InvertedIndex:
         Algorithm 1 — sizes beyond the row length are not considered.
 
         Ties in Rscore are broken towards the lexicographically smallest
-        n-gram, matching the original matcher's deterministic scan order.
+        n-gram, matching the original matcher's deterministic scan order;
+        the pick is the same in whatever order a row's n-gram set yields
+        its grams.
 
         This is the fused scoring pass: source-side row frequencies are
-        counted in one sweep (restricted to n-grams that occur in the target
-        column — all others score 0), so no per-row re-tokenisation or
-        sorting happens at match time.
+        counted in one sweep (each row's n-gram set intersected with the
+        target's, since all other n-grams score 0), so no per-row
+        re-tokenisation or sorting happens at match time.
         """
         target_frequency = self._frequency
-        source_frequency: dict[str, int] = {}
-        per_row_grams: list[list[list[str]]] = []
+        target_grams = target_frequency.keys()
+        source_frequency: Counter[str] = Counter()
+        count = source_frequency.update
+        kept_rows: list[set[str]] = []
         for text in source_values:
-            per_size: list[list[str]] = []
-            for grams in unique_ngrams_by_size(
+            kept = ngram_set(
                 text, self._min_size, self._max_size, lowercase=self._lowercase
-            ):
-                kept = [gram for gram in grams if gram in target_frequency]
-                for gram in kept:
-                    source_frequency[gram] = source_frequency.get(gram, 0) + 1
-                per_size.append(kept)
-            per_row_grams.append(per_size)
+            ) & target_grams
+            count(kept)
+            kept_rows.append(kept)
 
         representatives: list[list[str]] = []
-        for per_size in per_row_grams:
-            row_representatives: list[str] = []
-            for kept in per_size:
-                best: str | None = None
-                best_score = 0.0
-                for gram in kept:
-                    # Same arithmetic as representative_score in
-                    # tests/oracles/matching.py so that floating-point
-                    # behaviour (and therefore tie-breaking) is identical to
-                    # the reference matcher.
-                    score = (1.0 / source_frequency[gram]) * (
-                        1.0 / target_frequency[gram]
-                    )
-                    if score > best_score:
-                        best_score = score
-                        best = gram
-                    elif score == best_score and best is not None and gram < best:
-                        best = gram
-                if best is not None:
-                    row_representatives.append(best)
-            representatives.append(row_representatives)
+        for kept in kept_rows:
+            # size -> (best score, its gram)
+            best: dict[int, tuple[float, str]] = {}
+            for gram in kept:
+                # Same arithmetic as representative_score in
+                # tests/oracles/matching.py so that floating-point behaviour
+                # (and therefore tie-breaking) is identical to the reference
+                # matcher.
+                score = (1.0 / source_frequency[gram]) * (1.0 / target_frequency[gram])
+                size = len(gram)
+                held = best.get(size)
+                if (
+                    held is None
+                    or score > held[0]
+                    or (score == held[0] and gram < held[1])
+                ):
+                    best[size] = (score, gram)
+            representatives.append([best[size][1] for size in sorted(best)])
         return representatives
 
 

@@ -3,33 +3,31 @@
 The matcher works on lower-cased character n-grams; joinable rows are
 expected to share at least one reasonably rare n-gram (the "copying
 relationship" the whole approach is built on).
+
+A row's n-grams of every size come as one set: the packed index filters a
+source row's set against the target's with one intersection and counts it
+with one ``Counter.update``.  A set iterates in an order that depends on
+the interpreter's string hash seed, so nothing built from one may depend
+on that order: the index's posting arrays grow by row id, and a row's
+representative n-gram of each size is a maximum with a lexicographic
+tie-break, whatever the order the grams arrive in.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 
-
-def unique_ngrams_by_size(
+def ngram_set(
     text: str,
     min_size: int,
     max_size: int,
     *,
     lowercase: bool = True,
-) -> Iterator[list[str]]:
-    """Yield the distinct n-grams of each size in ``[min_size, max_size]``.
+) -> set[str]:
+    """The distinct n-grams of every size in ``[min_size, max_size]``, as one set.
 
-    One list per size, smallest size first, grams in first-occurrence order;
-    sizes larger than the text yield nothing (the iteration simply stops, as
-    in Algorithm 1's scan).  This is the tokenisation primitive of the
-    packed inverted index: the text is lower-cased once (not once per size)
-    and each size is extracted in a single sweep.
-
-    The dedup is *order-preserving* (``dict.fromkeys``), not a set: gram
-    enumeration order feeds the index's postings-dict insertion order, and a
-    set's iteration order depends on the per-interpreter string hash seed —
-    first-occurrence order makes index builds reproducible across
-    interpreters.
+    Sizes larger than the text contribute nothing (as in Algorithm 1's
+    scan, which stops at the text length).  The text is lower-cased once,
+    not once per size, unless *lowercase* is off.
     """
     if min_size <= 0:
         raise ValueError(f"min n-gram size must be positive, got {min_size}")
@@ -40,9 +38,8 @@ def unique_ngrams_by_size(
     if lowercase:
         text = text.lower()
     length = len(text)
-    for size in range(min_size, min(max_size, length) + 1):
-        yield list(
-            dict.fromkeys(
-                text[start : start + size] for start in range(length - size + 1)
-            )
-        )
+    return {
+        text[start : start + size]
+        for size in range(min_size, min(max_size, length) + 1)
+        for start in range(length - size + 1)
+    }

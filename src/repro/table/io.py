@@ -41,8 +41,9 @@ def read_csv(path: str | Path) -> Table:
     ``ValueError``) with file/line context: a file that cannot be opened or
     read (missing, a directory, no permission), an empty file, an empty
     header row, a header with an empty or repeated column name, invalid
-    UTF-8, rows whose arity differs from the header, or CSV structure
-    errors.  A leading UTF-8 byte-order mark is skipped.
+    UTF-8, rows whose arity differs from the header (named by the line the
+    row ends on), or CSV structure errors.  A leading UTF-8 byte-order mark
+    is skipped, and so is a blank line after the header.
     """
     path = Path(path)
     try:
@@ -69,10 +70,13 @@ def read_csv(path: str | Path) -> Table:
                     )
                 columns[column] = []
             arity = len(header)
-            for line_number, row in enumerate(reader, start=2):
+            for row in reader:
                 if len(row) != arity:
+                    if not row:  # a blank line, skipped as csv.DictReader does
+                        continue
+                    # line_num: the line the record ends on, not its ordinal
                     raise TableReadError(
-                        f"{path}:{line_number}: expected {arity} cells, "
+                        f"{path}:{reader.line_num}: expected {arity} cells, "
                         f"got {len(row)}"
                     )
                 for column, cell in zip(header, row):

@@ -47,19 +47,18 @@ def computed(workers, *, batched=True, cache=True, warm=False, expired=False):
             computer.stats = DiscoveryStats()
         if expired:
             # coverage_of_all's trie, walked under a deadline that passed.
-            trie = None
-            if transformations and pairs:
-                trie = coverage._build_unit_trie(transformations)
-            results = computer.coverage_of_trie(
-                trie, transformations, deadline=monotonic() - 1.0
+            masks = computer.coverage_of_trie(
+                coverage._build_unit_trie(transformations), deadline=monotonic() - 1.0
             )
+            covered = [rows_from_mask(mask) for mask in masks]
         else:
             results = computer.coverage_of_all(transformations, batched=batched)
+            covered = [sorted(result.covered_rows) for result in results]
         rows = computer.rows_processed
         assert computer.budget_exhausted == (rows < len(pairs))
         stats = computer.stats
         counts = (stats.cache_hits, stats.cache_misses, stats.applications)
-        return [sorted(result.covered_rows) for result in results], counts, rows
+        return covered, counts, rows
 
     return route
 
@@ -142,14 +141,12 @@ def generated(workers, *, sample=False, dedup=True, expired=False):
             pairs, num_workers=workers, min_rows_per_worker=0
         )
         deadline = monotonic() - 1.0 if expired else None
-        results = computer.coverage_of_trie(
-            builder.freeze(), transformations, deadline=deadline
-        )
+        masks = computer.coverage_of_trie(builder.freeze(), deadline=deadline)
         rows = computer.rows_processed
         assert computer.budget_exhausted == (rows < len(pairs))
         stats = computer.stats
         counts = (stats.cache_hits, stats.cache_misses, stats.applications)
-        covered = [sorted(result.covered_rows) for result in results]
+        covered = [rows_from_mask(mask) for mask in masks]
         return transformations, covered, counts, rows
 
     return route

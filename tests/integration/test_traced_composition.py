@@ -4,9 +4,10 @@ perfbench's traced fit rebuilds discovery layer by layer:
 ``SkeletonBuilder.build``, then ``TransformationGenerator.from_row``, then
 first-seen duplicate removal, then ``CoverageComputer.coverage_of_all`` over
 the list, then the greedy cover.  Discovery instead generates straight into
-the coverage trie, with owner rows the walk skips.  Both must agree on
-every transformation in order, every covered-row mask, the top-k, the
-cover and every counter.
+the coverage trie, with owner rows the walk skips, and selects on the
+walk's masks.  Both must agree on every transformation in order (the trie
+builder's terminals), every covered-row mask, the top-k, the cover and
+every counter.
 """
 
 from __future__ import annotations
@@ -81,21 +82,30 @@ def signature(results):
 def test_discover_equals_the_traced_composition(monkeypatch, make_pairs, sample_size):
     pairs = make_pairs()
     config = DiscoveryConfig(num_workers=1, sample_size=sample_size)
-    walked = []
+    builders, walked = [], []
+    generate = TransformationDiscovery._generate
     coverage_of_trie = CoverageComputer.coverage_of_trie
 
-    def recording(self, *args, **kwargs):
-        results = coverage_of_trie(self, *args, **kwargs)
-        walked.append(results)
-        return results
+    def recording_generate(self, *args, **kwargs):
+        builder = generate(self, *args, **kwargs)
+        builders.append(builder)
+        return builder
 
-    monkeypatch.setattr(CoverageComputer, "coverage_of_trie", recording)
+    def recording_walk(self, *args, **kwargs):
+        masks = coverage_of_trie(self, *args, **kwargs)
+        walked.append(masks)
+        return masks
+
+    monkeypatch.setattr(TransformationDiscovery, "_generate", recording_generate)
+    monkeypatch.setattr(CoverageComputer, "coverage_of_trie", recording_walk)
     result = TransformationDiscovery(config).discover(pairs)
     monkeypatch.undo()
 
     results, stats = traced_composition(pairs, config)
-    assert len(walked) == 1
-    assert signature(walked[0]) == signature(results)
+    assert len(builders) == len(walked) == 1
+    transformations = builders[0].transformations()
+    assert len(walked[0]) == len(transformations)
+    assert list(zip(transformations, walked[0])) == signature(results)
     covering = [r for r in results if r.coverage > 0]
     assert signature(result.top) == signature(top_k_by_coverage(covering, config.top_k))
     assert signature(result.cover) == signature(

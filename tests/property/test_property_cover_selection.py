@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from oracles.cover import greedy_minimal_cover_reference
 
@@ -53,6 +53,51 @@ RESULTS = st.lists(
 )
 
 
+# A wide fit's candidates: a few wide row sets, then a long tail of
+# candidates that cover a row or two, most of whose rows the wide ones
+# cover.  Transformations come from a small pool, so keys tie often.
+TAIL_ROWS = st.integers(min_value=0, max_value=59)
+TAIL_POOL = [
+    Transformation(units)
+    for units in (
+        [Literal("a")],
+        [Literal("b")],
+        [Substr(0, 1)],
+        [Substr(0, 2)],
+        [Split(",", 1)],
+        [Split(",", 2)],
+        [Substr(0, 1), Literal("a")],
+        [Substr(0, 1), Literal("b")],
+        [Split(",", 1), Literal("a")],
+        [Split(",", 2), Substr(0, 3)],
+    )
+]
+
+
+@st.composite
+def wide_fit_tails(draw):
+    wide = draw(
+        st.lists(st.sets(TAIL_ROWS, min_size=3, max_size=45), min_size=1, max_size=4)
+    )
+    narrow = draw(
+        st.lists(
+            st.sets(TAIL_ROWS, min_size=1, max_size=2), min_size=100, max_size=140
+        )
+    )
+    row_sets = wide + narrow
+    transformations = draw(
+        st.lists(
+            st.sampled_from(TAIL_POOL), min_size=len(row_sets), max_size=len(row_sets)
+        )
+    )
+    results = [
+        CoverageResult(transformation, rows)
+        for transformation, rows in zip(transformations, row_sets)
+    ]
+    results += draw(st.lists(st.sampled_from(results), max_size=30))
+    return draw(st.permutations(results))
+
+
 class TestCelfMatchesReferenceGreedy:
     @given(results=RESULTS)
     def test_identical_selection_sequence(self, results):
@@ -74,6 +119,19 @@ class TestCelfMatchesReferenceGreedy:
         assert greedy_minimal_cover(doubled) == greedy_minimal_cover_reference(
             doubled
         )
+
+    @settings(
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large]
+    )
+    @given(
+        results=wide_fit_tails(), min_support=st.integers(min_value=1, max_value=3)
+    )
+    def test_identical_on_wide_fit_tails(self, results, min_support):
+        # Once the wide sets are chosen, the tail's bounds are stale at the
+        # floor, min_support: the floor pass rescores them in one pass.
+        assert greedy_minimal_cover(
+            results, min_support=min_support
+        ) == greedy_minimal_cover_reference(results, min_support=min_support)
 
     @given(seed=st.integers(min_value=0, max_value=999))
     def test_identical_on_seeded_random_instances(self, seed):

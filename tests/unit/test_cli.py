@@ -317,6 +317,28 @@ class TestErrorContract:
         assert captured.err.startswith("error: ")
         assert "expected 2 cells" in captured.err
 
+    def test_ragged_row_after_a_multiline_cell_names_its_line(
+        self, staff_csvs, tmp_path, capsys
+    ):
+        source_path, target_path = staff_csvs
+        source_path.write_text('Name,Phone\n"Ann\nLee",1\nBob\n')
+        exit_code = main(
+            [
+                "fit",
+                str(source_path),
+                str(target_path),
+                "--source-column",
+                "Name",
+                "--target-column",
+                "Name",
+                "--save",
+                str(tmp_path / "model.json"),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert exit_code == 1
+        assert captured.err == f"error: {source_path}:4: expected 2 cells, got 1\n"
+
     @pytest.mark.parametrize(
         "text", ["\n", "\nName\nAnn\n"], ids=["newline-only", "blank-first-line"]
     )

@@ -12,7 +12,7 @@ from oracles.matching import (
 
 from repro.core.pairs import RowPair
 from repro.matching.index import InvertedIndex
-from repro.matching.ngrams import unique_ngrams_by_size
+from repro.matching.ngrams import ngram_set
 from repro.matching.row_matcher import GoldenRowMatcher, MatchingConfig, NGramRowMatcher
 
 
@@ -33,30 +33,22 @@ class TestNgrams:
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
             character_ngrams("abc", 0)
-        with pytest.raises(ValueError):
-            list(unique_ngrams_by_size("abc", 3, 2))
-        with pytest.raises(ValueError):
-            list(unique_ngrams_by_size("abc", 0, 2))
+        with pytest.raises(ValueError, match="must be >= min size"):
+            ngram_set("abc", 3, 2)
+        with pytest.raises(ValueError, match="must be positive"):
+            ngram_set("abc", 0, 2)
 
-    def test_unique_ngrams_by_size_yields_one_list_per_size(self):
-        assert list(unique_ngrams_by_size("abcd", 2, 3)) == [
-            ["ab", "bc", "cd"],
-            ["abc", "bcd"],
-        ]
+    def test_ngram_set_holds_every_size_in_one_set(self):
+        assert ngram_set("abcd", 2, 3) == {"ab", "bc", "cd", "abc", "bcd"}
+        assert ngram_set("abab", 2, 2) == {"ab", "ba"}
 
-    def test_unique_ngrams_by_size_stops_at_the_text_length(self):
-        assert list(unique_ngrams_by_size("abc", 2, 6)) == [["ab", "bc"], ["abc"]]
-        assert list(unique_ngrams_by_size("ab", 3, 4)) == []
+    def test_ngram_set_stops_at_the_text_length(self):
+        assert ngram_set("abc", 2, 6) == {"ab", "bc", "abc"}
+        assert ngram_set("ab", 3, 4) == set()
 
-    def test_unique_ngrams_by_size_keeps_first_occurrence_order(self):
-        assert list(unique_ngrams_by_size("abab", 2, 2)) == [["ab", "ba"]]
-        assert list(unique_ngrams_by_size("baab", 1, 1)) == [["b", "a"]]
-
-    def test_unique_ngrams_by_size_lowercase_switch(self):
-        assert list(unique_ngrams_by_size("AbA", 2, 2)) == [["ab", "ba"]]
-        assert list(unique_ngrams_by_size("AbA", 2, 2, lowercase=False)) == [
-            ["Ab", "bA"]
-        ]
+    def test_ngram_set_lowercase_switch(self):
+        assert ngram_set("AbA", 2, 2) == {"ab", "ba"}
+        assert ngram_set("AbA", 2, 2, lowercase=False) == {"Ab", "bA"}
 
 
 class TestInvertedIndex:

@@ -256,6 +256,36 @@ class TestTableReadErrors:
         ):
             read_csv(path)
 
+    def test_ragged_row_after_a_multiline_cell_names_its_line(self, tmp_path):
+        # The quoted cell spans lines 2 and 3, so the ragged third record
+        # is on line 4 of the file.
+        from repro.table.io import TableReadError, read_csv
+
+        path = tmp_path / "multiline.csv"
+        path.write_text('a,b\n"x\ny",2\n3\n')
+        with pytest.raises(
+            TableReadError, match=r"multiline\.csv:4: expected 2 cells, got 1"
+        ):
+            read_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("a,b\n1,2\n\n", {"a": ["1"], "b": ["2"]}),
+            ("a,b\n1,2\n\n3,4\n", {"a": ["1", "3"], "b": ["2", "4"]}),
+            ("a,b\n\n\n1,2\n\n", {"a": ["1"], "b": ["2"]}),
+        ],
+        ids=["trailing", "between-rows", "several"],
+    )
+    def test_blank_lines_after_the_header_are_skipped(self, tmp_path, text, expected):
+        # csv.reader reads a blank line as a record of no cells; like
+        # csv.DictReader, read_csv takes it for no record at all.
+        from repro.table.io import read_csv
+
+        path = tmp_path / "blank.csv"
+        path.write_text(text)
+        assert read_csv(path) == Table(expected)
+
     def test_invalid_utf8_error_carries_file_and_byte(self, tmp_path):
         from repro.table.io import TableReadError, read_csv
 

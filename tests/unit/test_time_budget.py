@@ -77,29 +77,25 @@ class TestBudgetedCoverageWalk:
         )
         transformation = Transformation([Split(",", 2)])
         computer = CoverageComputer(pairs)
-        results = computer.coverage_of_trie(
-            _build_unit_trie([transformation]),
-            [transformation],
-            deadline=monotonic() - 1.0,
+        masks = computer.coverage_of_trie(
+            _build_unit_trie([transformation]), deadline=monotonic() - 1.0
         )
         assert computer.budget_exhausted
         assert computer.rows_processed == 1024
         # The processed prefix is byte-identical to an unbudgeted run's
         # prefix: exactly the first 1024 rows are covered.
-        assert results[0].covered_rows == frozenset(range(1024))
+        assert masks == [(1 << 1024) - 1]
 
     def test_unexpired_deadline_is_a_no_op(self):
         pairs = pairs_from_strings([(f"a{i},b{i}", f"b{i}") for i in range(50)])
         transformation = Transformation([Split(",", 2)])
         computer = CoverageComputer(pairs)
-        results = computer.coverage_of_trie(
-            _build_unit_trie([transformation]),
-            [transformation],
-            deadline=monotonic() + 3600.0,
+        masks = computer.coverage_of_trie(
+            _build_unit_trie([transformation]), deadline=monotonic() + 3600.0
         )
         assert not computer.budget_exhausted
         assert computer.rows_processed == len(pairs)
-        assert results[0].covered_rows == frozenset(range(50))
+        assert masks == [(1 << 50) - 1]
 
 
 class TestBudgetStats:
